@@ -44,10 +44,8 @@ from .po import (
     FAILED,
     VACUOUS,
     DischargeReport,
-    detect_vacuous_guards,
     discharge_all,
     generate_pos,
-    goal_invariant_report,
 )
 from .runtime import Instantiation, state_lines
 from .scenario import decision_lines, run_scenario_text
@@ -318,7 +316,10 @@ def _cmd_check(args, out: _Out) -> int:
     pos = generate_pos(tm, include_refinement=args.refinement, exclude_labels=exclude)
     if not args.refinement:
         pos = [p for p in pos if p.kind == "INV"]
-    reports = discharge_all(tm, env, pos, args.state_source, exclude)
+    result = discharge_all(
+        tm, env, pos, args.state_source, exclude,
+        vacuity=args.vacuity, goal=args.goal_invariant or None,
+    )
 
     if fmt == "table":
         head = f"machine {tm.name}  bounds {bounds}  source {args.state_source}"
@@ -328,11 +329,11 @@ def _cmd_check(args, out: _Out) -> int:
     else:
         mut = f" mutation={args.mutate}" if args.mutate else ""
         out.line(f"run machine={tm.name} bounds={bounds} source={args.state_source}{mut}")
-    for text in _render_reports(reports, tm.var_order, fmt):
+    for text in _render_reports(result.reports, tm.var_order, fmt):
         out.line(text)
 
-    if args.goal_invariant:
-        rep = goal_invariant_report(tm, env, args.goal_invariant)
+    rep = result.goal
+    if rep is not None:
         if fmt == "records":
             out.line(
                 f"goal label={rep.label} holds={rep.holds} states={rep.states} "
@@ -343,19 +344,18 @@ def _cmd_check(args, out: _Out) -> int:
                 f"goal invariant {rep.label}: holds in {rep.holds} of {rep.states} "
                 f"typed states and {rep.holds_reachable} of {rep.reachable} reachable states"
             )
-    if args.vacuity:
-        for vac in detect_vacuous_guards(tm, env, args.state_source):
-            if fmt == "records":
-                out.line(
-                    f"vacuity event={vac.event} guard={vac.guard} "
-                    f"vacuous={'true' if vac.vacuous else 'false'} cases={vac.cases}"
-                )
-            else:
-                verdict = "vacuous" if vac.vacuous else "falsifiable"
-                out.line(
-                    f"guard {vac.guard} of {vac.event}: {verdict} over {vac.cases} cases"
-                )
-    return 1 if any(r.verdict == FAILED for r in reports) else 0
+    for vac in result.vacuity:
+        if fmt == "records":
+            out.line(
+                f"vacuity event={vac.event} guard={vac.guard} "
+                f"vacuous={'true' if vac.vacuous else 'false'} cases={vac.cases}"
+            )
+        else:
+            verdict = "vacuous" if vac.vacuous else "falsifiable"
+            out.line(
+                f"guard {vac.guard} of {vac.event}: {verdict} over {vac.cases} cases"
+            )
+    return 1 if any(r.verdict == FAILED for r in result.reports) else 0
 
 
 def _check_file(args, out: _Out, exclude: frozenset) -> int:
@@ -375,7 +375,7 @@ def _check_file(args, out: _Out, exclude: frozenset) -> int:
     merged: dict[str, DischargeReport] = {}
     for inst in insts:
         env = inst.env(args.powerset_bound)
-        for rep in discharge_all(tm, env, pos, args.state_source, exclude):
+        for rep in discharge_all(tm, env, pos, args.state_source, exclude).reports:
             prev = merged.get(rep.po.name)
             if prev is None:
                 if rep.verdict == FAILED and rep.counterexample is not None:

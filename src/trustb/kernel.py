@@ -64,6 +64,7 @@ from .values import (
     PairV,
     SetV,
     Value,
+    value_sorted,
 )
 
 DEFAULT_POWERSET_BOUND = 12
@@ -140,12 +141,19 @@ def _check_image_operands(r: Value, s: Value) -> None:
         raise NotARelation(f"image argument must be a set, got {s!r}")
 
 
+def _non_pair(op: str, r: SetV) -> NotARelation:
+    """The error for a relation operand holding a non-pair.  It names the
+    canonically least non-pair, so the message does not depend on hash order."""
+    least = value_sorted(e for e in r.elements if type(e) is not PairV)[0]
+    return NotARelation(f"{op} over a set containing non-pair {least!r}")
+
+
 def _image_list(r: SetV, lefts) -> list[Value]:
     """Right components of the pairs of r whose left is in lefts."""
     out = []
     for p in r.elements:
         if type(p) is not PairV:
-            raise NotARelation(f"image over a set containing non-pair {p!r}")
+            raise _non_pair("image", r)
         if p.left in lefts:
             out.append(p.right)
     return out
@@ -157,7 +165,7 @@ def domain_of(r: SetV) -> SetV:
     out = []
     for p in r.elements:
         if type(p) is not PairV:
-            raise NotARelation(f"dom over a set containing non-pair {p!r}")
+            raise _non_pair("dom", r)
         out.append(p.left)
     return SetV(out)
 
@@ -170,7 +178,7 @@ def apply_function(f: SetV, x: Value) -> Value:
     count = 0
     for p in f.elements:
         if type(p) is not PairV:
-            raise NotARelation(f"application over a set containing non-pair {p!r}")
+            raise _non_pair("application", f)
         if p.left == x:
             count += 1
             if count > 1:

@@ -474,17 +474,6 @@ class TrustState:
     def trusts(self, trustor: str, trustees, task: str) -> bool:
         return self._triple(trustor, trustees, task) in self.trust_record
 
-    # single-trustee conveniences
-
-    def learn_of(self, trustor: str, trustee: str) -> None:
-        self.learn(trustor, trustee)
-
-    def trust_query_one(self, trustor: str, trustee: str, task: str) -> TrustDecision:
-        return self.trust_query(trustor, [trustee], task)
-
-    def establish_trust_one(self, trustor: str, trustee: str, task: str) -> TrustDecision:
-        return self.establish_trust(trustor, [trustee], task)
-
 
 def canon_group(group: SetV) -> str:
     return "{" + ", ".join(a.name for a in value_sorted(group.elements)) + "}"

@@ -28,15 +28,13 @@ otherwise, and `vacuous` when no case satisfied the hypothesis.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NotSuperposition
+from .errors import NotSuperposition, UnresolvedReference
 from .kernel import Env, eval_expr_frame, eval_pred_frame
 from .runtime import (
     State,
-    domain_candidates,
     initial_state,
     param_bindings,
     reachable_states,
@@ -93,7 +91,6 @@ class DischargeReport:
     cases: int
     counterexample: Counterexample | None = None
     note: str = ""
-    elapsed: float = 0.0
 
 
 def _goal_note(goal: Pred, tm: TypedMachine) -> str:
@@ -158,6 +155,52 @@ def refinement_pos(tm: TypedMachine) -> list[ProofObligation]:
 # --- the discharge engine ------------------------------------------------------
 
 
+@dataclass
+class VacuityReport:
+    """Whether a guard ever evaluated false on invariant-satisfying cases.
+
+    A guard that never does is vacuous at these bounds: removing it
+    admits no new behaviour, so it contributes nothing to the model's
+    meaning here.  A vacuous guard with zero cases means no state even
+    satisfied the invariants, which the caller should treat as its own
+    warning.
+    """
+
+    event: str
+    guard: str
+    vacuous: bool
+    cases: int
+    witness: Counterexample | None = None
+
+
+@dataclass
+class GoalInvariantReport:
+    """Where a designated goal invariant holds at the chosen bounds.
+
+    The label is removed from the proof scope entirely; this report
+    says on how many typed states (and whether on any reachable state)
+    the predicate is actually true, which is information rather than an
+    obligation.
+    """
+
+    label: str
+    holds: int
+    states: int
+    holds_reachable: int
+    reachable: int
+
+
+@dataclass
+class CheckResult:
+    """What one walk over the pre-states found: the obligation reports in
+    obligation order, the vacuity reports (empty unless asked for) and the
+    goal-invariant report (None unless asked for)."""
+
+    reports: list[DischargeReport]
+    vacuity: list[VacuityReport]
+    goal: GoalInvariantReport | None = None
+
+
 class _Working:
     __slots__ = ("po", "cases", "failed", "counterexample")
 
@@ -176,31 +219,61 @@ def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterator[State
     raise ValueError(f"unknown state source {state_source!r}; use one of {STATE_SOURCES}")
 
 
-def _static_bindings(info: EventInfo, tm: TypedMachine, env: Env) -> list[dict] | None:
-    """Parameter bindings precomputed once if no domain mentions a variable."""
-    vars_ = set(tm.variables)
-    for dexpr in info.param_domains.values():
-        if free_idents_expr(dexpr) & vars_:
-            return None
+def _judge(
+    targets: list[_Working],
+    tm: TypedMachine,
+    info: EventInfo,
+    state: State,
+    binding: dict,
+    frame: dict,
+    bound: int,
+) -> None:
+    """Count one enabled case against each target obligation and keep the
+    first counterexample of each."""
+    post_frame = None
+    for w in targets:
+        w.cases += 1
+        if w.failed:
+            continue
+        po = w.po
+        if po.kind == "GRD":
+            if eval_pred_frame(po.goal, frame, bound):
+                continue
+            post_state = None
+        else:
+            if post_frame is None:
+                post_frame = dict(frame)
+                post_frame.update(
+                    {a.variable: eval_expr_frame(a.expr, frame, bound) for a in info.ast.actions}
+                )
+            if po.kind == "INV":
+                if eval_pred_frame(po.goal, post_frame, bound):
+                    continue
+            else:  # SIM
+                expected = eval_expr_frame(po.sim_expr, frame, bound)
+                actual = post_frame[po.label]
+                if expected == actual:
+                    continue
+            post_state = State({v: post_frame[v] for v in tm.var_order})
+        w.failed = True
+        ce = Counterexample(State(dict(state.values)), tuple(sorted(binding.items())), post_state)
+        if po.kind == "SIM":
+            ce.expected = expected
+            ce.actual = actual
+        w.counterexample = ce
+
+
+def _holds_on(code, states: Iterable[State], env: Env) -> tuple[int, int]:
+    """On how many of the states a compiled invariant holds, and of how many."""
     bound = env.powerset_bound
     frame = dict(env.bindings)
-    params = info.ast.params
-    out: list[dict] = []
-
-    def walk(k: int, binding: dict) -> None:
-        if k == len(params):
-            out.append(dict(binding))
-            return
-        name = params[k]
-        for v in domain_candidates(info.param_domains[name], frame, bound):
-            frame[name] = v
-            binding[name] = v
-            walk(k + 1, binding)
-        frame.pop(name, None)
-        binding.pop(name, None)
-
-    walk(0, {})
-    return out
+    holds = total = 0
+    for state in states:
+        frame.update(state.values)
+        total += 1
+        if code(frame, bound):
+            holds += 1
+    return holds, total
 
 
 def discharge_all(
@@ -209,61 +282,88 @@ def discharge_all(
     pos: Iterable[ProofObligation] | None = None,
     state_source: str = ALL_STATES,
     exclude_labels: frozenset[str] = frozenset(),
-) -> list[DischargeReport]:
-    """Discharge a batch of obligations in one pass over the state space.
+    vacuity: bool = False,
+    goal: str | None = None,
+) -> CheckResult:
+    """Discharge a batch of obligations in one walk over the pre-states; on
+    the same walk, report vacuous guards if `vacuity` is set and count the
+    states where the invariant labelled `goal` holds if one is given.
 
-    Per state the invariant scope is evaluated once; a preservation
-    obligation's hypothesis then reduces to `the only false invariant, if
-    any, is the goal itself` plus the event's guards.  Counterexamples
-    are the first in enumeration order, and case counts are exact.
+    Per state each invariant is evaluated at most once.  A preservation
+    obligation's hypothesis then reduces to `the only false invariant
+    outside exclude_labels, if any, is the obligation's own` plus the
+    event's guards; vacuity looks only at states where every invariant holds, and
+    there each guard is evaluated once per binding for both consumers.
+    Counterexamples are the first in enumeration order, and case counts
+    are exact.  The goal count covers every typed state and every
+    reachable state, whichever the state source.
     """
-    started = time.perf_counter()
     if pos is None:
         pos = generate_pos(tm, include_refinement=True, exclude_labels=exclude_labels)
     pos = list(pos)
-
-    scope = [(lbl, code) for lbl, code in tm.invariant_code if lbl not in exclude_labels]
+    codes = dict(tm.invariant_code)
+    if goal is not None and goal not in codes:
+        raise UnresolvedReference("invariant", goal)
     bound = env.powerset_bound
 
-    init_pos = [po for po in pos if po.event == INIT_EVENT]
-    event_pos: dict[str, list[_Working]] = {}
+    reports: list[DischargeReport] = []
     working: dict[str, _Working] = {}
+    event_pos: dict[str, list[_Working]] = {}
+    init = None
     for po in pos:
         if po.event == INIT_EVENT:
-            continue
-        w = _Working(po)
-        working[po.name] = w
-        event_pos.setdefault(po.event, []).append(w)
-
-    reports: list[DischargeReport] = []
-
-    # Establishment: a single case from the initial state, axioms assumed.
-    if init_pos:
-        init = initial_state(tm, env)
-        frame0 = dict(env.bindings)
-        frame0.update(init.values)
-        for po in init_pos:
+            # Establishment: a single case from the initial state, axioms assumed.
+            if init is None:
+                init = initial_state(tm, env)
+                frame0 = dict(env.bindings)
+                frame0.update(init.values)
             ok = eval_pred_frame(po.goal, frame0, bound)
             ce = None if ok else Counterexample(None, (), init)
-            reports.append(
-                DischargeReport(po, DISCHARGED if ok else FAILED, 1, ce, po.note)
-            )
+            reports.append(DischargeReport(po, DISCHARGED if ok else FAILED, 1, ce, po.note))
+        else:
+            w = working[po.name] = _Working(po)
+            event_pos.setdefault(po.event, []).append(w)
 
-    if working:
-        events = [
-            (name, tm.events[name], event_pos[name])
-            for name in tm.events
-            if name in event_pos
+    vac_reps = {
+        name: [VacuityReport(name, label, True, 0) for label, _code in info.guard_code]
+        for name, info in tm.events.items()
+        if vacuity and not info.ast.is_init
+    }
+    events = [
+        (name, info, event_pos.get(name, []), vac_reps.get(name))
+        for name, info in tm.events.items()
+        if name in event_pos or name in vac_reps
+    ]
+    holds = states = 0
+    if events or goal is not None:
+        # The invariants some consumer needs, each evaluated once per state.
+        checked = [
+            (lbl, code)
+            for lbl, code in tm.invariant_code
+            if vacuity or lbl == goal or (working and lbl not in exclude_labels)
         ]
-        static = {name: _static_bindings(info, tm, env) for name, info, _w in events}
+        drop_excluded = any(lbl in exclude_labels for lbl, _code in checked)
+        vars_ = set(tm.variables)
+        static = {
+            name: None
+            if any(free_idents_expr(d) & vars_ for d in info.param_domains.values())
+            else list(param_bindings(info, State({}), env))
+            for name, info, _ws, _vreps in events
+        }
         frame = dict(env.bindings)
         for state in _state_iter(tm, env, state_source):
             frame.update(state.values)
-            false_invs = [lbl for lbl, code in scope if not code(frame, bound)]
+            false_invs = [lbl for lbl, code in checked if not code(frame, bound)]
+            states += 1
+            if goal not in false_invs:
+                holds += 1
+            valid = vacuity and not false_invs
+            if drop_excluded:
+                false_invs = [lbl for lbl in false_invs if lbl not in exclude_labels]
             if len(false_invs) > 1:
                 continue
             sole_false = false_invs[0] if false_invs else None
-            for name, info, ws in events:
+            for name, info, ws, vreps in events:
                 # With one false invariant, the only obligation whose
                 # hypothesis can hold is the one that excludes it: the
                 # preservation obligation for that very label.
@@ -273,84 +373,61 @@ def discharge_all(
                     targets = [
                         w for w in ws if w.po.kind == "INV" and w.po.label == sole_false
                     ]
-                if not targets:
+                if not targets and not valid:
                     continue
                 bindings = static[name]
                 if bindings is None:
                     bindings = param_bindings(info, state, env)
                 guards = info.guard_code
-                actions = info.ast.actions
                 for binding in bindings:
                     frame.update(binding)
-                    enabled = True
-                    for _label, code in guards:
-                        if not code(frame, bound):
-                            enabled = False
-                            break
-                    if enabled:
-                        post_frame = None
-                        post_changes = None
-                        for w in targets:
-                            w.cases += 1
-                            if w.failed:
-                                continue
-                            po = w.po
-                            if po.kind == "GRD":
-                                if eval_pred_frame(po.goal, frame, bound):
-                                    continue
-                                post_state = None
-                            else:
-                                if post_changes is None:
-                                    post_changes = {
-                                        a.variable: eval_expr_frame(a.expr, frame, bound)
-                                        for a in actions
-                                    }
-                                    post_frame = dict(frame)
-                                    post_frame.update(post_changes)
-                                if po.kind == "INV":
-                                    if eval_pred_frame(po.goal, post_frame, bound):
-                                        continue
-                                else:  # SIM
-                                    expected = eval_expr_frame(po.sim_expr, frame, bound)
-                                    actual = post_frame[po.label]
-                                    if expected == actual:
-                                        continue
-                                post_state = State(
-                                    {v: post_frame[v] for v in tm.var_order}
+                    if valid:
+                        truths = [code(frame, bound) for _label, code in guards]
+                        for rep, ok in zip(vreps, truths):
+                            rep.cases += 1
+                            if not ok and rep.witness is None:
+                                rep.vacuous = False
+                                rep.witness = Counterexample(
+                                    State(dict(state.values)),
+                                    tuple(sorted(binding.items())),
+                                    None,
                                 )
-                            w.failed = True
-                            ce = Counterexample(
-                                State(dict(state.values)),
-                                tuple(sorted(binding.items())),
-                                post_state,
-                            )
-                            if po.kind == "SIM":
-                                ce.expected = expected
-                                ce.actual = actual
-                            w.counterexample = ce
+                        enabled = all(truths)
+                    else:
+                        enabled = True
+                        for _label, code in guards:
+                            if not code(frame, bound):
+                                enabled = False
+                                break
+                    if enabled and targets:
+                        _judge(targets, tm, info, state, binding, frame, bound)
                     for p in binding:
                         frame.pop(p, None)
 
-        for po in pos:
-            if po.event == INIT_EVENT:
-                continue
-            w = working[po.name]
-            if w.failed:
-                verdict = FAILED
-            elif w.cases == 0:
-                verdict = VACUOUS
-            else:
-                verdict = DISCHARGED
-            reports.append(
-                DischargeReport(po, verdict, w.cases, w.counterexample, po.note)
-            )
-
-    elapsed = time.perf_counter() - started
+    for w in working.values():
+        if w.failed:
+            verdict = FAILED
+        elif w.cases == 0:
+            verdict = VACUOUS
+        else:
+            verdict = DISCHARGED
+        reports.append(DischargeReport(w.po, verdict, w.cases, w.counterexample, w.po.note))
     by_name = {po.name: k for k, po in enumerate(pos)}
     reports.sort(key=lambda r: by_name[r.po.name])
-    for r in reports:
-        r.elapsed = elapsed
-    return reports
+
+    goal_rep = None
+    if goal is not None:
+        code = codes[goal]
+        if state_source == REACHABLE:
+            goal_rep = GoalInvariantReport(
+                goal, *_holds_on(code, state_universe(tm, env), env), holds, states
+            )
+        else:
+            goal_rep = GoalInvariantReport(
+                goal, holds, states, *_holds_on(code, reachable_states(tm, env), env)
+            )
+    vacuity_reps = [rep for reps in vac_reps.values() for rep in reps]
+    return CheckResult(reports, vacuity_reps, goal_rep)
 
 
 def discharge(
@@ -359,7 +436,7 @@ def discharge(
     env: Env,
     state_source: str = ALL_STATES,
 ) -> DischargeReport:
-    return discharge_all(tm, env, [po], state_source)[0]
+    return discharge_all(tm, env, [po], state_source).reports[0]
 
 
 def check_machine(
@@ -374,7 +451,7 @@ def check_machine(
         for po in generate_pos(tm, exclude_labels=exclude_labels)
         if po.kind == "INV"
     ]
-    return discharge_all(tm, env, pos, state_source, exclude_labels)
+    return discharge_all(tm, env, pos, state_source, exclude_labels).reports
 
 
 def check_refinement(
@@ -398,28 +475,7 @@ def check_refinement(
                 f"event '{info.name}' drops abstract parameters: {', '.join(lost)}"
             )
     pos = refinement_pos(tm)
-    return discharge_all(tm, env, pos, state_source)
-
-
-# --- vacuous guard detection ------------------------------------------------------
-
-
-@dataclass
-class VacuityReport:
-    """Whether a guard ever evaluated false on invariant-satisfying cases.
-
-    A guard that never does is vacuous at these bounds: removing it
-    admits no new behaviour, so it contributes nothing to the model's
-    meaning here.  A vacuous guard with zero cases means no state even
-    satisfied the invariants, which the caller should treat as its own
-    warning.
-    """
-
-    event: str
-    guard: str
-    vacuous: bool
-    cases: int
-    witness: Counterexample | None = None
+    return discharge_all(tm, env, pos, state_source).reports
 
 
 def detect_vacuous_guards(
@@ -427,79 +483,10 @@ def detect_vacuous_guards(
     env: Env,
     state_source: str = ALL_STATES,
 ) -> list[VacuityReport]:
-    bound = env.powerset_bound
-    events = [
-        (name, info) for name, info in tm.events.items() if not info.ast.is_init
-    ]
-    results: dict[tuple[str, str], VacuityReport] = {}
-    for name, info in events:
-        for g in info.ast.guards:
-            results[(name, g.label)] = VacuityReport(name, g.label, True, 0)
-    static = {name: _static_bindings(info, tm, env) for name, info in events}
-
-    frame = dict(env.bindings)
-    for state in _state_iter(tm, env, state_source):
-        frame.update(state.values)
-        if not all(code(frame, bound) for _lbl, code in tm.invariant_code):
-            continue
-        for name, info in events:
-            bindings = static[name]
-            if bindings is None:
-                bindings = param_bindings(info, state, env)
-            for binding in bindings:
-                frame.update(binding)
-                for label, code in info.guard_code:
-                    rep = results[(name, label)]
-                    rep.cases += 1
-                    if not code(frame, bound) and rep.witness is None:
-                        rep.vacuous = False
-                        rep.witness = Counterexample(
-                            State(dict(state.values)),
-                            tuple(sorted(binding.items())),
-                            None,
-                        )
-                for p in binding:
-                    frame.pop(p, None)
-    return list(results.values())
-
-
-# --- goal-invariant queries ------------------------------------------------------
-
-
-@dataclass
-class GoalInvariantReport:
-    """Where a designated goal invariant holds at the chosen bounds.
-
-    The label is removed from the proof scope entirely; this report
-    says on how many typed states (and whether on any reachable state)
-    the predicate is actually true, which is information rather than an
-    obligation.
-    """
-
-    label: str
-    holds: int
-    states: int
-    holds_reachable: int
-    reachable: int
+    return discharge_all(tm, env, [], state_source, vacuity=True).vacuity
 
 
 def goal_invariant_report(
     tm: TypedMachine, env: Env, label: str
 ) -> GoalInvariantReport:
-    pred = tm.invariant(label).pred
-    bound = env.powerset_bound
-    frame = dict(env.bindings)
-    holds = 0
-    total = 0
-    for state in state_universe(tm, env):
-        frame.update(state.values)
-        total += 1
-        if eval_pred_frame(pred, frame, bound):
-            holds += 1
-    holds_reach = 0
-    reach = reachable_states(tm, env)
-    for state in reach:
-        frame.update(state.values)
-        if eval_pred_frame(pred, frame, bound):
-            holds_reach += 1
-    return GoalInvariantReport(label, holds, total, holds_reach, len(reach))
+    return discharge_all(tm, env, [], goal=label).goal

@@ -14,6 +14,7 @@ over the same model therefore visit states and transitions identically.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -331,10 +332,10 @@ def reachable_states(tm: TypedMachine, env: Env) -> list[State]:
     init = initial_state(tm, env)
     order = tm.var_order
     seen = {init.key(order)}
-    queue = [init]
+    queue = deque([init])
     out = [init]
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         for tr in enumerate_transitions(tm, current, env):
             k = tr.post.key(order)
             if k not in seen:

@@ -80,6 +80,11 @@ FALSE = _make_bool(False)
 TRUE = _make_bool(True)
 
 
+# A pair's hash mixes in this constant, not the class object, whose hash is
+# its address and so would change from run to run.
+_PAIR_TAG = 2
+
+
 class PairV(Value):
     """An ordered pair, written left |-> right."""
 
@@ -88,7 +93,7 @@ class PairV(Value):
     def __init__(self, left: Value, right: Value):
         self.left = left
         self.right = right
-        self._hash = hash((PairV, left, right))
+        self._hash = hash((_PAIR_TAG, left, right))
         self._key = None
 
     def __repr__(self):

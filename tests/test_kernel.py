@@ -313,3 +313,43 @@ def test_union_difference_against_python_sets(xs, ys):
     assert ev("X \\/ Y", X=sx, Y=sy) == mkatoms(xs | ys)
     assert ev("X \\ Y", X=sx, Y=sy) == mkatoms(xs - ys)
     assert holds("X <: Y", X=sx, Y=sy) == (xs <= ys)
+
+
+_HASH_PROBE = """
+from trustb.errors import NotARelation
+from trustb.kernel import apply_function, domain_of, relational_image
+from trustb.values import Atom, PairV, SetV
+
+a, b = Atom("a"), Atom("b")
+r = SetV([PairV(a, b), PairV(b, PairV(a, b)), a, b, SetV([PairV(a, a)]), PairV(b, a)])
+print(hash(PairV(a, b)), [repr(e) for e in r])
+for op in (lambda: domain_of(r), lambda: apply_function(r, Atom("z")),
+           lambda: relational_image(r, SetV([a]))):
+    try:
+        op()
+    except NotARelation as err:
+        print(err)
+"""
+
+
+def test_pair_hashes_and_non_pair_messages_repeat_between_runs():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import trustb
+
+    src = str(pathlib.Path(trustb.__file__).parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    outs = [
+        subprocess.run([sys.executable, "-c", _HASH_PROBE], env=env, check=True,
+                       capture_output=True, text=True).stdout
+        for _ in range(2)
+    ]
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert lines[1:] == [
+        f"{op} over a set containing non-pair a"
+        for op in ("dom", "application", "image")
+    ]

@@ -251,16 +251,6 @@ def test_invariant_warnings_surface_transients():
     assert "inv1" in ts.invariant_warnings()
 
 
-def test_single_trustee_conveniences():
-    ts = fresh()
-    ts.allocate_task(["bob"], "deliver")
-    ts.learn_of("alice", "bob")
-    ts.commit("alice", ["bob"], "deliver", True)
-    assert ts.trust_query_one("alice", "bob", "deliver").granted
-    ts.establish_trust_one("alice", "bob", "deliver")
-    assert ts.trusts("alice", ["bob"], "deliver")
-
-
 def test_decision_holding_failing_partition():
     ts = fresh()
     d = ts.trust_query("alice", ["bob"], "deliver")

@@ -78,7 +78,7 @@ def test_abstract_inv4_flagged_vacuous_in_variables():
 def test_batch_matches_singleton_discharge():
     tm, inst, env = setup(2, BoundSpec(1, 2, 1))
     pos = generate_pos(tm, include_refinement=True)
-    batch = discharge_all(tm, env, pos)
+    batch = discharge_all(tm, env, pos).reports
     for rep in batch:
         single = discharge(tm, rep.po, env)
         assert single.verdict == rep.verdict, rep.po.name
@@ -151,7 +151,7 @@ def test_level2_commitment_stasis():
     assert verdicts["trust/inv2/INV"] == (DISCHARGED, 272)
     # and the corresponding post states all equal their pre states
     pos = [p for p in generate_pos(tm) if p.name == "trust/inv2/INV"]
-    rep = discharge_all(tm, env, pos)[0]
+    rep = discharge_all(tm, env, pos).reports[0]
     assert rep.counterexample is None
 
 
@@ -266,3 +266,37 @@ def test_goal_invariant_report_counts():
     assert rep.holds == 276
     assert rep.reachable == 1
     assert rep.holds_reachable == 0
+
+
+def test_check_walks_the_state_universe_once(monkeypatch):
+    import io
+
+    from trustb import po
+    from trustb.cli import run_command
+
+    calls = []
+    real = po.state_universe
+
+    def counting(tm, env):
+        calls.append(tm.name)
+        return real(tm, env)
+
+    monkeypatch.setattr(po, "state_universe", counting)
+    argv = ["check", "--level", "2", "--bounds", "1,2,2", "--refinement", "--vacuity",
+            "--goal-invariant", "inv4"]
+    assert run_command(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    assert calls == ["M2_int"]
+
+
+def test_one_walk_matches_separate_walks():
+    tm, inst, env = setup(0, BoundSpec(2, 2, 1))
+    pos = generate_pos(tm, include_refinement=True, exclude_labels=frozenset({"inv4"}))
+    both = discharge_all(tm, env, pos, exclude_labels=frozenset({"inv4"}),
+                         vacuity=True, goal="inv4")
+    alone = discharge_all(tm, env, pos, exclude_labels=frozenset({"inv4"}))
+    assert [(r.po.name, r.verdict, r.cases) for r in both.reports] == [
+        (r.po.name, r.verdict, r.cases) for r in alone.reports
+    ]
+    assert alone.vacuity == [] and alone.goal is None
+    assert both.vacuity == detect_vacuous_guards(tm, env)
+    assert both.goal == goal_invariant_report(tm, env, "inv4")

@@ -191,6 +191,20 @@ def test_check_refinement_flag():
     assert all("verdict=discharged" in ln for ln in grd + sim)
 
 
+def test_readme_state_sources_parse():
+    import pathlib
+    import re
+
+    from trustb.cli import build_parser
+
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    named = re.findall(r"--state-source (\w+)", readme.read_text(encoding="utf-8"))
+    assert named
+    for value in named:
+        args = build_parser().parse_args(["check", "--state-source", value])
+        assert args.state_source == value
+
+
 def test_check_bounds_env_default(monkeypatch):
     monkeypatch.setenv("TRUSTB_BOUNDS", "1,1,1")
     code, out, _ = run(["check", "--level", "0", "--format", "records"])
