@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from . import __version__
 from .dsl import parse_file, pp_expr, pp_pred
 from .errors import ParseError, TrustbError
-from .kernel import (
-    DEFAULT_POWERSET_BOUND,
-    Env,
-    eval_expr_frame,
-    eval_pred_frame,
-    powerset_elements,
-)
+from .kernel import DEFAULT_POWERSET_BOUND
 from .models import (
     BoundSpec,
     Mutation,
@@ -47,11 +41,11 @@ from .po import (
     discharge_all,
     generate_pos,
 )
-from .runtime import Instantiation, state_lines
+from .runtime import enumerate_instantiations, state_lines
 from .scenario import decision_lines, run_scenario_text
-from .syntax import Ident, MachineAST, Member, Subset
-from .typecheck import TypedContext, TypedMachine, elaborate
-from .values import Atom, canon, mkset
+from .syntax import MachineAST
+from .typecheck import TypedMachine, elaborate
+from .values import canon
 
 
 class _Usage(Exception):
@@ -207,61 +201,19 @@ def _render_reports(reports: list[DischargeReport], order, fmt: str) -> list[str
 # --- model file instantiation ------------------------------------------------------
 
 
-def _carrier_sizes(specs: list[str]) -> dict[str, int]:
+def _carrier_sizes(specs: list[str], carriers: tuple[str, ...]) -> dict[str, int]:
     sizes: dict[str, int] = {}
     for spec in specs:
         name, eq, num = spec.partition("=")
         if not eq or not num.isdigit() or int(num) < 1:
             raise _Usage(f"trustb: error: bad --carrier '{spec}', expected SET=N")
+        if name not in carriers:
+            raise _Usage(
+                f"trustb check: error: --carrier {name}: the model has no carrier set "
+                f"of that name; its carrier sets are {', '.join(carriers) or '(none)'}"
+            )
         sizes[name] = int(num)
     return sizes
-
-
-def _constant_candidates(name: str, tc: TypedContext, frame: dict, bound: int):
-    for lab in tc.axioms:
-        p = lab.pred
-        if isinstance(p, Subset) and isinstance(p.left, Ident) and p.left.name == name:
-            return powerset_elements(eval_expr_frame(p.right, frame, bound), bound)
-        if isinstance(p, Member) and isinstance(p.item, Ident) and p.item.name == name:
-            container = eval_expr_frame(p.container, frame, bound)
-            return container.sorted_elements()
-    raise TrustbError(f"constant '{name}' has no typing axiom to enumerate from")
-
-
-def enumerate_instantiations(
-    tc: TypedContext,
-    sizes: dict[str, int],
-    powerset_bound: int = DEFAULT_POWERSET_BOUND,
-) -> list[Instantiation]:
-    """Every axiom-consistent instantiation at the given carrier sizes.
-
-    Carrier SET of size n gets atoms set1..setn (lower-cased name).
-    Constant candidates come from the constant's typing axiom; the full
-    axiom list then filters complete assignments.
-    """
-
-    values: dict[str, object] = {}
-    for carrier in tc.carriers:
-        n = sizes.get(carrier, 2)
-        values[carrier] = mkset(Atom(f"{carrier.lower()}{k}") for k in range(1, n + 1))
-
-    out: list[Instantiation] = []
-
-    def walk(k: int, frame: dict) -> None:
-        if k == len(tc.constants):
-            if all(eval_pred_frame(lab.pred, frame, powerset_bound) for lab in tc.axioms):
-                assigned = {c: frame[c] for c in tc.constants}
-                label = "; ".join(f"{c} = {canon(v)}" for c, v in assigned.items())
-                out.append(Instantiation(dict(values) | assigned, label))
-            return
-        name = tc.constants[k]
-        for cand in _constant_candidates(name, tc, frame, powerset_bound):
-            frame[name] = cand
-            walk(k + 1, frame)
-            del frame[name]
-
-    walk(0, dict(Env(values).bindings))
-    return out
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -301,10 +253,17 @@ def _cmd_check(args, out: _Out) -> int:
     exclude = frozenset({args.goal_invariant}) if args.goal_invariant else frozenset()
 
     if args.file is not None:
-        if args.level is not None:
-            raise _Usage("trustb check: error: --level applies to the built-in model; "
-                         "use --machine with a model file")
-        return _check_file(args, out, exclude)
+        builtin_only = {
+            "--level": args.level is not None,
+            "--mutate": args.mutate,
+            "--vacuity": args.vacuity,
+            "--goal-invariant": args.goal_invariant,
+        }
+        for flag, given in builtin_only.items():
+            if given:
+                raise _Usage(f"trustb check: error: {flag} applies only to the "
+                             "built-in model, not to a model file")
+        return _check_file(args, out)
 
     bounds = BoundSpec.parse(args.bounds or os.environ.get("TRUSTB_BOUNDS", "2,2,2"))
     tm, inst, env = _builtin_setup(args, bounds, args.powerset_bound)
@@ -358,24 +317,22 @@ def _cmd_check(args, out: _Out) -> int:
     return 1 if any(r.verdict == FAILED for r in result.reports) else 0
 
 
-def _check_file(args, out: _Out, exclude: frozenset) -> int:
+def _check_file(args, out: _Out) -> int:
     tm, _units = _load_file_model(args)
-    if args.mutate:
-        raise _Usage("trustb check: error: --mutate applies to the built-in model")
-    sizes = _carrier_sizes(args.carrier)
+    sizes = _carrier_sizes(args.carrier, tm.context.carriers)
     insts = enumerate_instantiations(tm.context, sizes, args.powerset_bound)
     if not insts:
         raise TrustbError(
             f"{args.file}: no axiom-consistent instantiation at these carrier sizes"
         )
-    pos = generate_pos(tm, include_refinement=args.refinement, exclude_labels=exclude)
+    pos = generate_pos(tm, include_refinement=args.refinement)
     if not args.refinement:
         pos = [p for p in pos if p.kind == "INV"]
 
     merged: dict[str, DischargeReport] = {}
     for inst in insts:
         env = inst.env(args.powerset_bound)
-        for rep in discharge_all(tm, env, pos, args.state_source, exclude).reports:
+        for rep in discharge_all(tm, env, pos, args.state_source).reports:
             prev = merged.get(rep.po.name)
             if prev is None:
                 if rep.verdict == FAILED and rep.counterexample is not None:

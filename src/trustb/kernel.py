@@ -91,12 +91,6 @@ class Env:
         self.bindings = merged
         self.powerset_bound = powerset_bound
 
-    def extended(self, extra: Mapping[str, Value]) -> "Env":
-        env = Env.__new__(Env)
-        env.bindings = {**self.bindings, **extra}
-        env.powerset_bound = self.powerset_bound
-        return env
-
 
 # --- core set operations ------------------------------------------------------
 
@@ -268,14 +262,6 @@ def enumerate_fn_space(
 
 ExprCode = Callable[[dict, int], Value]
 PredCode = Callable[[dict, int], bool]
-
-
-def eval_expr(e: Expr, env: Env) -> Value:
-    return compile_expr(e)(env.bindings, env.powerset_bound)
-
-
-def eval_pred(p: Pred, env: Env) -> bool:
-    return compile_pred(p)(env.bindings, env.powerset_bound)
 
 
 def eval_expr_frame(e: Expr, frame: dict, bound: int = DEFAULT_POWERSET_BOUND) -> Value:

@@ -9,11 +9,11 @@ loaded here by name.
 
 TrustState wraps a machine state of the chosen level behind verbs
 (allocate_task, learn, commit, establish_trust) and a per-guard explained
-trust_query.  Commitments live in a sparse map whose absent entries mean
-FALSE; the embedded machine value writes the stored entries out exactly,
-so querying an uncommitted triple fails guard grd8 just as the model
-says, while the commitment-typing invariant is evaluated as written and
-reported honestly when the sparse map runs ahead of the trust record.
+trust_query.  Commitments are read sparsely: a triple with no entry in
+the commitments variable counts as FALSE, so querying an uncommitted
+triple fails guard grd8 just as the model says, while the
+commitment-typing invariant is evaluated as written and reported honestly
+when the commitments run ahead of the trust record.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ from .errors import (
 )
 from .kernel import DEFAULT_POWERSET_BOUND, Env, eval_expr_frame
 from .runtime import (
-    GuardReport,
     Instantiation,
     State,
     event_frame,
+    fire_event,
     guard_truths,
+    initial_state,
     invariant_report,
 )
 from .syntax import ContextAST, EventAST, MachineAST
@@ -280,25 +281,13 @@ class TrustDecision:
         return [lbl for lbl, ok in self.guards if ok]
 
 
-_LEVEL_VARS = {
-    0: ("agent_task", "trustor_trustee_task"),
-    1: ("agent_task", "trustor_trustee_task", "knowledge"),
-    2: ("agent_task", "trustor_trustee_task", "knowledge", "commitments"),
-}
-
-
 class TrustState:
     """Mutable working state for one instantiated trust level.
 
-    Keeps task allocations, the trust record, knowledge and sparse
-    commitments natively, embeds them into a machine state on demand,
-    and answers queries by evaluating the level's actual trust guards.
-
-    The embedded state is cached between writes.  The native stores
-    therefore change only through the verbs allocate_task, learn, commit,
-    establish_trust and adopt (import_state adopts); each of them drops
-    the cache.  Writing to a store directly leaves queries on a stale
-    state.
+    Holds one machine state of the level.  The verbs allocate_task, learn,
+    commit and establish_trust, and adopt (import_state adopts), each
+    replace it with a new state; queries evaluate the level's actual trust
+    guards on it.  embed() returns the held state itself.
     """
 
     def __init__(
@@ -318,12 +307,8 @@ class TrustState:
         self._env = self.instantiation.env(powerset_bound)
         self.instantiation.validate(self._tm.context, powerset_bound)
 
-        self.agent_task: dict[SetV, Atom] = {}
-        self.trust_record: set[PairV] = set()
-        self.knowledge: set[PairV] = set()
-        self.commitments: dict[PairV, bool] = {}
-        self._state: State | None = None  # embed()'s cache
-        self._frame: dict[str, Value] | None = None  # its trust-event frame
+        self._state = initial_state(self._tm, self._env)
+        self._frame: dict[str, Value] | None = None  # the trust-event frame of _state
         self._bindings: dict[tuple, dict[str, Value]] = {}  # checked query bindings
 
     # -- atom handling
@@ -354,17 +339,21 @@ class TrustState:
 
     # -- state updates
 
+    def _set(self, var: str, elements) -> None:
+        self._state = self._state.updated({var: SetV(elements)})
+        self._frame = None
+
     def allocate_task(self, trustees, task: str) -> None:
         """Record that a trustee group can perform a task (at most one)."""
         group = self._trustee_group(trustees)
         t = self._task(task)
-        existing = self.agent_task.get(group)
-        if existing is not None and existing != t:
-            raise FunctionalityViolation(
-                f"group {canon_group(group)} is already allocated task {existing.name}"
-            )
-        self.agent_task[group] = t
-        self._changed()
+        allocated = self._state.values["agent_task"].elements
+        for pair in allocated:
+            if pair.left == group and pair.right != t:
+                raise FunctionalityViolation(
+                    f"group {canon_group(group)} is already allocated task {pair.right.name}"
+                )
+        self._set("agent_task", allocated | {PairV(group, t)})
 
     def learn(self, trustor: str, trustee: str) -> None:
         if self.level < TrustLevel.EPISTEMIC:
@@ -372,60 +361,36 @@ class TrustState:
         i = self._trustor(trustor)
         if trustee not in self.trustees:
             raise UndeclaredAtom(trustee)
-        self.knowledge.add(PairV(i, Atom(trustee)))
-        self._changed()
+        known = self._state.values["knowledge"].elements
+        self._set("knowledge", known | {PairV(i, Atom(trustee))})
 
     def commit(self, trustor: str, trustees, task: str, flag: bool) -> None:
         if self.level < TrustLevel.COMMITMENT:
             raise ScenarioError("commitments only exist at level 2")
-        self.commitments[self._triple(trustor, trustees, task)] = bool(flag)
-        self._changed()
+        triple = self._triple(trustor, trustees, task)
+        kept = [p for p in self._state.values["commitments"].elements if p.left != triple]
+        self._set("commitments", [*kept, PairV(triple, TRUE if flag else FALSE)])
 
     def committed(self, trustor: str, trustees, task: str) -> bool:
         """Stored commitment flag; absent entries default to FALSE."""
-        return self.commitments.get(self._triple(trustor, trustees, task), False)
+        triple = self._triple(trustor, trustees, task)
+        return PairV(triple, TRUE) in self._state.values["commitments"]
 
     # -- machine view
 
     def variables(self) -> tuple[str, ...]:
-        return _LEVEL_VARS[int(self.level)]
-
-    def _changed(self) -> None:
-        self._state = self._frame = None
+        return self._tm.var_order
 
     def embed(self) -> State:
-        if self._state is None:
-            self._state = self._embed()
         return self._state
 
-    def _embed(self) -> State:
-        values: dict[str, Value] = {
-            "agent_task": mkset(PairV(j, t) for j, t in self.agent_task.items()),
-            "trustor_trustee_task": mkset(self.trust_record),
-        }
-        if self.level >= TrustLevel.EPISTEMIC:
-            values["knowledge"] = mkset(self.knowledge)
-        if self.level >= TrustLevel.COMMITMENT:
-            values["commitments"] = mkset(
-                PairV(pair, TRUE if flag else FALSE)
-                for pair, flag in self.commitments.items()
-            )
-        return State(values)
-
     def adopt(self, state: State) -> None:
-        """Replace the native stores with a machine state's values."""
-        self.agent_task = {p.left: p.right for p in state.values["agent_task"].elements}
-        self.trust_record = set(state.values["trustor_trustee_task"].elements)
-        if self.level >= TrustLevel.EPISTEMIC:
-            self.knowledge = set(state.values["knowledge"].elements)
-        if self.level >= TrustLevel.COMMITMENT:
-            self.commitments = {
-                p.left: p.right == TRUE for p in state.values["commitments"].elements
-            }
-        self._changed()
+        """Replace the held state with a machine state's values."""
+        self._state = State({v: state.values[v] for v in self.variables()})
+        self._frame = None
 
     def invariants(self) -> list[tuple[str, bool]]:
-        return invariant_report(self._tm, self.embed(), self._env)
+        return invariant_report(self._tm, self._state, self._env)
 
     def invariant_warnings(self) -> list[str]:
         return [lbl for lbl, ok in self.invariants() if not ok]
@@ -435,7 +400,7 @@ class TrustState:
     def _guard_truths(self, binding: dict[str, Value]) -> tuple[tuple[str, bool], ...]:
         frame = self._frame
         if frame is None:
-            frame = self._frame = event_frame(self._env, self.embed())
+            frame = self._frame = event_frame(self._env, self._state)
         # The binding names the same parameters on every query, so it may
         # overwrite the previous query's values in place.
         frame.update(binding)
@@ -452,11 +417,6 @@ class TrustState:
             }
         return binding
 
-    def guard_view(self, trustor: str, trustees, task: str) -> GuardReport:
-        binding = self._binding(trustor, trustees, task)
-        truths = self._guard_truths(binding)
-        return GuardReport(TRUST_EVENT, tuple(sorted(binding.items())), truths)
-
     def trust_query(self, trustor: str, trustees, task: str) -> TrustDecision:
         truths = self._guard_truths(self._binding(trustor, trustees, task))
         granted = all([ok for _lbl, ok in truths])
@@ -467,12 +427,16 @@ class TrustState:
         decision = self.trust_query(trustor, trustees, task)
         if not decision.granted:
             raise TrustDenied(decision)
-        self.trust_record.add(self._triple(trustor, trustees, task))
-        self._changed()
+        # trust_query has just evaluated every guard on this state.
+        binding = self._binding(trustor, trustees, task)
+        self._state = fire_event(
+            self._tm, TRUST_EVENT, self._state, binding, self._env, check_guards=False
+        )
+        self._frame = None
         return decision
 
     def trusts(self, trustor: str, trustees, task: str) -> bool:
-        return self._triple(trustor, trustees, task) in self.trust_record
+        return self._triple(trustor, trustees, task) in self._state.values["trustor_trustee_task"]
 
 
 def canon_group(group: SetV) -> str:
@@ -546,5 +510,23 @@ def import_state(text: str) -> TrustState:
     missing = expected_vars - set(values)
     if missing:
         raise ScenarioError(f"state file misses sections: {', '.join(sorted(missing))}")
+    for var in ("agent_task", "commitments"):
+        if var in values:
+            _check_functional(var, values[var])
     ts.adopt(State(values))
     return ts
+
+
+def _check_functional(var: str, relation: SetV) -> None:
+    """Reject a state-file section that maps one value to two (naming the
+    least such value), as TrustState's verbs never would."""
+    seen: dict[Value, Value] = {}
+    for pair in value_sorted(relation.elements):
+        if type(pair) is not PairV:
+            raise ScenarioError(f"state section '{var}' holds {canon(pair)}, not a pair")
+        first = seen.setdefault(pair.left, pair.right)
+        if first != pair.right:
+            raise FunctionalityViolation(
+                f"state section '{var}' maps {canon(pair.left)} to both "
+                f"{canon(first)} and {canon(pair.right)}"
+            )

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import AxiomViolation, GuardFailed, ScenarioError
+from .errors import AxiomViolation, GuardFailed, ScenarioError, TrustbError
 from .kernel import (
     DEFAULT_POWERSET_BOUND,
     Env,
@@ -27,9 +27,9 @@ from .kernel import (
     eval_pred_frame,
     powerset_elements,
 )
-from .syntax import Expr, FnSpace, Pow, free_idents_expr
+from .syntax import Expr, FnSpace, Ident, Member, Pow, Subset, free_idents_expr
 from .typecheck import EventInfo, TypedContext, TypedMachine
-from .values import SetV, Value, canon
+from .values import Atom, SetV, Value, canon, mkset
 
 
 # --- instantiation ------------------------------------------------------
@@ -235,6 +235,30 @@ def domain_candidates(dexpr: Expr, frame: dict, bound: int) -> tuple[Value, ...]
     return tuple(v.sorted_elements())
 
 
+def _assignments(
+    names: tuple[str, ...], candidates: Callable[[int], Iterable[Value]], frame: dict
+) -> Iterator[None]:
+    """Bind names[0], names[1], ... in `frame` to each value `candidates(k)`
+    lists for the k-th name, the last name varying fastest, and yield once
+    per complete assignment; the caller reads the values from `frame`.
+
+    `candidates(k)` is asked with the first k names already bound, so a
+    later name's candidates may depend on earlier ones.
+    """
+
+    def walk(k: int) -> Iterator[None]:
+        if k == len(names):
+            yield
+            return
+        name = names[k]
+        for v in candidates(k):
+            frame[name] = v
+            yield from walk(k + 1)
+        frame.pop(name, None)
+
+    return walk(0)
+
+
 def param_bindings(
     info: EventInfo, state: State, env: Env
 ) -> Iterator[dict[str, Value]]:
@@ -244,25 +268,11 @@ def param_bindings(
     candidates are recomputed down the product tree.
     """
     params = info.ast.params
-    if not params:
-        yield {}
-        return
+    domains = [info.param_domains[name] for name in params]
     bound = env.powerset_bound
     frame = event_frame(env, state)
-
-    def walk(k: int, binding: dict[str, Value]) -> Iterator[dict[str, Value]]:
-        if k == len(params):
-            yield dict(binding)
-            return
-        name = params[k]
-        for v in domain_candidates(info.param_domains[name], frame, bound):
-            frame[name] = v
-            binding[name] = v
-            yield from walk(k + 1, binding)
-        frame.pop(name, None)
-        binding.pop(name, None)
-
-    yield from walk(0, {})
+    for _ in _assignments(params, lambda k: domain_candidates(domains[k], frame, bound), frame):
+        yield {name: frame[name] for name in params}
 
 
 @dataclass(frozen=True)
@@ -314,17 +324,49 @@ def state_universe(tm: TypedMachine, env: Env) -> Iterator[State]:
             memo[k][key] = cached
         return cached
 
-    def walk(k: int) -> Iterator[State]:
-        if k == len(order):
-            yield State({v: frame[v] for v in order})
-            return
-        name = order[k]
-        for v in candidates(k):
-            frame[name] = v
-            yield from walk(k + 1)
-        frame.pop(name, None)
+    for _ in _assignments(order, candidates, frame):
+        yield State({v: frame[v] for v in order})
 
-    yield from walk(0)
+
+def _constant_candidates(name: str, tc: TypedContext, frame: dict, bound: int):
+    # `c : S` lists S's members in sorted order, so `c : pow(S)` does not
+    # follow domain_candidates' bitmask order; instantiation labels keep it.
+    for lab in tc.axioms:
+        p = lab.pred
+        if isinstance(p, Subset) and isinstance(p.left, Ident) and p.left.name == name:
+            return powerset_elements(eval_expr_frame(p.right, frame, bound), bound)
+        if isinstance(p, Member) and isinstance(p.item, Ident) and p.item.name == name:
+            container = eval_expr_frame(p.container, frame, bound)
+            return container.sorted_elements()
+    raise TrustbError(f"constant '{name}' has no typing axiom to enumerate from")
+
+
+def enumerate_instantiations(
+    tc: TypedContext,
+    sizes: Mapping[str, int],
+    powerset_bound: int = DEFAULT_POWERSET_BOUND,
+) -> list[Instantiation]:
+    """Every axiom-consistent instantiation at the given carrier sizes.
+
+    Carrier SET of size n (default 2) gets atoms set1..setn (lower-cased
+    name).  Constant candidates come from the constant's typing axiom; the
+    full axiom list then filters complete assignments.
+    """
+    values: dict[str, Value] = {}
+    for carrier in tc.carriers:
+        n = sizes.get(carrier, 2)
+        values[carrier] = mkset(Atom(f"{carrier.lower()}{k}") for k in range(1, n + 1))
+    constants = tc.constants
+    frame = _base_frame(values)
+    out: list[Instantiation] = []
+    for _ in _assignments(
+        constants, lambda k: _constant_candidates(constants[k], tc, frame, powerset_bound), frame
+    ):
+        if all(eval_pred_frame(lab.pred, frame, powerset_bound) for lab in tc.axioms):
+            assigned = {c: frame[c] for c in constants}
+            label = "; ".join(f"{c} = {canon(v)}" for c, v in assigned.items())
+            out.append(Instantiation(values | assigned, label))
+    return out
 
 
 def reachable_states(tm: TypedMachine, env: Env) -> list[State]:

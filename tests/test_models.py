@@ -174,7 +174,7 @@ def test_embed_adopt_round_trip():
     other.adopt(snap)
     assert other.embed() == snap
     assert other.committed("alice", ["bob"], "deliver")
-    assert other.agent_task == ts.agent_task
+    assert other.embed().values["agent_task"] == ts.embed().values["agent_task"]
 
 
 def test_variables_follow_level():
@@ -290,6 +290,8 @@ def test_import_rejects_damage():
     with pytest.raises(ScenarioError):
         import_state(good.replace("knowledge", "gossip"))
     with pytest.raises(ScenarioError):
+        import_state(good.replace("agent_task\n", "agent_task\n  bob\n"))
+    with pytest.raises(ScenarioError):
         import_state("\n".join(good.splitlines()[:3]))
     missing_section = "\n".join(
         ln for ln in good.splitlines() if ln != "commitments"
@@ -315,7 +317,41 @@ def test_import_evaluates_value_expressions():
     )
     ts = import_state(text)
     assert ts.committed("a", ["b", "c"], "t")
-    assert ts.agent_task == {mkset([Atom("b"), Atom("c")]): Atom("t")}
+    assert ts.embed().values["agent_task"] == mkset([PairV(mkset([Atom("b"), Atom("c")]), Atom("t"))])
+
+
+def test_import_rejects_two_tasks_for_one_group():
+    text = (
+        "level 0\n"
+        "trustors a\n"
+        "trustees b\n"
+        "tasks t1 t2\n"
+        "agent_task\n"
+        "  {b} |-> t1\n"
+        "  {b} |-> t2\n"
+        "trustor_trustee_task\n"
+        "end\n"
+    )
+    with pytest.raises(FunctionalityViolation, match=r"agent_task.*\{b\}"):
+        import_state(text)
+
+
+def test_import_rejects_two_flags_for_one_commitment():
+    text = (
+        "level 2\n"
+        "trustors a\n"
+        "trustees b\n"
+        "tasks t\n"
+        "agent_task\n"
+        "trustor_trustee_task\n"
+        "knowledge\n"
+        "commitments\n"
+        "  (a |-> ({b} |-> t)) |-> TRUE\n"
+        "  (a |-> ({b} |-> t)) |-> FALSE\n"
+        "end\n"
+    )
+    with pytest.raises(FunctionalityViolation, match=r"commitments.*\(a \|-> \(\{b\} \|-> t\)\)"):
+        import_state(text)
 
 
 def test_embed_and_query_follow_every_write():

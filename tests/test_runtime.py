@@ -9,6 +9,7 @@ from trustb.models import BoundSpec, machine_setup, make_instantiation
 from trustb.runtime import (
     Instantiation,
     State,
+    enumerate_instantiations,
     enumerate_transitions,
     event_enabled,
     fire_event,
@@ -302,3 +303,24 @@ def test_event_enabled_stops_at_first_false_guard():
     assert event_enabled(tm, "look", state, inside, env) is False  # f(a) = a is not seen yet
     seen = fire_event(tm, "look", state, inside, env, check_guards=False)
     assert event_enabled(tm, "look", seen, inside, env) is True
+
+
+ORDERED = """
+CONTEXT ordctx
+SETS S
+CONSTANTS a b
+AXIOMS
+  @axm1: a : pow(S)
+  @axm2: b <: S
+END
+"""
+
+
+def test_instantiation_order_follows_each_typing_axiom():
+    # `a : pow(S)` lists pow(S)'s members sorted, {s1, s2} before {s2};
+    # `b <: S` lists subsets in bitmask order, {s2} before {s1, s2}.
+    tc = elaborate(parse_file(ORDERED)).context("ordctx")
+    member_order = ["{}", "{s1}", "{s1, s2}", "{s2}"]
+    subset_order = ["{}", "{s1}", "{s2}", "{s1, s2}"]
+    labels = [inst.label for inst in enumerate_instantiations(tc, {"S": 2})]
+    assert labels == [f"a = {x}; b = {y}" for x in member_order for y in subset_order]

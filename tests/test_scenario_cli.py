@@ -272,6 +272,18 @@ def test_file_mode_rejects_builtin_only_flags(tmp_path):
     assert code == 2 and "--level" in err
     code, _, err = run(["check", "--mutate", "drop:grd1", str(model)])
     assert code == 2 and "--mutate" in err
+    code, out, err = run(["check", "--vacuity", str(model)])
+    assert code == 2 and "--vacuity" in err and out == ""
+    code, out, err = run(["check", "--goal-invariant", "inv1", str(model)])
+    assert code == 2 and "--goal-invariant" in err and out == ""
+
+
+def test_file_mode_rejects_unknown_carrier(tmp_path):
+    model = tmp_path / "toy.ebt"
+    model.write_text(TOY_MODEL)
+    code, out, err = run(["check", "--carrier", "SHAPES=1", str(model)])
+    assert code == 2 and out == ""
+    assert "SHAPES" in err and "COLORS" in err
 
 
 def test_file_mode_checks_all_instantiations(tmp_path):
