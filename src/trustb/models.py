@@ -496,6 +496,8 @@ def import_state(text: str) -> TrustState:
                 values[current] = mkset(collected)
             if ln not in expected_vars:
                 raise ScenarioError(f"unknown state section '{ln}'")
+            if ln in values:
+                raise ScenarioError(f"state section '{ln}' appears twice")
             current = ln
             collected = []
             continue

@@ -24,6 +24,17 @@ Discharge enumerates all (state, binding) pairs at the chosen bounds in
 canonical order: a verdict is `discharged` when the goal held in every
 hypothesis-satisfying case, `failed` with the first counterexample
 otherwise, and `vacuous` when no case satisfied the hypothesis.
+
+Prefix caching.  The walk does not decide a predicate again while its
+inputs stay the same.  Each invariant, each event's binding list and each
+group of its guards depends on a prefix of the state variables (in
+declaration order), and its result is kept until a state changes a
+variable inside that prefix.  A variable counts as unchanged only when the
+state holds the very object the previous state held: an identical object
+is the same value, and anything else is evaluated again.  state_universe
+varies the last variable fastest and hands out memoised candidate values,
+so consecutive states share the objects of their common prefix; the
+reachable states share the objects of every variable an event left alone.
 """
 
 from __future__ import annotations
@@ -276,6 +287,95 @@ def _holds_on(code, states: Iterable[State], env: Env) -> tuple[int, int]:
     return holds, total
 
 
+def _prefix_len(idents: set[str], order: tuple[str, ...]) -> int:
+    """How many leading state variables a predicate depends on: one past the
+    position in `order` of the last variable among `idents`, 0 if none."""
+    return max((k + 1 for k, v in enumerate(order) if v in idents), default=0)
+
+
+def _with_changes(states: Iterable[State], order: tuple[str, ...]) -> Iterator[tuple[State, int]]:
+    """Each state with the position of the first variable whose value is not
+    the very object the previous state held: -1 for the first state,
+    len(order) if every object is the same."""
+    prev = None
+    for state in states:
+        cur = [state.values[v] for v in order]
+        if prev is None:
+            changed = -1
+        else:
+            changed = next((k for k, (a, b) in enumerate(zip(cur, prev)) if a is not b), len(order))
+        prev = cur
+        yield state, changed
+
+
+class _Bindings:
+    """One event's parameter bindings and, after each guard group, those
+    that pass every guard so far, in binding order.
+
+    lists[0] holds the bindings; lists[k] holds those of lists[k - 1] on
+    which every guard of groups[k - 1] holds, each guard tried in guard
+    order and only while the ones before it held.  A guard joins the group
+    of the guard before it when they depend on the same variable prefix,
+    counting the parameter domains and every earlier guard as well as its
+    own reads.  A list is recomputed, lazily and from the one before it,
+    only after the walk has changed a variable inside its prefix.
+    """
+
+    __slots__ = ("info", "env", "groups", "lists", "fresh", "stale_from")
+
+    def __init__(self, info: EventInfo, order: tuple[str, ...], env: Env):
+        self.info = info
+        self.env = env
+        reads = _prefix_len(set().union(*map(free_idents_expr, info.param_domains.values())), order)
+        prefixes = [reads]
+        self.groups: list[list] = []
+        for guard, (_label, code) in zip(info.ast.guards, info.guard_code):
+            reads = max(reads, _prefix_len(free_idents_pred(guard.pred), order))
+            if self.groups and reads == prefixes[-1]:
+                self.groups[-1].append(code)
+            else:
+                prefixes.append(reads)
+                self.groups.append([code])
+        self.lists: list[list[dict]] = [[] for _ in prefixes]
+        self.fresh = 0  # lists[:fresh] hold for the current state
+        # stale_from[changed + 1]: the first list a change at `changed` voids
+        self.stale_from = [
+            next((k for k, n in enumerate(prefixes) if n > changed), len(prefixes))
+            for changed in range(-1, len(order) + 1)
+        ]
+
+    def moved(self, changed: int) -> None:
+        """The walk moved to a state whose first changed variable is `changed`."""
+        self.fresh = min(self.fresh, self.stale_from[changed + 1])
+
+    def bindings(self, state: State, frame: dict, bound: int) -> list[dict]:
+        """Every binding in `state`, whose values `frame` holds."""
+        return self._upto(0, state, frame, bound)
+
+    def enabled(self, state: State, frame: dict, bound: int) -> list[dict]:
+        """The bindings in `state` on which every guard holds."""
+        return self._upto(len(self.lists) - 1, state, frame, bound)
+
+    def _upto(self, k: int, state: State, frame: dict, bound: int) -> list[dict]:
+        lists = self.lists
+        for i in range(self.fresh, k + 1):
+            if i == 0:
+                lists[0] = list(param_bindings(self.info, state, self.env))
+                continue
+            codes = self.groups[i - 1]
+            kept = []
+            for binding in lists[i - 1]:
+                frame.update(binding)
+                for code in codes:
+                    if not code(frame, bound):
+                        break
+                else:
+                    kept.append(binding)
+            lists[i] = kept
+        self.fresh = max(self.fresh, k + 1)
+        return lists[k]
+
+
 def discharge_all(
     tm: TypedMachine,
     env: Env,
@@ -289,14 +389,21 @@ def discharge_all(
     the same walk, report vacuous guards if `vacuity` is set and count the
     states where the invariant labelled `goal` holds if one is given.
 
-    Per state each invariant is evaluated at most once.  A preservation
+    Each invariant is evaluated once per run of states that agree on the
+    variables it reads (see the module docstring).  A preservation
     obligation's hypothesis then reduces to `the only false invariant
     outside exclude_labels, if any, is the obligation's own` plus the
-    event's guards; vacuity looks only at states where every invariant holds, and
-    there each guard is evaluated once per binding for both consumers.
-    Counterexamples are the first in enumeration order, and case counts
-    are exact.  The goal count covers every typed state and every
-    reachable state, whichever the state source.
+    event's guards.  The bindings that pass the guards come from each
+    event's _Bindings, which evaluates a guard once per binding and per run
+    of states that agree on what it, the guards before it and the
+    parameter domains read; guards still run in guard order, each only
+    where the ones before it held.  Vacuity looks only at states where
+    every invariant holds, and there each guard is evaluated on every
+    binding for both consumers.  Counterexamples are the first in
+    enumeration order, and case counts are exact.  A guard or an invariant
+    that raises does so in the same state as it would if every predicate
+    ran in every state.  The goal count covers every typed state and every reachable state,
+    whichever the state source.
     """
     if pos is None:
         pos = generate_pos(tm, include_refinement=True, exclude_labels=exclude_labels)
@@ -329,31 +436,36 @@ def discharge_all(
         for name, info in tm.events.items()
         if vacuity and not info.ast.is_init
     }
+    order = tm.var_order
     events = [
-        (name, info, event_pos.get(name, []), vac_reps.get(name))
+        (name, info, event_pos.get(name, []), vac_reps.get(name), _Bindings(info, order, env))
         for name, info in tm.events.items()
         if name in event_pos or name in vac_reps
     ]
     holds = states = 0
     if events or goal is not None:
-        # The invariants some consumer needs, each evaluated once per state.
+        # The invariants some consumer needs, each with the variable prefix
+        # it reads; a truth is kept until the walk changes that prefix.
         checked = [
-            (lbl, code)
-            for lbl, code in tm.invariant_code
+            (lbl, code, _prefix_len(free_idents_pred(inv.pred), order))
+            for (lbl, inv, _origin), (_lbl, code) in zip(tm.invariant_scope, tm.invariant_code)
             if vacuity or lbl == goal or (working and lbl not in exclude_labels)
         ]
-        drop_excluded = any(lbl in exclude_labels for lbl, _code in checked)
-        vars_ = set(tm.variables)
-        static = {
-            name: None
-            if any(free_idents_expr(d) & vars_ for d in info.param_domains.values())
-            else list(param_bindings(info, State({}), env))
-            for name, info, _ws, _vreps in events
-        }
+        labels = [lbl for lbl, _code, _reads in checked]
+        truths = [True] * len(checked)
+        rerun = [  # rerun[changed + 1]: the invariants a change at `changed` voids
+            [(k, code) for k, (_lbl, code, reads) in enumerate(checked) if reads > changed]
+            for changed in range(-1, len(order) + 1)
+        ]
+        drop_excluded = any(lbl in exclude_labels for lbl in labels)
         frame = dict(env.bindings)
-        for state in _state_iter(tm, env, state_source):
+        for state, changed in _with_changes(_state_iter(tm, env, state_source), order):
             frame.update(state.values)
-            false_invs = [lbl for lbl, code in checked if not code(frame, bound)]
+            for k, code in rerun[changed + 1]:
+                truths[k] = code(frame, bound)
+            for *_ev, cache in events:
+                cache.moved(changed)
+            false_invs = [lbl for lbl, ok in zip(labels, truths) if not ok]
             states += 1
             if goal not in false_invs:
                 holds += 1
@@ -363,7 +475,7 @@ def discharge_all(
             if len(false_invs) > 1:
                 continue
             sole_false = false_invs[0] if false_invs else None
-            for name, info, ws, vreps in events:
+            for name, info, ws, vreps, cache in events:
                 # With one false invariant, the only obligation whose
                 # hypothesis can hold is the one that excludes it: the
                 # preservation obligation for that very label.
@@ -373,17 +485,13 @@ def discharge_all(
                     targets = [
                         w for w in ws if w.po.kind == "INV" and w.po.label == sole_false
                     ]
-                if not targets and not valid:
-                    continue
-                bindings = static[name]
-                if bindings is None:
-                    bindings = param_bindings(info, state, env)
-                guards = info.guard_code
-                for binding in bindings:
-                    frame.update(binding)
-                    if valid:
-                        truths = [code(frame, bound) for _label, code in guards]
-                        for rep, ok in zip(vreps, truths):
+                if valid:
+                    # Vacuity needs every guard's truth on every binding.
+                    guards = info.guard_code
+                    for binding in cache.bindings(state, frame, bound):
+                        frame.update(binding)
+                        oks = [code(frame, bound) for _label, code in guards]
+                        for rep, ok in zip(vreps, oks):
                             rep.cases += 1
                             if not ok and rep.witness is None:
                                 rep.vacuous = False
@@ -392,17 +500,14 @@ def discharge_all(
                                     tuple(sorted(binding.items())),
                                     None,
                                 )
-                        enabled = all(truths)
-                    else:
-                        enabled = True
-                        for _label, code in guards:
-                            if not code(frame, bound):
-                                enabled = False
-                                break
-                    if enabled and targets:
+                        if targets and all(oks):
+                            _judge(targets, tm, info, state, binding, frame, bound)
+                elif targets:
+                    for binding in cache.enabled(state, frame, bound):
+                        frame.update(binding)
                         _judge(targets, tm, info, state, binding, frame, bound)
-                    for p in binding:
-                        frame.pop(p, None)
+                for p in info.ast.params:
+                    frame.pop(p, None)
 
     for w in working.values():
         if w.failed:

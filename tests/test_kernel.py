@@ -307,6 +307,167 @@ def test_union_difference_against_python_sets(xs, ys):
     assert holds("X <: Y", X=sx, Y=sy) == (xs <= ys)
 
 
+# --- compiled evaluator against plain frozenset arithmetic ----------------------
+#
+# Random small terms over atoms a, b, c, atom sets s1, s2 and relations
+# r1, r2, each drawn with a reference function over Python frozensets.
+# An atom is represented by its name, a pair by a 2-tuple.
+
+_NAMES = "abc"
+_PAIRS = [(x, y) for x in _NAMES for y in _NAMES]
+
+
+def _plain(v):
+    if type(v) is SetV:
+        return frozenset(_plain(x) for x in v.elements)
+    if type(v) is PairV:
+        return (_plain(v.left), _plain(v.right))
+    return v.name
+
+
+def _enum(items):
+    text = "{" + ", ".join(items) + "}"
+    return text, lambda env: frozenset(items)
+
+
+def _pair_enum(pairs):
+    text = "{" + ", ".join(f"({x} |-> {y})" for x, y in pairs) + "}"
+    return text, lambda env: frozenset(pairs)
+
+
+def _binary(op, ref):
+    def build(left, right):
+        return f"({left[0]} {op} {right[0]})", lambda env: ref(left[1](env), right[1](env))
+
+    return build
+
+
+def _variable(name):
+    return name, lambda env: env[name]
+
+
+_union = _binary("\\/", frozenset.union)
+_difference = _binary("\\", frozenset.difference)
+
+_relations = st.recursive(
+    st.one_of(
+        st.sampled_from(["r1", "r2"]).map(_variable),
+        st.lists(st.sampled_from(_PAIRS), min_size=1, max_size=3, unique=True).map(_pair_enum),
+    ),
+    lambda inner: st.one_of(st.builds(_union, inner, inner), st.builds(_difference, inner, inner)),
+    max_leaves=4,
+)
+
+
+def _dom(rel):
+    return f"dom({rel[0]})", lambda env: frozenset(x for x, _y in rel[1](env))
+
+
+def _image(rel, arg):
+    return f"{rel[0]}[{arg[0]}]", lambda env: frozenset(
+        y for x, y in rel[1](env) if x in arg[1](env)
+    )
+
+
+_sets = st.recursive(
+    st.one_of(
+        st.sampled_from(["s1", "s2"]).map(_variable),
+        st.just(("{}", lambda env: frozenset())),
+        st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3, unique=True).map(_enum),
+    ),
+    lambda inner: st.one_of(
+        st.builds(_union, inner, inner),
+        st.builds(_difference, inner, inner),
+        st.builds(_dom, _relations),
+        st.builds(_image, _relations, inner),
+    ),
+    max_leaves=6,
+)
+
+_atoms = st.sampled_from(_NAMES).map(lambda n: (n, lambda env: n))
+
+
+def _atomic_pred(kind, left, right):
+    lt, lf = left
+    rt, rf = right
+    if kind == "member":
+        return f"{lt} : {rt}", lambda env: lf(env) in rf(env)
+    if kind == "not_member":
+        return f"{lt} /: {rt}", lambda env: lf(env) not in rf(env)
+    if kind == "subset":
+        return f"{lt} <: {rt}", lambda env: lf(env) <= rf(env)
+    if kind == "in_pow":
+        return f"{lt} : pow({rt})", lambda env: lf(env) <= rf(env)
+    if kind == "equal":
+        return f"{lt} = {rt}", lambda env: lf(env) == rf(env)
+    if kind == "not_equal":
+        return f"{lt} /= {rt}", lambda env: lf(env) != rf(env)
+    if kind == "forall":
+        return f"(!x . x : {lt} => x : {rt})", lambda env: all(x in rf(env) for x in lf(env))
+    if kind == "exists":
+        return f"(#x . x : {lt} & x : {rt})", lambda env: any(x in rf(env) for x in lf(env))
+    raise ValueError(kind)
+
+
+def _maplet_member(x, y, rel):
+    return f"({x[0]} |-> {y[0]}) : {rel[0]}", lambda env: (x[1](env), y[1](env)) in rel[1](env)
+
+
+_images = st.builds(_image, _relations, _sets)
+_set_kinds = ["subset", "in_pow", "equal", "not_equal", "forall", "exists"]
+_preds = st.recursive(
+    st.one_of(
+        st.builds(_atomic_pred, st.sampled_from(["member", "not_member"]), _atoms, _sets),
+        st.builds(_atomic_pred, st.sampled_from(_set_kinds), _sets, _sets),
+        st.builds(_atomic_pred, st.sampled_from(["subset", "equal"]), _relations, _relations),
+        st.builds(_maplet_member, _atoms, _atoms, _relations),
+        # the shapes the compiler evaluates without building the image
+        st.builds(_atomic_pred, st.sampled_from(["member", "not_member"]), _atoms, _images),
+        st.builds(_atomic_pred, st.sampled_from(["subset", "equal"]), _sets, _images),
+        st.builds(_atomic_pred, st.just("equal"), _images, _sets),
+    ),
+    lambda inner: st.one_of(
+        st.builds(_binary("&", lambda p, q: p and q), inner, inner),
+        st.builds(_binary("=>", lambda p, q: (not p) or q), inner, inner),
+    ),
+    max_leaves=4,
+)
+
+_plain_envs = st.fixed_dictionaries(
+    {
+        "s1": st.frozensets(st.sampled_from(_NAMES)),
+        "s2": st.frozensets(st.sampled_from(_NAMES)),
+        "r1": st.frozensets(st.sampled_from(_PAIRS), max_size=4),
+        "r2": st.frozensets(st.sampled_from(_PAIRS), max_size=4),
+    }
+)
+
+
+def _frame(env):
+    def value(v):
+        if isinstance(v, tuple):
+            return PairV(Atom(v[0]), Atom(v[1]))
+        return Atom(v)
+
+    bindings = {n: Atom(n) for n in _NAMES}
+    bindings.update({name: mkset(value(v) for v in vs) for name, vs in env.items()})
+    return Env(bindings).bindings
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sets, _plain_envs)
+def test_compiled_expressions_match_frozenset_arithmetic(term, env):
+    text, ref = term
+    assert _plain(eval_expr_frame(parse_expression(text), _frame(env))) == ref(env), text
+
+
+@settings(max_examples=100, deadline=None)
+@given(_preds, _plain_envs)
+def test_compiled_predicates_match_frozenset_arithmetic(term, env):
+    text, ref = term
+    assert eval_pred_frame(parse_predicate(text), _frame(env)) == ref(env), text
+
+
 _HASH_PROBE = """
 from trustb.errors import NotARelation
 from trustb.kernel import apply_function, domain_of, relational_image

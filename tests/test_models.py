@@ -298,6 +298,10 @@ def test_import_rejects_damage():
     )
     with pytest.raises(ScenarioError):
         import_state(missing_section)
+    allocated = good.replace("agent_task\n", "agent_task\n  {bob} |-> deliver\n", 1)
+    repeated = allocated.replace("\nend", "\nagent_task\nend")
+    with pytest.raises(ScenarioError, match="'agent_task' appears twice"):
+        import_state(repeated)
 
 
 def test_import_evaluates_value_expressions():

@@ -18,7 +18,7 @@ from trustb.po import (
     goal_invariant_report,
     refinement_pos,
 )
-from trustb.runtime import failing_invariants, fire_event
+from trustb.runtime import failing_invariants, fire_event, param_bindings, state_universe
 
 
 def setup(level, bounds=BoundSpec(2, 2, 2), variant="base", mutate=None, overlap=False):
@@ -268,6 +268,71 @@ def test_goal_invariant_report_counts():
     assert rep.holds_reachable == 0
 
 
+# grd3 of `look` reads no variable but applies f, which is defined only
+# where grd2 (which reads d) holds; `pick`'s parameter domain reads d, the
+# last variable.
+HOISTING = """CONTEXT c
+SETS S
+CONSTANTS f
+AXIOMS
+  @axm1: f : S +-> S
+END
+MACHINE Hoist
+SEES c
+VARIABLES seen d
+INVARIANTS
+  @inv1: seen : pow(S)
+  @inv2: d : pow(dom(f))
+EVENT INITIALISATION
+THEN
+  @act1: seen := {}
+  @act2: d := {}
+END
+EVENT look
+ANY a
+WHERE
+  @grd1: a : S
+  @grd2: a : d
+  @grd3: f(a) : S
+THEN
+  @act1: seen := seen \\/ {f(a)}
+END
+EVENT pick
+ANY b
+WHERE
+  @grd1: b : d
+  @grd2: f(b) /: seen
+THEN
+  @act1: seen := seen \\/ {f(b)}
+END
+END
+"""
+
+HOISTING_RECORDS = """\
+po name=INITIALISATION/inv1/INV machine=Hoist event=INITIALISATION kind=INV verdict=discharged cases=9
+po name=INITIALISATION/inv2/INV machine=Hoist event=INITIALISATION kind=INV verdict=discharged cases=9
+po name=look/inv1/INV machine=Hoist event=look kind=INV verdict=discharged cases=80
+po name=look/inv2/INV machine=Hoist event=look kind=INV verdict=discharged cases=80
+po name=pick/inv1/INV machine=Hoist event=pick kind=INV verdict=discharged cases=40
+po name=pick/inv2/INV machine=Hoist event=pick kind=INV verdict=discharged cases=40
+summary pos=6 discharged=6 failed=0 vacuous=0
+"""
+
+
+def test_guards_stay_well_defined_under_prefix_caching(tmp_path):
+    import io
+
+    from trustb.cli import run_command
+
+    model = tmp_path / "hoist.ebt"
+    model.write_text(HOISTING)
+    out = io.StringIO()
+    assert run_command(["check", str(model), "--format", "records"], stdout=out) == 0
+    head, rest = out.getvalue().split("\n", 1)
+    assert head == f"run machine=Hoist file={model} instantiations=9"
+    assert rest == HOISTING_RECORDS
+
+
 def test_check_walks_the_state_universe_once(monkeypatch):
     import io
 
@@ -300,3 +365,36 @@ def test_one_walk_matches_separate_walks():
     assert alone.vacuity == [] and alone.goal is None
     assert both.vacuity == detect_vacuous_guards(tm, env)
     assert both.goal == goal_invariant_report(tm, env, "inv4")
+
+
+def test_each_predicate_runs_once_per_prefix(monkeypatch):
+    # inv3 reads only the first two variables and grd4 only the first, so
+    # neither should run again while the walk varies the later ones.
+    tm, inst, env = setup(2, BoundSpec(1, 2, 2))
+    counts: dict[str, int] = {}
+
+    def counted(pairs):
+        def wrap(label, code):
+            def run(frame, bound):
+                counts[label] = counts.get(label, 0) + 1
+                return code(frame, bound)
+
+            return label, run
+
+        return tuple(wrap(label, code) for label, code in pairs)
+
+    info = tm.event("trust")
+    monkeypatch.setattr(tm, "invariant_code", counted(tm.invariant_code))
+    monkeypatch.setattr(info, "guard_code", counted(info.guard_code))
+    excluded = frozenset({"inv4"})
+    pos = generate_pos(tm, include_refinement=True, exclude_labels=excluded)
+    discharge_all(tm, env, pos, exclude_labels=excluded, vacuity=True)
+
+    states = list(state_universe(tm, env))
+    prefixes = {(s.values["agent_task"], s.values["trustor_trustee_task"]) for s in states}
+    agent_tasks = {s.values["agent_task"] for s in states}
+    bindings = list(param_bindings(info, states[0], env))
+    assert tm.var_order[:2] == ("agent_task", "trustor_trustee_task")
+    assert counts["inv1"] == len(states)  # reads commitments, the last variable
+    assert 0 < counts["inv3"] <= len(prefixes) < len(states)
+    assert 0 < counts["grd4"] <= len(agent_tasks) * len(bindings)
