@@ -121,10 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
 # --- report rendering ------------------------------------------------------
 
 
-def _binding_items(binding) -> list[tuple[str, object]]:
-    return [(name, value) for name, value in binding]
-
-
 def _table_counterexample(rep: DischargeReport, order) -> list[str]:
     ce = rep.counterexample
     lines = ["  counterexample:"]
@@ -132,7 +128,7 @@ def _table_counterexample(rep: DischargeReport, order) -> list[str]:
         for text in state_lines(ce.state, order):
             lines.append("    pre   " + text)
     if ce.binding:
-        pairs = ", ".join(f"{n} = {canon(v)}" for n, v in _binding_items(ce.binding))
+        pairs = ", ".join(f"{n} = {canon(v)}" for n, v in ce.binding)
         lines.append("    with  " + pairs)
     if ce.post is not None:
         for text in state_lines(ce.post, order):
@@ -159,7 +155,7 @@ def _render_reports(reports: list[DischargeReport], order, fmt: str) -> list[str
                         lines.append(
                             f"ce po={po.name} part=pre var={var} value={canon(ce.state.values[var])}"
                         )
-                for name, value in _binding_items(ce.binding):
+                for name, value in ce.binding:
                     lines.append(f"ce po={po.name} part=binding var={name} value={canon(value)}")
                 if ce.post is not None:
                     for var in order:
@@ -227,7 +223,7 @@ class _Out:
         self.stream.write(text + "\n")
 
 
-def _load_file_model(args) -> tuple[TypedMachine, list]:
+def _load_file_model(args) -> TypedMachine:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     units = parse_file(text, args.file)
@@ -238,7 +234,7 @@ def _load_file_model(args) -> tuple[TypedMachine, list]:
     name = args.machine or machines[-1]
     if name not in machines:
         raise TrustbError(f"{args.file}: no machine named '{name}'")
-    return model.machine(name), units
+    return model.machine(name)
 
 
 def _builtin_setup(args, bounds: BoundSpec, powerset_bound: int):
@@ -273,8 +269,6 @@ def _cmd_check(args, out: _Out) -> int:
         raise TrustbError(f"no invariant labelled '{args.goal_invariant}' in {tm.name}")
 
     pos = generate_pos(tm, include_refinement=args.refinement, exclude_labels=exclude)
-    if not args.refinement:
-        pos = [p for p in pos if p.kind == "INV"]
     result = discharge_all(
         tm, env, pos, args.state_source, exclude,
         vacuity=args.vacuity, goal=args.goal_invariant or None,
@@ -318,7 +312,7 @@ def _cmd_check(args, out: _Out) -> int:
 
 
 def _check_file(args, out: _Out) -> int:
-    tm, _units = _load_file_model(args)
+    tm = _load_file_model(args)
     sizes = _carrier_sizes(args.carrier, tm.context.carriers)
     insts = enumerate_instantiations(tm.context, sizes, args.powerset_bound)
     if not insts:
@@ -326,8 +320,6 @@ def _check_file(args, out: _Out) -> int:
             f"{args.file}: no axiom-consistent instantiation at these carrier sizes"
         )
     pos = generate_pos(tm, include_refinement=args.refinement)
-    if not args.refinement:
-        pos = [p for p in pos if p.kind == "INV"]
 
     merged: dict[str, DischargeReport] = {}
     for inst in insts:
@@ -410,7 +402,7 @@ def _hypothesis_lines(tm: TypedMachine, po) -> list[str]:
 
 def _cmd_dump(args, out: _Out) -> int:
     if args.file is not None:
-        tm, _units = _load_file_model(args)
+        tm = _load_file_model(args)
     else:
         level = 2 if args.level is None else args.level
         mutate = Mutation.parse(args.mutate) if args.mutate else None

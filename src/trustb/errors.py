@@ -36,15 +36,22 @@ class NotFunctional(TrustbError):
 
 
 class BoundExceeded(TrustbError):
-    def __init__(self, what: str, size: int, bound: int):
-        super().__init__(f"{what} of size {size} exceeds enumeration bound {bound}")
+    """An enumeration would list `size` members, more than 2**bound; when
+    the enumeration was a state variable's domain, `variable` names it."""
+
+    def __init__(self, what: str, size: int, bound: int, variable: str | None = None):
+        count = size if size.bit_length() <= 64 else f"at least 2**{size.bit_length() - 1}"
+        where = f"domain of variable '{variable}': " if variable else ""
+        super().__init__(f"{where}{what} has {count} members, more than the 2**{bound} bound")
         self.what = what
         self.size = size
         self.bound = bound
+        self.variable = variable
 
 
 class NonFiniteQuantifierDomain(TrustbError):
-    """A quantifier's variables are not typed by leading membership conjuncts."""
+    """A quantifier's variables are not typed by leading membership
+    conjuncts, or a domain to enumerate is not a set."""
 
 
 # --- parsing -------------------------------------------------------------

@@ -11,10 +11,15 @@ must be given syntactically as the leading membership conjuncts of the
 quantifier body (for a universal whose body is an implication, the leading
 conjuncts of its left-hand side).
 
-Powersets and relation/function spaces enumerate in a fixed canonical
-order so that every downstream search is deterministic.  Enumerations are
-capped: a powerset may have at most 2**bound members, with bound 12 by
-default and configurable per environment.
+There is one domain enumerator, compile_domain, and the runtime's state
+and parameter enumeration uses it too.  It lists pow(S) by bitmask over
+S's sorted members, a relation or function space in enumerate_fn_space's
+order (bitmask over the sorted pairs for a relation, the last domain
+element's choice varying fastest for a function), and any other set in
+sorted order, so that every downstream search is deterministic.
+Enumerations are capped: a powerset or relation space may have at most
+2**bound members, with bound 12 by default and configurable per
+environment.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ def powerset_elements(s: SetV, bound: int = DEFAULT_POWERSET_BOUND) -> tuple[Set
     if type(s) is not SetV:
         raise NotARelation(f"powerset needs a set, got {s!r}")
     if len(s) > bound:
-        raise BoundExceeded("powerset base", len(s), bound)
+        raise BoundExceeded("powerset", 1 << len(s), bound)
     key = (s, bound)
     cached = _pow_cache.get(key)
     if cached is not None:
@@ -116,23 +121,6 @@ def powerset_elements(s: SetV, bound: int = DEFAULT_POWERSET_BOUND) -> tuple[Set
     if len(_pow_cache) < 4096:
         _pow_cache[key] = result
     return result
-
-
-def powerset(s: SetV, bound: int = DEFAULT_POWERSET_BOUND) -> SetV:
-    return SetV(powerset_elements(s, bound))
-
-
-def relational_image(r: SetV, s: SetV) -> SetV:
-    """r[s]: the set of right components of pairs in r whose left is in s."""
-    _check_image_operands(r, s)
-    return SetV(_image_list(r, s.elements))
-
-
-def _check_image_operands(r: Value, s: Value) -> None:
-    if type(r) is not SetV:
-        raise NotARelation(f"image needs a relation, got {r!r}")
-    if type(s) is not SetV:
-        raise NotARelation(f"image argument must be a set, got {s!r}")
 
 
 def _non_pair(op: str, r: SetV) -> NotARelation:
@@ -230,7 +218,7 @@ def enumerate_fn_space(
         pairs = [PairV(a, b) for a in dom_elems for b in ran_elems]
         n = len(pairs)
         if 1 << n > cap:
-            raise BoundExceeded("relation space", n, bound)
+            raise BoundExceeded("relation space", 1 << n, bound)
         return tuple(
             SetV(pairs[k] for k in range(n) if mask >> k & 1) for mask in range(1 << n)
         )
@@ -297,6 +285,34 @@ def compile_pred(p: Pred) -> PredCode:
     return code
 
 
+def compile_domain(e: Expr) -> Callable[[dict, int], tuple[Value, ...]]:
+    """The closure that lists the members of domain e in the order the
+    module docstring gives: the one enumerator behind quantifiers, state
+    variables, event parameters and the pow and relation-space expressions."""
+    t = type(e)
+    if t is Pow:
+        base = compile_expr(e.base)
+        return lambda f, b: powerset_elements(_as_set(base(f, b), "powerset"), b)
+    if t is FnSpace:
+        dom, ran, kind = compile_expr(e.dom), compile_expr(e.ran), e.kind
+
+        def space(f, b):
+            dom_set = _as_set(dom(f, b), "relation space")
+            ran_set = _as_set(ran(f, b), "relation space")
+            return enumerate_fn_space(kind, dom_set, ran_set, b)
+
+        return space
+    whole = compile_expr(e)
+
+    def members(f, b):
+        v = whole(f, b)
+        if type(v) is not SetV:
+            raise NonFiniteQuantifierDomain(f"domain is not a set: {v!r}")
+        return v.sorted_elements()
+
+    return members
+
+
 def _as_set(v: Value, op: str) -> SetV:
     if type(v) is not SetV:
         raise NotARelation(f"{op} needs a set, got {v!r}")
@@ -335,21 +351,12 @@ def _expr_code(e: Expr) -> ExprCode:
     if t is Dom:
         rel = compile_expr(e.rel)
         return lambda f, b: domain_of(rel(f, b))
-    if t is Pow:
-        base = compile_expr(e.base)
-        return lambda f, b: powerset(_as_set(base(f, b), "powerset"), b)
+    if t is Pow or t is FnSpace:
+        members = compile_domain(e)
+        return lambda f, b: SetV(members(f, b))
     if t is FunApp:
         fn, arg = compile_expr(e.fn), compile_expr(e.arg)
         return lambda f, b: apply_function(fn(f, b), arg(f, b))
-    if t is FnSpace:
-        dom, ran, kind = compile_expr(e.dom), compile_expr(e.ran), e.kind
-
-        def space(f, b):
-            dom_set = _as_set(dom(f, b), "relation space")
-            ran_set = _as_set(ran(f, b), "relation space")
-            return SetV(enumerate_fn_space(kind, dom_set, ran_set, b))
-
-        return space
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -361,8 +368,8 @@ def _members_code(e: Expr) -> Callable[[dict, int], list[Value]] | None:
     """For an enumeration or an image, the members of its set as a list,
     without building the set; None for any other expression.
 
-    An image is checked as relational_image checks it, and an enumerated
-    argument, such as the {j} of agent_task[{j}], is not built either.
+    An enumerated image argument, such as the {j} of agent_task[{j}], is
+    not built either.
     """
     t = type(e)
     if t is SetEnum:
@@ -386,7 +393,10 @@ def _members_code(e: Expr) -> Callable[[dict, int], list[Value]] | None:
 
     def members(f, b):
         r, s = rel(f, b), arg(f, b)
-        _check_image_operands(r, s)
+        if type(r) is not SetV:
+            raise NotARelation(f"image needs a relation, got {r!r}")
+        if type(s) is not SetV:
+            raise NotARelation(f"image argument must be a set, got {s!r}")
         return _image_list(r, s.elements)
 
     return members
@@ -517,25 +527,10 @@ def quantifier_domains(vars: tuple[str, ...], body: Pred, is_forall: bool) -> li
     return domains
 
 
-def _domain_values(dom_expr: Expr) -> Callable[[dict, int], Iterable[Value]]:
-    if type(dom_expr) is Pow:
-        base = compile_expr(dom_expr.base)
-        return lambda f, b: powerset_elements(_as_set(base(f, b), "powerset"), b)
-    dom = compile_expr(dom_expr)
-
-    def code(f, b):
-        v = dom(f, b)
-        if type(v) is not SetV:
-            raise NonFiniteQuantifierDomain(f"quantifier domain is not a set: {v!r}")
-        return v.sorted_elements()
-
-    return code
-
-
 def _quantifier(p: Forall | Exists, is_forall: bool) -> PredCode:
     vars, body = p.vars, p.body
     try:
-        domains = tuple(_domain_values(d) for d in quantifier_domains(vars, body, is_forall))
+        domains = tuple(compile_domain(d) for d in quantifier_domains(vars, body, is_forall))
     except NonFiniteQuantifierDomain:
         # Reported when evaluated, as a quantifier on an untaken branch
         # is never evaluated.

@@ -159,10 +159,6 @@ def generate_pos(
     return pos
 
 
-def refinement_pos(tm: TypedMachine) -> list[ProofObligation]:
-    return [po for po in generate_pos(tm, include_refinement=True) if po.kind != "INV"]
-
-
 # --- the discharge engine ------------------------------------------------------
 
 
@@ -535,30 +531,6 @@ def discharge_all(
     return CheckResult(reports, vacuity_reps, goal_rep)
 
 
-def discharge(
-    tm: TypedMachine,
-    po: ProofObligation,
-    env: Env,
-    state_source: str = ALL_STATES,
-) -> DischargeReport:
-    return discharge_all(tm, env, [po], state_source).reports[0]
-
-
-def check_machine(
-    tm: TypedMachine,
-    env: Env,
-    state_source: str = ALL_STATES,
-    exclude_labels: frozenset[str] = frozenset(),
-) -> list[DischargeReport]:
-    """Establishment and preservation obligations only."""
-    pos = [
-        po
-        for po in generate_pos(tm, exclude_labels=exclude_labels)
-        if po.kind == "INV"
-    ]
-    return discharge_all(tm, env, pos, state_source, exclude_labels).reports
-
-
 def check_refinement(
     tm: TypedMachine,
     env: Env,
@@ -579,7 +551,7 @@ def check_refinement(
             raise NotSuperposition(
                 f"event '{info.name}' drops abstract parameters: {', '.join(lost)}"
             )
-    pos = refinement_pos(tm)
+    pos = [po for po in generate_pos(tm, include_refinement=True) if po.kind != "INV"]
     return discharge_all(tm, env, pos, state_source).reports
 
 

@@ -5,10 +5,12 @@ values.  On top of that this module evaluates guards and invariants,
 fires events, enumerates parameter bindings and whole state spaces, and
 replays recorded traces.
 
-Enumeration order is canonical everywhere: variable candidates follow the
-order defined by the kernel's space enumerators, parameter tuples follow
-the cartesian product of per-parameter candidate lists with the last
-parameter varying fastest, and events keep their machine order.  Two runs
+Enumeration order is canonical everywhere: variable and parameter
+candidates come from the kernel's one domain enumerator, compile_domain,
+in its order (pow(S) by bitmask over S's sorted members, a relation space
+in enumerate_fn_space's order, any other set sorted); parameter tuples
+follow the cartesian product of per-parameter candidate lists with the
+last parameter varying fastest, and events keep their machine order.  Two runs
 over the same model therefore visit states and transitions identically.
 """
 
@@ -18,18 +20,18 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import AxiomViolation, GuardFailed, ScenarioError, TrustbError
+from .errors import AxiomViolation, BoundExceeded, GuardFailed
 from .kernel import (
     DEFAULT_POWERSET_BOUND,
     Env,
-    enumerate_fn_space,
+    compile_domain,
     eval_expr_frame,
     eval_pred_frame,
     powerset_elements,
 )
-from .syntax import Expr, FnSpace, Ident, Member, Pow, Subset, free_idents_expr
+from .syntax import Subset, free_idents_expr
 from .typecheck import EventInfo, TypedContext, TypedMachine
-from .values import Atom, SetV, Value, canon, mkset
+from .values import Atom, Value, canon, mkset
 
 
 # --- instantiation ------------------------------------------------------
@@ -44,7 +46,7 @@ class Instantiation:
 
     def validate(self, context: TypedContext, bound: int = DEFAULT_POWERSET_BOUND) -> None:
         """Check every axiom of the (merged) context; raise on the first failure."""
-        frame = _base_frame(self.values)
+        frame = Env(self.values).bindings
         for name in (*context.carriers, *context.constants):
             if name not in self.values:
                 raise AxiomViolation(f"missing value for '{name}'", context.name)
@@ -54,12 +56,6 @@ class Instantiation:
 
     def env(self, powerset_bound: int = DEFAULT_POWERSET_BOUND) -> Env:
         return Env(self.values, powerset_bound)
-
-
-def _base_frame(values: Mapping[str, Value]) -> dict[str, Value]:
-    frame = dict(Env().bindings)
-    frame.update(values)
-    return frame
 
 
 # --- states ------------------------------------------------------
@@ -212,27 +208,7 @@ def invariant_report(tm: TypedMachine, state: State, env: Env) -> list[tuple[str
     return [(lbl, code(frame, bound)) for lbl, code in tm.invariant_code]
 
 
-def failing_invariants(tm: TypedMachine, state: State, env: Env) -> list[str]:
-    return [lbl for lbl, ok in invariant_report(tm, state, env) if not ok]
-
-
 # --- enumeration ------------------------------------------------------
-
-
-def domain_candidates(dexpr: Expr, frame: dict, bound: int) -> tuple[Value, ...]:
-    """All values of a domain expression, in canonical order."""
-    t = type(dexpr)
-    if t is Pow:
-        base = eval_expr_frame(dexpr.base, frame, bound)
-        return powerset_elements(base, bound)
-    if t is FnSpace:
-        dom_set = eval_expr_frame(dexpr.dom, frame, bound)
-        ran_set = eval_expr_frame(dexpr.ran, frame, bound)
-        return enumerate_fn_space(dexpr.kind, dom_set, ran_set, bound)
-    v = eval_expr_frame(dexpr, frame, bound)
-    if type(v) is not SetV:
-        raise ScenarioError(f"domain expression is not a set: {canon(v)}")
-    return tuple(v.sorted_elements())
 
 
 def _assignments(
@@ -268,10 +244,10 @@ def param_bindings(
     candidates are recomputed down the product tree.
     """
     params = info.ast.params
-    domains = [info.param_domains[name] for name in params]
+    domains = [compile_domain(info.param_domains[name]) for name in params]
     bound = env.powerset_bound
     frame = event_frame(env, state)
-    for _ in _assignments(params, lambda k: domain_candidates(domains[k], frame, bound), frame):
+    for _ in _assignments(params, lambda k: domains[k](frame, bound), frame):
         yield {name: frame[name] for name in params}
 
 
@@ -303,10 +279,12 @@ def state_universe(tm: TypedMachine, env: Env) -> Iterator[State]:
 
     Variables enumerate in declaration order; a variable whose domain
     expression mentions earlier variables gets its candidate list
-    recomputed (and memoised) per combination of those values.
+    recomputed (and memoised) per combination of those values.  A domain
+    too large to enumerate raises BoundExceeded naming its variable.
     """
     order = tm.var_order
     infos = [tm.variables[v] for v in order]
+    domains = [compile_domain(info.domain_expr) for info in infos]
     var_set = set(order)
     deps: list[tuple[str, ...]] = []
     for info in infos:
@@ -320,7 +298,10 @@ def state_universe(tm: TypedMachine, env: Env) -> Iterator[State]:
         key = tuple(frame[d] for d in deps[k])
         cached = memo[k].get(key)
         if cached is None:
-            cached = domain_candidates(infos[k].domain_expr, frame, bound)
+            try:
+                cached = domains[k](frame, bound)
+            except BoundExceeded as err:
+                raise BoundExceeded(err.what, err.size, err.bound, order[k]) from None
             memo[k][key] = cached
         return cached
 
@@ -330,15 +311,11 @@ def state_universe(tm: TypedMachine, env: Env) -> Iterator[State]:
 
 def _constant_candidates(name: str, tc: TypedContext, frame: dict, bound: int):
     # `c : S` lists S's members in sorted order, so `c : pow(S)` does not
-    # follow domain_candidates' bitmask order; instantiation labels keep it.
-    for lab in tc.axioms:
-        p = lab.pred
-        if isinstance(p, Subset) and isinstance(p.left, Ident) and p.left.name == name:
-            return powerset_elements(eval_expr_frame(p.right, frame, bound), bound)
-        if isinstance(p, Member) and isinstance(p.item, Ident) and p.item.name == name:
-            container = eval_expr_frame(p.container, frame, bound)
-            return container.sorted_elements()
-    raise TrustbError(f"constant '{name}' has no typing axiom to enumerate from")
+    # follow compile_domain's bitmask order; instantiation labels keep it.
+    clause = tc.typing_axioms[name]
+    if type(clause) is Subset:
+        return powerset_elements(eval_expr_frame(clause.right, frame, bound), bound)
+    return eval_expr_frame(clause.container, frame, bound).sorted_elements()
 
 
 def enumerate_instantiations(
@@ -357,7 +334,7 @@ def enumerate_instantiations(
         n = sizes.get(carrier, 2)
         values[carrier] = mkset(Atom(f"{carrier.lower()}{k}") for k in range(1, n + 1))
     constants = tc.constants
-    frame = _base_frame(values)
+    frame = Env(values).bindings
     out: list[Instantiation] = []
     for _ in _assignments(
         constants, lambda k: _constant_candidates(constants[k], tc, frame, powerset_bound), frame
@@ -406,23 +383,6 @@ class Trace:
     @property
     def final(self) -> State:
         return self.steps[-1].post if self.steps else self.initial
-
-
-def binding_text(binding: tuple[tuple[str, Value], ...]) -> str:
-    return " ".join(f"{name}={canon(v)}" for name, v in binding)
-
-
-def trace_records(trace: Trace, order: tuple[str, ...]) -> list[str]:
-    """A stable line-oriented rendering of a trace, for logs and replays."""
-    lines = [f"machine {trace.machine}", "init"]
-    lines.extend("  " + s for s in state_lines(trace.initial, order))
-    for n, step in enumerate(trace.steps, start=1):
-        head = f"step {n}: {step.event}"
-        if step.binding:
-            head += " " + binding_text(step.binding)
-        lines.append(head)
-        lines.extend("  " + s for s in state_lines(step.post, order))
-    return lines
 
 
 def replay(

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from .errors import ScenarioError, TrustDenied
 from .models import TrustDecision, TrustState
 from .runtime import state_lines
-from .values import canon
 
 _TOKEN = re.compile(r"\{[^{}]*\}|\S+")
 

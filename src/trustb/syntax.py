@@ -220,9 +220,6 @@ class EventAST:
     def is_init(self) -> bool:
         return self.name == INIT_EVENT
 
-    def guard_labels(self) -> list[str]:
-        return [g.label for g in self.guards]
-
 
 @dataclass(frozen=True)
 class ContextAST:
@@ -232,13 +229,6 @@ class ContextAST:
     constants: tuple[str, ...] = ()
     axioms: tuple[Labeled, ...] = ()
     pos: Pos = _pos_field()
-
-    def unconstrained_constants(self) -> list[str]:
-        """Constants that no axiom of this context mentions."""
-        used: set[str] = set()
-        for ax in self.axioms:
-            collect_idents_pred(ax.pred, used)
-        return [c for c in self.constants if c not in used]
 
 
 @dataclass(frozen=True)
@@ -250,15 +240,6 @@ class MachineAST:
     invariants: tuple[Labeled, ...] = ()
     events: tuple[EventAST, ...] = ()
     pos: Pos = _pos_field()
-
-    def event(self, name: str) -> EventAST | None:
-        for ev in self.events:
-            if ev.name == name:
-                return ev
-        return None
-
-    def invariant_labels(self) -> list[str]:
-        return [inv.label for inv in self.invariants]
 
 
 # --- free-identifier collection ----------------------------------------------

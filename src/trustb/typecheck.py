@@ -281,13 +281,19 @@ def check_pred(p: Pred, env: dict[str, Type]) -> None:
 
 @dataclass
 class TypedContext:
-    """A context merged with everything it extends."""
+    """A context merged with everything it extends.
+
+    `typing_axioms` holds each constant's typing axiom, the first `c <: E`
+    or `c : E` among the axioms, which its type and its candidate values
+    come from.
+    """
 
     name: str
     carriers: tuple[str, ...]
     constants: tuple[str, ...]
     axioms: tuple[Labeled, ...]
     types: dict[str, Type] = field(default_factory=dict)
+    typing_axioms: dict[str, Pred] = field(default_factory=dict)
 
     def base_types(self) -> dict[str, Type]:
         env: dict[str, Type] = {"BOOL": TSet(BOOL_T), "TRUE": BOOL_T, "FALSE": BOOL_T}
@@ -343,12 +349,6 @@ class TypedMachine:
         """invariant_scope's labels with compiled predicates, built on first use."""
         return tuple((lbl, compile_pred(inv.pred)) for lbl, inv, _origin in self.invariant_scope)
 
-    def scope_types(self) -> dict[str, Type]:
-        env = self.context.base_types()
-        for info in self.variables.values():
-            env[info.name] = info.type
-        return env
-
     def invariant(self, label: str) -> Labeled:
         for lbl, inv, _origin in self.invariant_scope:
             if lbl == label:
@@ -397,48 +397,46 @@ def _merge_context(
         raise TypeMismatch(f"context '{name}' extends itself through a cycle")
     in_progress.add(name)
     ast = raw[name]
-    carriers: list[str] = []
-    constants: list[str] = []
-    axioms: list[Labeled] = []
     for parent_name in ast.extends:
-        parent = _merge_context(parent_name, raw, done, in_progress)
-        for s in parent.carriers:
-            if s not in carriers:
-                carriers.append(s)
-        for c in parent.constants:
-            if c not in constants:
-                constants.append(c)
-        axioms.extend(a for a in parent.axioms if a not in axioms)
-    carriers.extend(s for s in ast.sets if s not in carriers)
-    constants.extend(c for c in ast.constants if c not in constants)
-    axioms.extend(ast.axioms)
+        _merge_context(parent_name, raw, done, in_progress)
     in_progress.discard(name)
 
-    merged = TypedContext(name, tuple(carriers), tuple(constants), tuple(axioms))
-    env: dict[str, Type] = {"BOOL": TSet(BOOL_T), "TRUE": BOOL_T, "FALSE": BOOL_T}
-    for s in carriers:
+    inherited = _combine_contexts(ast.extends, done)
+    sets = [s for s in ast.sets if s not in inherited.carriers]
+    constants = [c for c in ast.constants if c not in inherited.constants]
+    merged = TypedContext(
+        name,
+        (*inherited.carriers, *sets),
+        (*inherited.constants, *constants),
+        (*inherited.axioms, *ast.axioms),
+        dict(inherited.types),
+        dict(inherited.typing_axioms),
+    )
+    for s in sets:
         merged.types[s] = TSet(TCarrier(s))
-        env[s] = TSet(TCarrier(s))
     for c in constants:
-        ctype = _constant_type(c, merged.axioms, env)
-        merged.types[c] = ctype
-        env[c] = ctype
+        axiom, merged.types[c] = _constant_typing(c, merged.axioms, merged.base_types())
+        merged.typing_axioms[c] = axiom
+    env = merged.base_types()
     for axiom in merged.axioms:
         check_pred(axiom.pred, env)
     done[name] = merged
     return merged
 
 
-def _constant_type(name: str, axioms: tuple[Labeled, ...], env: dict[str, Type]) -> Type:
+def _constant_typing(
+    name: str, axioms: tuple[Labeled, ...], env: dict[str, Type]
+) -> tuple[Pred, Type]:
+    """A constant's typing axiom, its first `c <: E` or `c : E`, and its type."""
     for axiom in axioms:
         p = axiom.pred
         if type(p) is Subset and type(p.left) is Ident and p.left.name == name:
             bound_t = type_of_expr(p.right, env)
             if type(bound_t) is not TSet:
                 raise _fail(f"typing axiom for '{name}' needs a set bound", p.pos)
-            return bound_t
+            return p, bound_t
         if type(p) is Member and type(p.item) is Ident and p.item.name == name:
-            return _elem_of(type_of_expr(p.container, env), p.pos, "typing axiom bound")
+            return p, _elem_of(type_of_expr(p.container, env), p.pos, "typing axiom bound")
     raise TypeMismatch(f"constant '{name}' has no typing axiom (c <: E or c : E)")
 
 
@@ -449,15 +447,18 @@ def _combine_contexts(names: tuple[str, ...], done: dict[str, TypedContext]) -> 
     constants: list[str] = []
     axioms: list[Labeled] = []
     types: dict[str, Type] = {}
+    typing_axioms: dict[str, Pred] = {}
     for n in names:
         ctx = done[n]
         carriers.extend(s for s in ctx.carriers if s not in carriers)
         constants.extend(c for c in ctx.constants if c not in constants)
         axioms.extend(a for a in ctx.axioms if a not in axioms)
-        types.update(ctx.types)
-    combined = TypedContext("+".join(names), tuple(carriers), tuple(constants), tuple(axioms))
-    combined.types = types
-    return combined
+        # The first context to type a name wins, as its axiom comes first.
+        types = ctx.types | types
+        typing_axioms = ctx.typing_axioms | typing_axioms
+    return TypedContext(
+        "+".join(names), tuple(carriers), tuple(constants), tuple(axioms), types, typing_axioms
+    )
 
 
 def _elaborate_machine(
@@ -505,7 +506,7 @@ def _elaborate_machine(
     for v in ast.variables:
         if v in variables:
             continue
-        dexpr = _typing_invariant(v, ast)
+        dexpr = _typing_domain(v, ast.invariants)
         if dexpr is None:
             raise MissingTypeInvariant(v, ast.name)
         vtype = _elem_of(type_of_expr(dexpr, env), dexpr.pos, f"typing of '{v}'")
@@ -530,10 +531,12 @@ def _elaborate_machine(
     return machine
 
 
-def _typing_invariant(var: str, ast: MachineAST) -> Expr | None:
-    for inv in ast.invariants:
-        p = inv.pred
-        if type(p) is Member and type(p.item) is Ident and p.item.name == var:
+def _typing_domain(name: str, clauses: tuple[Labeled, ...]) -> Expr | None:
+    """E of the first clause `name : E`: a variable's typing invariant or a
+    parameter's typing guard."""
+    for clause in clauses:
+        p = clause.pred
+        if type(p) is Member and type(p.item) is Ident and p.item.name == name:
             return p.container
     return None
 
@@ -568,7 +571,7 @@ def _elaborate_events(
                 raise TypeMismatch(
                     f"parameter '{p}' of event '{ev.name}' shadows an existing name"
                 )
-            dexpr = _param_domain(p, ev)
+            dexpr = _typing_domain(p, ev.guards)
             if dexpr is None:
                 raise TypeMismatch(
                     f"parameter '{p}' of event '{ev.name}' has no typing guard (p : E)"
@@ -614,14 +617,6 @@ def _elaborate_events(
                     f"abstract event '{name}' is not refined by any event of '{ast.name}'"
                 )
     return events
-
-
-def _param_domain(param: str, ev: EventAST) -> Expr | None:
-    for g in ev.guards:
-        p = g.pred
-        if type(p) is Member and type(p.item) is Ident and p.item.name == param:
-            return p.container
-    return None
 
 
 def elaborate(units: list[ContextAST | MachineAST]) -> TypedModel:

@@ -188,10 +188,6 @@ def value_sorted(values: Iterable[Value]) -> list[Value]:
     return sorted(values, key=_key_of)
 
 
-def is_relation(v: Value) -> bool:
-    return type(v) is SetV and all(type(e) is PairV for e in v.elements)
-
-
 def canon(v: Value) -> str:
     """Canonical text form of a value; inverse of the value reader."""
     if type(v) is SetV:

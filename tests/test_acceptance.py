@@ -30,15 +30,16 @@ from trustb.models import (
 from trustb.po import (
     DISCHARGED,
     FAILED,
-    check_machine,
     check_refinement,
     detect_vacuous_guards,
+    discharge_all,
+    generate_pos,
 )
 from trustb.runtime import (
     State,
     event_enabled,
-    failing_invariants,
     fire_event,
+    invariant_report,
     state_universe,
 )
 from trustb.values import Atom, mkset
@@ -114,7 +115,7 @@ def test_criterion_2_mutation_necessity(guard):
     assert pre is not None and post is not None
     replayed = fire_event(tm, "trust", pre, binding, env)
     assert replayed == post
-    assert "inv4" in failing_invariants(tm, post, env)
+    assert ("inv4", False) in invariant_report(tm, post, env)
     report(2, f"{mutation} makes trust/inv4/INV fail; counterexample replays exactly")
 
 
@@ -183,7 +184,8 @@ def test_criterion_5_vacuity_finding():
     tm, inst, env = machine_setup(
         0, BoundSpec(2, 2, 1), "nopart", mutate="drop:grd5", overlap=True
     )
-    inv3 = next(r for r in check_machine(tm, env) if r.po.name == "trust/inv3/INV")
+    reports = discharge_all(tm, env, generate_pos(tm)).reports
+    inv3 = next(r for r in reports if r.po.name == "trust/inv3/INV")
     assert inv3.verdict == FAILED
     report(5, "grd5 is vacuous under the partition at all tested bounds, falsifiable without it, and necessary for inv3 there")
 

@@ -21,7 +21,6 @@ from trustb.kernel import (
     eval_expr_frame,
     eval_pred_frame,
     powerset_elements,
-    relational_image,
 )
 from trustb.values import EMPTY_SET, FALSE, TRUE, Atom, PairV, SetV, mkatoms, mkset
 
@@ -84,11 +83,11 @@ def rel(*pairs):
 
 def test_relational_image_oracle():
     r = rel((A, B), (A, C), (B, C))
-    assert relational_image(r, mkset([A])) == mkset([B, C])
-    assert relational_image(r, mkset([B])) == mkset([C])
-    assert relational_image(r, mkset([C])) == EMPTY_SET
-    assert relational_image(r, mkset([A, B])) == mkset([B, C])
-    assert relational_image(EMPTY_SET, mkset([A])) == EMPTY_SET
+    assert ev("r[s]", r=r, s=mkset([A])) == mkset([B, C])
+    assert ev("r[s]", r=r, s=mkset([B])) == mkset([C])
+    assert ev("r[s]", r=r, s=mkset([C])) == EMPTY_SET
+    assert ev("r[s]", r=r, s=mkset([A, B])) == mkset([B, C])
+    assert ev("r[s]", r=EMPTY_SET, s=mkset([A])) == EMPTY_SET
 
 
 @given(
@@ -99,7 +98,7 @@ def test_relational_image_comprehension(pairs, arg):
     r = mkset(PairV(Atom(x), Atom(y)) for x, y in pairs)
     s = mkatoms(arg)
     expected = mkset(Atom(y) for x, y in pairs if x in arg)
-    assert relational_image(r, s) == expected
+    assert ev("r[s]", r=r, s=s) == expected
 
 
 def test_domain_of():
@@ -271,6 +270,25 @@ def test_nested_quantifiers_short_circuit_order_free():
 def test_quantifier_over_powerset_domain():
     assert holds("#j . j : pow(S) & j /= {}", S=mkatoms("a"))
     assert not holds("#j . j : pow(S) & j /= {}", S=EMPTY_SET)
+    # Relation and function spaces as domains, against a brute force over
+    # enumerate_fn_space's members.
+    S, T = mkatoms("ab"), mkatoms("bc")
+    both = mkset([PairV(A, B), PairV(B, B)])
+    claims = [
+        ("#f . f : S {} T & a |-> c : f & b |-> b : f", any,
+         lambda f: PairV(A, C) in f.elements and PairV(B, B) in f.elements),
+        ("!f . f : S {} T => f[{{a}}] /= {{}}", all,
+         lambda f: any(p.left == A for p in f.elements)),
+        ("#f . f : S {} T & dom(f) = S & f /= {{a |-> b, b |-> b}}", any,
+         lambda f: {p.left for p in f.elements} == {A, B} and f != both),
+        ("!f . f : S {} T => f : S +-> T", all,
+         lambda f: len({p.left for p in f.elements}) == len(f)),
+    ]
+    for op, kind in (("<->", "rel"), ("+->", "pfun"), ("-->", "tfun")):
+        space = enumerate_fn_space(kind, S, T)
+        for text, fold, claim in claims:
+            want = fold(claim(f) for f in space)
+            assert holds(text.format(op), S=S, T=T, a=A, b=B, c=C) == want, (text, op)
 
 
 def test_quantifier_needs_declared_domain():
@@ -469,15 +487,16 @@ def test_compiled_predicates_match_frozenset_arithmetic(term, env):
 
 
 _HASH_PROBE = """
+from trustb.dsl import parse_expression
 from trustb.errors import NotARelation
-from trustb.kernel import apply_function, domain_of, relational_image
+from trustb.kernel import apply_function, domain_of, eval_expr_frame
 from trustb.values import Atom, PairV, SetV
 
 a, b = Atom("a"), Atom("b")
 r = SetV([PairV(a, b), PairV(b, PairV(a, b)), a, b, SetV([PairV(a, a)]), PairV(b, a)])
 print(hash(PairV(a, b)), [repr(e) for e in r])
 for op in (lambda: domain_of(r), lambda: apply_function(r, Atom("z")),
-           lambda: relational_image(r, SetV([a]))):
+           lambda: eval_expr_frame(parse_expression("r[s]"), {"r": r, "s": SetV([a])})):
     try:
         op()
     except NotARelation as err:

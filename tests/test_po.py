@@ -9,16 +9,13 @@ from trustb.po import (
     FAILED,
     REACHABLE,
     VACUOUS,
-    check_machine,
     check_refinement,
     detect_vacuous_guards,
-    discharge,
     discharge_all,
     generate_pos,
     goal_invariant_report,
-    refinement_pos,
 )
-from trustb.runtime import failing_invariants, fire_event, param_bindings, state_universe
+from trustb.runtime import fire_event, invariant_report, param_bindings, state_universe
 
 
 def setup(level, bounds=BoundSpec(2, 2, 2), variant="base", mutate=None, overlap=False):
@@ -53,10 +50,10 @@ def test_po_names_follow_event_label_kind():
 
 def test_refinement_pos_only_for_refining_machines():
     tm0, _, _ = setup(0)
-    assert refinement_pos(tm0) == []
+    assert {po.kind for po in generate_pos(tm0, include_refinement=True)} == {"INV"}
     tm1, _, _ = setup(1)
-    kinds = {po.kind for po in refinement_pos(tm1)}
-    assert kinds == {"GRD", "SIM"}
+    kinds = {po.kind for po in generate_pos(tm1, include_refinement=True)}
+    assert kinds == {"INV", "GRD", "SIM"}
 
 
 def test_exclude_labels_removes_goal_everywhere():
@@ -80,7 +77,7 @@ def test_batch_matches_singleton_discharge():
     pos = generate_pos(tm, include_refinement=True)
     batch = discharge_all(tm, env, pos).reports
     for rep in batch:
-        single = discharge(tm, rep.po, env)
+        single = discharge_all(tm, env, [rep.po]).reports[0]
         assert single.verdict == rep.verdict, rep.po.name
         assert single.cases == rep.cases, rep.po.name
         if rep.counterexample is None:
@@ -93,8 +90,8 @@ def test_batch_matches_singleton_discharge():
 
 def test_discharge_deterministic_across_runs():
     tm, inst, env = setup(1, BoundSpec(2, 2, 1))
-    first = check_machine(tm, env)
-    second = check_machine(tm, env)
+    first = discharge_all(tm, env, generate_pos(tm)).reports
+    second = discharge_all(tm, env, generate_pos(tm)).reports
     for a, b in zip(first, second):
         assert a.po.name == b.po.name
         assert a.verdict == b.verdict
@@ -106,7 +103,7 @@ def test_discharge_deterministic_across_runs():
 
 def test_init_obligations_are_single_case():
     tm, inst, env = setup(2, BoundSpec(1, 1, 1))
-    for rep in check_machine(tm, env):
+    for rep in discharge_all(tm, env, generate_pos(tm)).reports:
         if rep.po.event == "INITIALISATION":
             assert rep.cases == 1
 
@@ -117,7 +114,7 @@ def test_init_inv4_fails_whenever_trust_is_demanded_from_scratch():
             tm, inst, env = setup(level, bounds)
             rep = next(
                 r
-                for r in check_machine(tm, env)
+                for r in discharge_all(tm, env, generate_pos(tm)).reports
                 if r.po.name == "INITIALISATION/inv4/INV"
             )
             assert rep.verdict == FAILED, (level, str(bounds))
@@ -125,7 +122,9 @@ def test_init_inv4_fails_whenever_trust_is_demanded_from_scratch():
     # with no trustors the demand is vacuously met
     tm, inst, env = setup(2, BoundSpec(0, 1, 1))
     rep = next(
-        r for r in check_machine(tm, env) if r.po.name == "INITIALISATION/inv4/INV"
+        r
+        for r in discharge_all(tm, env, generate_pos(tm)).reports
+        if r.po.name == "INITIALISATION/inv4/INV"
     )
     assert rep.verdict == DISCHARGED
 
@@ -134,7 +133,8 @@ def test_goal_hypothesis_excludes_goal_only():
     # at (2,2,2) the refined inv4 cannot hold, so every obligation that
     # assumes it is vacuous; the inv4 obligation itself is not
     tm, inst, env = setup(2)
-    verdicts = {r.po.name: r.verdict for r in check_machine(tm, env)}
+    reports = discharge_all(tm, env, generate_pos(tm)).reports
+    verdicts = {r.po.name: r.verdict for r in reports}
     assert verdicts["trust/inv1/INV"] == VACUOUS
     assert verdicts["trust/inv2/INV"] == VACUOUS
     assert verdicts["trust/inv3/INV"] == VACUOUS
@@ -146,7 +146,8 @@ def test_level2_commitment_stasis():
     # recorded, so the concrete trust event cannot add anything new and
     # the functionality invariant survives at level 2
     tm, inst, env = setup(2, BoundSpec(2, 2, 1))
-    verdicts = {r.po.name: (r.verdict, r.cases) for r in check_machine(tm, env)}
+    reports = discharge_all(tm, env, generate_pos(tm)).reports
+    verdicts = {r.po.name: (r.verdict, r.cases) for r in reports}
     assert verdicts["trust/inv1/INV"] == (DISCHARGED, 272)
     assert verdicts["trust/inv2/INV"] == (DISCHARGED, 272)
     # and the corresponding post states all equal their pre states
@@ -157,7 +158,8 @@ def test_level2_commitment_stasis():
 
 def test_trust_inv2_fails_at_level_one_with_second_triple():
     tm, inst, env = setup(1, BoundSpec(2, 2, 1))
-    rep = next(r for r in check_machine(tm, env) if r.po.name == "trust/inv2/INV")
+    reports = discharge_all(tm, env, generate_pos(tm)).reports
+    rep = next(r for r in reports if r.po.name == "trust/inv2/INV")
     assert rep.verdict == FAILED
     ce = rep.counterexample
     post_record = ce.post.values["trustor_trustee_task"]
@@ -169,18 +171,20 @@ def test_counterexample_replays_exactly():
     for mutate in ("drop:grd7", "drop:grd8"):
         tm, inst, env = setup(2, BoundSpec(1, 2, 1), mutate=Mutation.parse(mutate))
         rep = next(
-            r for r in check_machine(tm, env) if r.po.name == "trust/inv4/INV"
+            r
+            for r in discharge_all(tm, env, generate_pos(tm)).reports
+            if r.po.name == "trust/inv4/INV"
         )
         assert rep.verdict == FAILED
         ce = rep.counterexample
         post = fire_event(tm, "trust", ce.state, ce.binding_dict(), env)
         assert post == ce.post
-        assert "inv4" in failing_invariants(tm, post, env)
+        assert ("inv4", False) in invariant_report(tm, post, env)
 
 
 def test_reachable_source_reduces_to_init():
     tm, inst, env = setup(2, BoundSpec(1, 1, 1))
-    reports = check_machine(tm, env, state_source=REACHABLE)
+    reports = discharge_all(tm, env, generate_pos(tm), REACHABLE).reports
     by_name = {r.po.name: r for r in reports}
     assert by_name["INITIALISATION/inv4/INV"].verdict == FAILED
     # the lone reachable state enables no trust transition
@@ -191,7 +195,7 @@ def test_reachable_source_reduces_to_init():
 def test_full_scan_counts_every_hypothesis_case():
     # case counts are exact even when a counterexample shows up early
     tm, inst, env = setup(0, BoundSpec(2, 2, 1))
-    reports = check_machine(tm, env)
+    reports = discharge_all(tm, env, generate_pos(tm)).reports
     by_name = {r.po.name: r for r in reports}
     assert by_name["trust/inv2/INV"].verdict == FAILED
     assert by_name["trust/inv2/INV"].cases == by_name["trust/inv1/INV"].cases

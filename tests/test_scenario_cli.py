@@ -3,8 +3,9 @@ import io
 import pytest
 
 from trustb.cli import run_command
-from trustb.errors import ScenarioError
-from trustb.models import builtin_source, import_state
+from trustb.errors import BoundExceeded, ScenarioError
+from trustb.models import BoundSpec, builtin_source, import_state, machine_setup
+from trustb.runtime import state_universe
 from trustb.scenario import parse_scenario, run_scenario, run_scenario_text
 
 
@@ -238,6 +239,18 @@ def test_model_errors_exit_3(tmp_path):
     bad.write_text("MACHINE ???\n")
     code, _, err = run(["check", str(bad)])
     assert code == 3 and "broken.ebt" in err
+
+
+def test_oversized_domain_names_its_variable_and_bound():
+    # agent_task : pow(trustees) +-> TASKS with 3 trustees and 2 tasks has
+    # 3**8 members, more than 2**12; listing them is refused before any state.
+    code, out, err = run(["check", "--level", "0", "--bounds", "2,3,2"])
+    assert code == 3 and out == ""
+    assert "'agent_task'" in err and "6561 members" in err and "2**12" in err
+    tm, _inst, env = machine_setup(0, BoundSpec(2, 3, 2))
+    with pytest.raises(BoundExceeded) as exc:
+        next(state_universe(tm, env))
+    assert exc.value.variable == "agent_task"
 
 
 TOY_MODEL = (

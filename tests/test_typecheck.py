@@ -265,6 +265,34 @@ END"""
     assert tm.context.carriers == ("S",)
     assert tm.context.constants == ("k",)
 
+    # A diamond: left and right both extend mid, and both extends the two.
+    diamond = text.split("MACHINE")[0] + """
+CONTEXT left EXTENDS mid
+SETS T
+CONSTANTS a
+AXIOMS
+  @axm2: a : k
+END
+
+CONTEXT right EXTENDS mid
+CONSTANTS r
+AXIOMS
+  @axm3: r : k <-> S
+  @axm4: k /= {}
+END
+
+CONTEXT both EXTENDS left right
+CONSTANTS z
+AXIOMS
+  @axm5: z : T
+END"""
+    ctx = elaborate(parse_file(diamond)).context("both")
+    assert ctx.carriers == ("S", "T")
+    assert ctx.constants == ("k", "a", "r", "z")
+    assert [ax.label for ax in ctx.axioms] == ["axm1", "axm2", "axm3", "axm4", "axm5"]
+    types = {c: repr(ctx.types[c]) for c in ctx.constants}
+    assert types == {"k": "pow(S)", "a": "S", "r": "pow((S x S))", "z": "T"}
+
 
 def test_extends_cycle_detected():
     text = """CONTEXT a EXTENDS b

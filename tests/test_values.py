@@ -12,7 +12,6 @@ from trustb.values import (
     PairV,
     SetV,
     canon,
-    is_relation,
     mkatoms,
     mkset,
     value_sorted,
@@ -100,14 +99,6 @@ def test_canon_injective_on_sample():
 def test_mkatoms_and_bool_set():
     assert mkatoms(["p", "q"]) == mkset(atoms("p", "q"))
     assert BOOL_SET == mkset([TRUE, FALSE])
-
-
-def test_is_relation():
-    a, b = atoms("a", "b")
-    assert is_relation(mkset([PairV(a, b)]))
-    assert is_relation(EMPTY_SET)
-    assert not is_relation(mkset([a]))
-    assert not is_relation(a)
 
 
 names = st.sampled_from(["a", "b", "c", "d"])
