@@ -57,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise _Usage(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+def _bound(text: str) -> int:
+    """A --powerset-bound: a log2 cap, so a whole number that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trustb", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"trustb {__version__}")
@@ -93,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="instantiate with a shared trustor/trustee agent")
     p_check.add_argument("--carrier", action="append", default=[], metavar="SET=N",
                          help="carrier size for model files (default 2 each)")
-    p_check.add_argument("--powerset-bound", type=int, default=DEFAULT_POWERSET_BOUND,
+    p_check.add_argument("--powerset-bound", type=_bound, default=DEFAULT_POWERSET_BOUND,
                          help="log2 cap on enumerated powersets and function spaces")
     p_check.add_argument("--format", default="table", choices=("table", "records"),
                          help="report style")

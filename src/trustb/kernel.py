@@ -1,15 +1,16 @@
 """Evaluator for the closed expression language over finite set values.
 
 Evaluation is pure: the same expression under the same environment always
-yields the same value, and nothing here mutates an environment a caller
-handed in.  Each syntax node is compiled once, on first evaluation, into a
-closure that is kept on the node; there is no second, tree-walking path.
-Conjunction and implication evaluate left to right and stop as soon as the
-answer is known, so a right operand that is only well defined when the
-left one holds is never evaluated otherwise.  Quantifiers expand by enumerating their declared domains, which
-must be given syntactically as the leading membership conjuncts of the
-quantifier body (for a universal whose body is an implication, the leading
-conjuncts of its left-hand side).
+yields the same value.  A quantifier binds its variables in the caller's
+frame while it runs and leaves the frame as it found it.  Each syntax node
+is compiled once, on first evaluation, into a closure that is kept on the
+node; there is no second, tree-walking path.  Conjunction and implication
+evaluate left to right and stop as soon as the answer is known, so a right
+operand that is only well defined when the left one holds is never
+evaluated otherwise.  Quantifiers expand by enumerating their declared
+domains, one variable at a time, which must be given syntactically as the
+leading membership conjuncts of the quantifier body (for a universal whose
+body is an implication, the leading conjuncts of its left-hand side).
 
 There is one domain enumerator, compile_domain, and the runtime's state
 and parameter enumeration uses it too.  It lists pow(S) by bitmask over
@@ -251,6 +252,12 @@ def enumerate_fn_space(
 ExprCode = Callable[[dict, int], Value]
 PredCode = Callable[[dict, int], bool]
 
+# A frame may hold, under this key (never an identifier), a callable
+# fetch(frame, name) that supplies an identifier the frame lacks; it raises
+# UnboundIdentifier for a name it does not know either.  Lookups that hit
+# never consult it.
+FETCH = " fetch"
+
 
 def eval_expr_frame(e: Expr, frame: dict, bound: int = DEFAULT_POWERSET_BOUND) -> Value:
     """Evaluate against a plain bindings dict; the caller owns the frame."""
@@ -328,7 +335,10 @@ def _expr_code(e: Expr) -> ExprCode:
             try:
                 return f[name]
             except KeyError:
-                raise UnboundIdentifier(name) from None
+                fetch = f.get(FETCH)
+                if fetch is None:
+                    raise UnboundIdentifier(name) from None
+                return fetch(f, name)
 
         return ident
     if t is EmptySetLit:
@@ -538,21 +548,31 @@ def _quantifier(p: Forall | Exists, is_forall: bool) -> PredCode:
             quantifier_domains(vars, body, is_forall)
 
         return undeclared
-    holds = compile_pred(body)
-    last = len(vars) - 1
+    # One variable at a time: `!x, y . P` runs as `!x . !y . P`.
+    code = compile_pred(body)
+    for name, domain in reversed(tuple(zip(vars, domains))):
+        code = _each(name, domain, code, is_forall)
+    return code
 
-    def code(f, b):
-        local = dict(f)
 
-        def walk(k: int) -> bool:
-            name = vars[k]
-            for v in domains[k](local, b):
-                local[name] = v
-                result = holds(local, b) if k == last else walk(k + 1)
+def _each(name: str, domain, holds: PredCode, is_forall: bool) -> PredCode:
+    """Decide `holds` for each member of the domain in turn, binding the
+    variable in the caller's frame, so that what a fetch hook puts there
+    stays seen, and restoring the frame afterwards."""
+
+    def each(f, b):
+        shadowed = f.get(name)
+        try:
+            for v in domain(f, b):
+                f[name] = v
+                result = holds(f, b)
                 if result != is_forall:
                     return result
             return is_forall
+        finally:
+            if shadowed is None:
+                f.pop(name, None)
+            else:
+                f[name] = shadowed
 
-        return walk(0)
-
-    return code
+    return each

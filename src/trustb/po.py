@@ -26,15 +26,31 @@ hypothesis-satisfying case, `failed` with the first counterexample
 otherwise, and `vacuous` when no case satisfied the hypothesis.
 
 Prefix caching.  The walk does not decide a predicate again while its
-inputs stay the same.  Each invariant, each event's binding list and each
-group of its guards depends on a prefix of the state variables (in
-declaration order), and its result is kept until a state changes a
-variable inside that prefix.  A variable counts as unchanged only when the
-state holds the very object the previous state held: an identical object
-is the same value, and anything else is evaluated again.  state_universe
-varies the last variable fastest and hands out memoised candidate values,
-so consecutive states share the objects of their common prefix; the
-reachable states share the objects of every variable an event left alone.
+inputs stay the same.  A variable counts as unchanged only when the state
+holds the very object the previous state held: an identical object is the
+same value, and anything else is evaluated again.  state_universe varies
+the last variable fastest and hands out memoised candidate values, so
+consecutive states share the objects of their common prefix; the reachable
+states share the objects of every variable an event left alone.
+
+* Invariants keep a decided depth.  An invariant runs on a frame that holds
+  only the constants; each state variable enters it on its first read, and
+  the run records one past the deepest position (in declaration order) it
+  read.  Its truth stands while the walk's first changed position is at or
+  beyond that depth.  A run that stops before reading a late variable, as
+  a quantifier does when it finds its answer early, is thus not repeated
+  when only that variable changes.  Evaluation order and short-circuiting
+  are those of a plain evaluation, so a predicate that raises does so in
+  the state where it would if it ran in every state.
+* Each event's binding list and each group of its guards depends on a
+  prefix of the state variables, read statically, and is kept until a
+  state changes a variable inside that prefix.
+* A case reuses what is already decided.  An INV goal none of whose
+  variables the event's actions gave a different value is as true after
+  the event as before it, which the walk already knows.  A GRD goal that is
+  one of the concrete event's own guards holds, since every case passed
+  those guards.  A SIM whose abstract expression is the one the concrete
+  action assigns to that variable holds.  Each case is still counted.
 """
 
 from __future__ import annotations
@@ -42,8 +58,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NotSuperposition, UnresolvedReference
-from .kernel import Env, eval_expr_frame, eval_pred_frame
+from .errors import NotSuperposition, UnboundIdentifier, UnresolvedReference
+from .kernel import FETCH, Env, eval_expr_frame, eval_pred_frame
 from .runtime import (
     State,
     initial_state,
@@ -209,13 +225,29 @@ class CheckResult:
 
 
 class _Working:
-    __slots__ = ("po", "cases", "failed", "counterexample")
+    __slots__ = ("po", "cases", "failed", "counterexample", "given", "pre", "reads")
 
-    def __init__(self, po: ProofObligation):
+    def __init__(self, po: ProofObligation, given: bool, pre: int | None):
         self.po = po
         self.cases = 0
         self.failed = False
         self.counterexample: Counterexample | None = None
+        self.given = given  # the goal holds in every case (see _given)
+        # For INV: where the walk's truths keep the goal's pre-state truth,
+        # if they do, and the variables the goal reads.
+        self.pre = pre
+        self.reads = free_idents_pred(po.goal) if po.kind == "INV" else frozenset()
+
+
+def _given(po: ProofObligation, info: EventInfo) -> bool:
+    """Whether a GRD goal is one of the concrete event's own guards, all of
+    which hold in every case, or a SIM's abstract expression is the one the
+    concrete action assigns to that variable."""
+    if po.kind == "GRD":
+        return any(po.goal == g.pred for g in info.ast.guards)
+    if po.kind == "SIM":
+        return any(a.variable == po.label and a.expr == po.sim_expr for a in info.ast.actions)
+    return False
 
 
 def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterator[State]:
@@ -234,13 +266,16 @@ def _judge(
     binding: dict,
     frame: dict,
     bound: int,
+    truths: list[bool],
 ) -> None:
     """Count one enabled case against each target obligation and keep the
-    first counterexample of each."""
-    post_frame = None
+    first counterexample of each.  `truths` holds the pre-state truths of
+    the walk's invariants: an INV goal none of whose variables the actions
+    gave a different value is as true after the event as before it."""
+    post_frame = moved = None
     for w in targets:
         w.cases += 1
-        if w.failed:
+        if w.failed or w.given:
             continue
         po = w.po
         if po.kind == "GRD":
@@ -254,7 +289,16 @@ def _judge(
                     {a.variable: eval_expr_frame(a.expr, frame, bound) for a in info.ast.actions}
                 )
             if po.kind == "INV":
-                if eval_pred_frame(po.goal, post_frame, bound):
+                if moved is None:
+                    moved = {
+                        a.variable
+                        for a in info.ast.actions
+                        if post_frame[a.variable] != frame[a.variable]
+                    }
+                if w.pre is not None and moved.isdisjoint(w.reads):
+                    if truths[w.pre]:
+                        continue
+                elif eval_pred_frame(po.goal, post_frame, bound):
                     continue
             else:  # SIM
                 expected = eval_expr_frame(po.sim_expr, frame, bound)
@@ -270,15 +314,65 @@ def _judge(
         w.counterexample = ce
 
 
-def _holds_on(code, states: Iterable[State], env: Env) -> tuple[int, int]:
+class _Truths:
+    """Invariants' truths in the walk's current state, each decided again
+    only when the walk changes a variable it read on its last run (see the
+    module docstring).  A run's frame holds the constants; a state variable
+    enters it through the kernel's FETCH hook on first read and leaves it
+    when the run ends.  Until then the run would read, and so decide, the
+    same again: every variable before its decided depth is the very object
+    it read."""
+
+    __slots__ = ("codes", "truths", "depths", "frame", "bound", "position", "current", "fetched")
+
+    def __init__(self, codes: list, order: tuple[str, ...], env: Env):
+        self.codes = codes
+        self.truths = [True] * len(codes)
+        self.depths = [0] * len(codes)  # the first state (changed -1) decides all
+        self.bound = env.powerset_bound
+        self.position = {v: k + 1 for k, v in enumerate(order)}
+        # The hook refers to these two lists, not to self, so that the frame
+        # and self form no reference cycle.
+        current: list[dict] = [{}]  # the values of the state runs read
+        fetched: list[str] = []
+
+        def fetch(frame: dict, name: str):
+            try:
+                value = frame[name] = current[0][name]
+            except KeyError:
+                raise UnboundIdentifier(name) from None
+            fetched.append(name)
+            return value
+
+        self.current, self.fetched = current, fetched
+        self.frame = dict(env.bindings)
+        self.frame[FETCH] = fetch
+
+    def at(self, state: State, changed: int) -> list[bool]:
+        """The truths in `state`, whose first changed position is `changed`."""
+        depths = self.depths
+        self.current[0] = state.values
+        for k, depth in enumerate(depths):
+            if depth > changed:
+                frame, fetched, position = self.frame, self.fetched, self.position
+                self.truths[k] = self.codes[k](frame, self.bound)
+                depth = 0
+                for name in fetched:
+                    del frame[name]
+                    if position[name] > depth:
+                        depth = position[name]
+                fetched.clear()
+                depths[k] = depth
+        return self.truths
+
+
+def _holds_on(code, states: Iterable[State], order: tuple[str, ...], env: Env) -> tuple[int, int]:
     """On how many of the states a compiled invariant holds, and of how many."""
-    bound = env.powerset_bound
-    frame = dict(env.bindings)
+    truths = _Truths([code], order, env)
     holds = total = 0
-    for state in states:
-        frame.update(state.values)
+    for state, changed in _with_changes(states, order):
         total += 1
-        if code(frame, bound):
+        if truths.at(state, changed)[0]:
             holds += 1
     return holds, total
 
@@ -385,8 +479,9 @@ def discharge_all(
     the same walk, report vacuous guards if `vacuity` is set and count the
     states where the invariant labelled `goal` holds if one is given.
 
-    Each invariant is evaluated once per run of states that agree on the
-    variables it reads (see the module docstring).  A preservation
+    Each invariant is decided again only when the walk changes a variable
+    it read on its last run, and each case reuses the pre-state truths and
+    the guards it already has (see the module docstring).  A preservation
     obligation's hypothesis then reduces to `the only false invariant
     outside exclude_labels, if any, is the obligation's own` plus the
     event's guards.  The bindings that pass the guards come from each
@@ -398,8 +493,9 @@ def discharge_all(
     binding for both consumers.  Counterexamples are the first in
     enumeration order, and case counts are exact.  A guard or an invariant
     that raises does so in the same state as it would if every predicate
-    ran in every state.  The goal count covers every typed state and every reachable state,
-    whichever the state source.
+    ran in every state.  The goal count covers every typed state and every
+    reachable state, whichever the state source, and reads its truths
+    through the same decided depths.
     """
     if pos is None:
         pos = generate_pos(tm, include_refinement=True, exclude_labels=exclude_labels)
@@ -410,6 +506,14 @@ def discharge_all(
     bound = env.powerset_bound
 
     reports: list[DischargeReport] = []
+    # The invariants some consumer needs, in scope order.
+    walked = any(po.event != INIT_EVENT for po in pos)
+    checked = [
+        (lbl, code)
+        for lbl, code in tm.invariant_code
+        if vacuity or lbl == goal or (walked and lbl not in exclude_labels)
+    ]
+    labels = [lbl for lbl, _code in checked]
     working: dict[str, _Working] = {}
     event_pos: dict[str, list[_Working]] = {}
     init = None
@@ -424,7 +528,9 @@ def discharge_all(
             ce = None if ok else Counterexample(None, (), init)
             reports.append(DischargeReport(po, DISCHARGED if ok else FAILED, 1, ce, po.note))
         else:
-            w = working[po.name] = _Working(po)
+            info = tm.events.get(po.event)
+            pre = labels.index(po.label) if po.kind == "INV" and po.label in labels else None
+            w = working[po.name] = _Working(po, info is not None and _given(po, info), pre)
             event_pos.setdefault(po.event, []).append(w)
 
     vac_reps = {
@@ -440,25 +546,12 @@ def discharge_all(
     ]
     holds = states = 0
     if events or goal is not None:
-        # The invariants some consumer needs, each with the variable prefix
-        # it reads; a truth is kept until the walk changes that prefix.
-        checked = [
-            (lbl, code, _prefix_len(free_idents_pred(inv.pred), order))
-            for (lbl, inv, _origin), (_lbl, code) in zip(tm.invariant_scope, tm.invariant_code)
-            if vacuity or lbl == goal or (working and lbl not in exclude_labels)
-        ]
-        labels = [lbl for lbl, _code, _reads in checked]
-        truths = [True] * len(checked)
-        rerun = [  # rerun[changed + 1]: the invariants a change at `changed` voids
-            [(k, code) for k, (_lbl, code, reads) in enumerate(checked) if reads > changed]
-            for changed in range(-1, len(order) + 1)
-        ]
+        decided = _Truths([code for _lbl, code in checked], order, env)
         drop_excluded = any(lbl in exclude_labels for lbl in labels)
         frame = dict(env.bindings)
         for state, changed in _with_changes(_state_iter(tm, env, state_source), order):
             frame.update(state.values)
-            for k, code in rerun[changed + 1]:
-                truths[k] = code(frame, bound)
+            truths = decided.at(state, changed)
             for *_ev, cache in events:
                 cache.moved(changed)
             false_invs = [lbl for lbl, ok in zip(labels, truths) if not ok]
@@ -497,11 +590,11 @@ def discharge_all(
                                     None,
                                 )
                         if targets and all(oks):
-                            _judge(targets, tm, info, state, binding, frame, bound)
+                            _judge(targets, tm, info, state, binding, frame, bound, truths)
                 elif targets:
                     for binding in cache.enabled(state, frame, bound):
                         frame.update(binding)
-                        _judge(targets, tm, info, state, binding, frame, bound)
+                        _judge(targets, tm, info, state, binding, frame, bound, truths)
                 for p in info.ast.params:
                     frame.pop(p, None)
 
@@ -521,11 +614,11 @@ def discharge_all(
         code = codes[goal]
         if state_source == REACHABLE:
             goal_rep = GoalInvariantReport(
-                goal, *_holds_on(code, state_universe(tm, env), env), holds, states
+                goal, *_holds_on(code, state_universe(tm, env), order, env), holds, states
             )
         else:
             goal_rep = GoalInvariantReport(
-                goal, holds, states, *_holds_on(code, reachable_states(tm, env), env)
+                goal, holds, states, *_holds_on(code, reachable_states(tm, env), order, env)
             )
     vacuity_reps = [rep for reps in vac_reps.values() for rep in reps]
     return CheckResult(reports, vacuity_reps, goal_rep)

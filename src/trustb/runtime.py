@@ -212,27 +212,29 @@ def invariant_report(tm: TypedMachine, state: State, env: Env) -> list[tuple[str
 
 
 def _assignments(
-    names: tuple[str, ...], candidates: Callable[[int], Iterable[Value]], frame: dict
+    names: tuple[str, ...],
+    candidates: Callable[[int], Iterable[Value]],
+    frame: dict,
+    k: int = 0,
 ) -> Iterator[None]:
-    """Bind names[0], names[1], ... in `frame` to each value `candidates(k)`
-    lists for the k-th name, the last name varying fastest, and yield once
-    per complete assignment; the caller reads the values from `frame`.
+    """Bind names[k], names[k + 1], ... in `frame` to each value
+    `candidates(k)` lists for the k-th name, the last name varying fastest,
+    and yield once per complete assignment; the caller reads the values
+    from `frame`.
 
     `candidates(k)` is asked with the first k names already bound, so a
-    later name's candidates may depend on earlier ones.
+    later name's candidates may depend on earlier ones.  (A recursive
+    closure here would be a reference cycle holding the frame and the
+    candidate lists until the cycle collector ran.)
     """
-
-    def walk(k: int) -> Iterator[None]:
-        if k == len(names):
-            yield
-            return
-        name = names[k]
-        for v in candidates(k):
-            frame[name] = v
-            yield from walk(k + 1)
-        frame.pop(name, None)
-
-    return walk(0)
+    if k == len(names):
+        yield
+        return
+    name = names[k]
+    for v in candidates(k):
+        frame[name] = v
+        yield from _assignments(names, candidates, frame, k + 1)
+    frame.pop(name, None)
 
 
 def param_bindings(

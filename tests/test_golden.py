@@ -2,7 +2,10 @@
 
 Each cell runs at bounds 1,2,2 with --refinement --vacuity three ways:
 plain, with --goal-invariant on the last label of the machine's
-invariant scope, and the same over reachable states only.  The
+invariant scope, and the same over reachable states only.  The base and
+rel chains also run a fourth way, with the guard that keeps their trust
+event honest dropped (--mutate drop:grd7 at level 1, drop:grd8 at level
+2), so that the event really changes the state.  The
 records (verdicts, exact case counts, first counterexamples, the goal
 and vacuity lines) and the exit status must match the files under
 tests/golden/ byte for byte.
@@ -25,6 +28,8 @@ from trustb.models import VARIANTS, build_model, machine_name
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 BOUNDS = "1,2,2"
 MODES = ("plain", "goal", "reachable_goal")
+MUTATIONS = {("base", 1): "drop:grd7", ("base", 2): "drop:grd8",
+             ("rel", 1): "drop:grd7", ("rel", 2): "drop:grd8"}
 
 
 def _cells():
@@ -36,6 +41,8 @@ def _cells():
                 continue
             for mode in MODES:
                 yield variant, level, mode
+            if (variant, level) in MUTATIONS:
+                yield variant, level, "mutate"
 
 
 def _argv(variant: str, level: int, mode: str) -> list[str]:
@@ -43,7 +50,9 @@ def _argv(variant: str, level: int, mode: str) -> list[str]:
         "check", "--variant", variant, "--level", str(level), "--bounds", BOUNDS,
         "--refinement", "--vacuity", "--format", "records",
     ]
-    if mode != "plain":
+    if mode == "mutate":
+        argv += ["--mutate", MUTATIONS[variant, level]]
+    elif mode != "plain":
         _model, tm = build_model(level, variant)
         argv += ["--goal-invariant", tm.invariant_scope[-1][0]]
     if mode == "reachable_goal":

@@ -216,6 +216,21 @@ def test_check_refinement_discharges_base_chain():
         assert len(sim) == 1
 
 
+def test_dropped_guard_fails_its_guard_strengthening():
+    # Without grd7 the concrete event no longer implies the abstract grd7;
+    # the GRD goals it still has among its own guards hold.  (With inv4 in
+    # the hypothesis, knowledge already covers every enabled case.)
+    tm, inst, env = setup(2, BoundSpec(1, 2, 1), mutate=Mutation.parse("drop:grd7"))
+    excluded = frozenset({"inv4"})
+    pos = [p for p in generate_pos(tm, True, excluded) if p.kind == "GRD"]
+    grd = {r.po.label: r for r in discharge_all(tm, env, pos, exclude_labels=excluded).reports}
+    assert grd["grd7"].verdict == FAILED
+    assert all(r.verdict == DISCHARGED for label, r in grd.items() if label != "grd7")
+    ce = grd["grd7"].counterexample
+    frame = {**env.bindings, **ce.state.values, **ce.binding_dict()}
+    assert not eval_pred_frame(grd["grd7"].po.goal, frame, env.powerset_bound)
+
+
 def test_check_refinement_rejects_unrefined_machine():
     tm, inst, env = setup(0)
     with pytest.raises(NotSuperposition):
@@ -337,6 +352,144 @@ def test_guards_stay_well_defined_under_prefix_caching(tmp_path):
     assert rest == HOISTING_RECORDS
 
 
+# inv3 reads d only where a is not empty, so while a is empty its truth
+# stands whatever d holds.
+BRANCHING = """CONTEXT c
+SETS S
+END
+MACHINE Branch
+SEES c
+VARIABLES a d
+INVARIANTS
+  @inv1: a : pow(S)
+  @inv2: d : pow(S)
+  @inv3: a /= {} => d <: a
+EVENT INITIALISATION
+THEN
+  @act1: a := {}
+  @act2: d := {}
+END
+EVENT grow
+ANY x
+WHERE
+  @grd1: x : S
+THEN
+  @act1: a := a \\/ {x}
+END
+EVENT shrink
+ANY x
+WHERE
+  @grd1: x : a
+THEN
+  @act1: a := a \\ {x}
+END
+EVENT add
+ANY y
+WHERE
+  @grd1: y : S
+THEN
+  @act1: d := d \\/ {y}
+END
+END
+"""
+
+BRANCHING_RECORDS = "".join(
+    line + "\n"
+    for line in (
+        "po name=INITIALISATION/inv1/INV machine=Branch event=INITIALISATION kind=INV verdict=discharged cases=1",
+        "po name=INITIALISATION/inv2/INV machine=Branch event=INITIALISATION kind=INV verdict=discharged cases=1",
+        "po name=INITIALISATION/inv3/INV machine=Branch event=INITIALISATION kind=INV verdict=discharged cases=1",
+        "po name=grow/inv1/INV machine=Branch event=grow kind=INV verdict=discharged cases=102",
+        "po name=grow/inv2/INV machine=Branch event=grow kind=INV verdict=discharged cases=102",
+        "po name=grow/inv3/INV machine=Branch event=grow kind=INV verdict=failed cases=192",
+        "ce po=grow/inv3/INV part=pre var=a value={}",
+        "ce po=grow/inv3/INV part=pre var=d value={s1}",
+        "ce po=grow/inv3/INV part=binding var=x value=s2",
+        "ce po=grow/inv3/INV part=post var=a value={s2}",
+        "ce po=grow/inv3/INV part=post var=d value={s1}",
+        "note po=grow/inv3/INV text=under ",
+        "po name=shrink/inv1/INV machine=Branch event=shrink kind=INV verdict=discharged cases=54",
+        "po name=shrink/inv2/INV machine=Branch event=shrink kind=INV verdict=discharged cases=54",
+        "po name=shrink/inv3/INV machine=Branch event=shrink kind=INV verdict=failed cases=96",
+        "ce po=shrink/inv3/INV part=pre var=a value={s1, s2}",
+        "ce po=shrink/inv3/INV part=pre var=d value={s1}",
+        "ce po=shrink/inv3/INV part=binding var=x value=s1",
+        "ce po=shrink/inv3/INV part=post var=a value={s2}",
+        "ce po=shrink/inv3/INV part=post var=d value={s1}",
+        "note po=shrink/inv3/INV text=under ",
+        "po name=add/inv1/INV machine=Branch event=add kind=INV verdict=discharged cases=102",
+        "po name=add/inv2/INV machine=Branch event=add kind=INV verdict=discharged cases=102",
+        "po name=add/inv3/INV machine=Branch event=add kind=INV verdict=failed cases=192",
+        "ce po=add/inv3/INV part=pre var=a value={s1}",
+        "ce po=add/inv3/INV part=pre var=d value={}",
+        "ce po=add/inv3/INV part=binding var=y value=s2",
+        "ce po=add/inv3/INV part=post var=a value={s1}",
+        "ce po=add/inv3/INV part=post var=d value={s2}",
+        "note po=add/inv3/INV text=under ",
+        "summary pos=12 discharged=9 failed=3 vacuous=0",
+    )
+)
+
+
+def test_invariant_reading_a_later_variable_on_one_branch(tmp_path):
+    import io
+
+    from trustb.cli import run_command
+
+    model = tmp_path / "branch.ebt"
+    model.write_text(BRANCHING)
+    out = io.StringIO()
+    argv = ["check", str(model), "--carrier", "S=3", "--format", "records"]
+    assert run_command(argv, stdout=out) == 1
+    head, rest = out.getvalue().split("\n", 1)
+    assert head == f"run machine=Branch file={model} instantiations=1"
+    assert rest == BRANCHING_RECORDS
+
+
+# inv4's last conjunct applies g, which is partial; the conjuncts before it
+# read a, g and then d, the last variable.  In canonical order the first
+# state where it is ill defined is a = {s1}, g = {s2 |-> s1}, d = {s1}.
+PARTIAL = """CONTEXT c
+SETS S
+END
+MACHINE Partial
+SEES c
+VARIABLES a g d
+INVARIANTS
+  @inv1: a : pow(S)
+  @inv2: g : S +-> S
+  @inv3: d : pow(S)
+  @inv4: !x . x : S & x : a & g /= {} & x : d => g(x) : S
+EVENT INITIALISATION
+THEN
+  @act1: a := {}
+  @act2: g := {}
+  @act3: d := {}
+END
+EVENT grow
+ANY x
+WHERE
+  @grd1: x : S
+THEN
+  @act1: d := d \\/ {x}
+END
+END
+"""
+
+
+def test_quantified_invariant_raises_in_the_first_ill_defined_state(tmp_path):
+    import io
+
+    from trustb.cli import run_command
+
+    model = tmp_path / "partial.ebt"
+    model.write_text(PARTIAL)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["check", str(model), "--format", "records"], stdout=out, stderr=err) == 3
+    assert out.getvalue() == ""
+    assert err.getvalue() == "error: application outside domain: {(s2 |-> s1)} applied to s1\n"
+
+
 def test_check_walks_the_state_universe_once(monkeypatch):
     import io
 
@@ -402,3 +555,67 @@ def test_each_predicate_runs_once_per_prefix(monkeypatch):
     assert counts["inv1"] == len(states)  # reads commitments, the last variable
     assert 0 < counts["inv3"] <= len(prefixes) < len(states)
     assert 0 < counts["grd4"] <= len(agent_tasks) * len(bindings)
+    # inv4 can read every variable, but a run that finds its first (i, t)
+    # without a group for t stops before reading commitments.
+    assert 0 < counts["inv4"] < len(states)
+
+
+def _post_state_goals(mutate, evaluated):
+    """How often discharge_all evaluated a GRD goal and an INV goal of
+    `trust` at level 2, 1,2,2, by kind, with inv4 as the goal invariant (it
+    is false in every state, so with it no GRD obligation has a case);
+    `evaluated` counts each predicate's evaluations by id."""
+    tm, inst, env = setup(2, BoundSpec(1, 2, 2), mutate=mutate)
+    excluded = frozenset({"inv4"})
+    pos = [
+        p for p in generate_pos(tm, include_refinement=True, exclude_labels=excluded)
+        if p.event == "trust"
+    ]
+    evaluated.clear()
+    reports = discharge_all(tm, env, pos, exclude_labels=excluded).reports
+    assert all(r.cases > 0 for r in reports)
+    counts = {"GRD": 0, "INV": 0}
+    for p in pos:
+        if p.goal is not None:
+            counts[p.kind] += evaluated.get(id(p.goal), 0)
+    return counts
+
+
+def test_unchanged_post_states_reuse_pre_state_truths(monkeypatch):
+    from trustb import po as po_module
+
+    evaluated: dict[int, int] = {}
+    real = po_module.eval_pred_frame
+
+    def counting(pred, frame, bound):
+        evaluated[id(pred)] = evaluated.get(id(pred), 0) + 1
+        return real(pred, frame, bound)
+
+    monkeypatch.setattr(po_module, "eval_pred_frame", counting)
+    # At level 2 the enabled trust event changes nothing, and its GRD goals
+    # are its own guards: no goal is evaluated again on a post-state.
+    assert _post_state_goals(None, evaluated) == {"GRD": 0, "INV": 0}
+    # Without grd8 the event does add triples, so INV goals are evaluated.
+    counts = _post_state_goals(Mutation.parse("drop:grd8"), evaluated)
+    assert counts["GRD"] == 0 and counts["INV"] > 0
+
+
+def test_check_walk_leaves_no_reference_cycles():
+    # Garbage that only the cycle collector frees lingers between runs and
+    # inflates peak memory; the walk, its enumerators and the quantifiers
+    # must leave none.
+    import gc
+
+    tm, inst, env = setup(2, BoundSpec(1, 2, 1))
+    pos = generate_pos(tm, include_refinement=True)
+    discharge_all(tm, env, pos, vacuity=True, goal="inv4")  # compile first
+    gc.collect()
+    gc.disable()
+    try:
+        states = list(state_universe(tm, env))
+        for state in states[:50]:
+            invariant_report(tm, state, env)
+        discharge_all(tm, env, pos, vacuity=True, goal="inv4")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

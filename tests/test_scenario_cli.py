@@ -221,6 +221,7 @@ def test_usage_errors_exit_2():
         ["query", "--level", "0", "i", "t"],  # needs trustor, trustee(s), task
         ["frobnicate"],
         ["check", "--format", "yaml"],
+        ["check", "--level", "0", "--bounds", "1,1,1", "--powerset-bound", "-1"],
     ):
         code, _, err = run(argv)
         assert code == 2, argv
