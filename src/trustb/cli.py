@@ -17,6 +17,7 @@ obligation is a warning, not a failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -68,7 +69,9 @@ def _bound(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = _Parser(prog="trustb", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"trustb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -336,20 +339,14 @@ def _check_file(args, out: _Out) -> int:
     for inst in insts:
         env = inst.env(args.powerset_bound)
         for rep in discharge_all(tm, env, pos, args.state_source).reports:
-            prev = merged.get(rep.po.name)
-            if prev is None:
-                if rep.verdict == FAILED and rep.counterexample is not None:
-                    rep.note = (rep.note + "; " if rep.note else "") + f"under {inst.label}"
-                merged[rep.po.name] = rep
-                continue
-            prev.cases += rep.cases
-            if prev.verdict != FAILED:
-                if rep.verdict == FAILED:
-                    prev.verdict = FAILED
-                    prev.counterexample = rep.counterexample
-                    prev.note = (prev.note + "; " if prev.note else "") + f"under {inst.label}"
-                elif rep.verdict != VACUOUS:
-                    prev.verdict = rep.verdict
+            prev = merged.setdefault(rep.po.name, rep)
+            if prev is not rep:
+                prev.cases += rep.cases
+                if prev.verdict == FAILED or rep.verdict == VACUOUS:
+                    continue
+                prev.verdict, prev.counterexample = rep.verdict, rep.counterexample
+            if prev.verdict == FAILED and inst.label:
+                prev.note = (prev.note + "; " if prev.note else "") + f"under {inst.label}"
     reports = list(merged.values())
     if args.format == "table":
         out.line(

@@ -248,15 +248,11 @@ def enumerate_fn_space(
 # closures for code generation", 1987).  The closure is memoised on the
 # node, so it lives exactly as long as the syntax tree that owns it, and
 # dispatch on node type happens once per node instead of once per call.
+# A frame may be a dict subclass whose __missing__ supplies identifiers it
+# lacks; a KeyError from it means the identifier is unbound.
 
 ExprCode = Callable[[dict, int], Value]
 PredCode = Callable[[dict, int], bool]
-
-# A frame may hold, under this key (never an identifier), a callable
-# fetch(frame, name) that supplies an identifier the frame lacks; it raises
-# UnboundIdentifier for a name it does not know either.  Lookups that hit
-# never consult it.
-FETCH = " fetch"
 
 
 def eval_expr_frame(e: Expr, frame: dict, bound: int = DEFAULT_POWERSET_BOUND) -> Value:
@@ -335,10 +331,7 @@ def _expr_code(e: Expr) -> ExprCode:
             try:
                 return f[name]
             except KeyError:
-                fetch = f.get(FETCH)
-                if fetch is None:
-                    raise UnboundIdentifier(name) from None
-                return fetch(f, name)
+                raise UnboundIdentifier(name) from None
 
         return ident
     if t is EmptySetLit:
@@ -557,8 +550,8 @@ def _quantifier(p: Forall | Exists, is_forall: bool) -> PredCode:
 
 def _each(name: str, domain, holds: PredCode, is_forall: bool) -> PredCode:
     """Decide `holds` for each member of the domain in turn, binding the
-    variable in the caller's frame, so that what a fetch hook puts there
-    stays seen, and restoring the frame afterwards."""
+    variable in the caller's frame, so that what the frame's __missing__
+    puts there stays seen, and restoring the frame afterwards."""
 
     def each(f, b):
         shadowed = f.get(name)

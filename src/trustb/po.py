@@ -33,18 +33,19 @@ the last variable fastest and hands out memoised candidate values, so
 consecutive states share the objects of their common prefix; the reachable
 states share the objects of every variable an event left alone.
 
-* Invariants keep a decided depth.  An invariant runs on a frame that holds
-  only the constants; each state variable enters it on its first read, and
-  the run records one past the deepest position (in declaration order) it
-  read.  Its truth stands while the walk's first changed position is at or
-  beyond that depth.  A run that stops before reading a late variable, as
-  a quantifier does when it finds its answer early, is thus not repeated
-  when only that variable changes.  Evaluation order and short-circuiting
-  are those of a plain evaluation, so a predicate that raises does so in
-  the state where it would if it ran in every state.
-* Each event's binding list and each group of its guards depends on a
-  prefix of the state variables, read statically, and is kept until a
-  state changes a variable inside that prefix.
+* Invariants, binding lists and guards keep a decided depth.  Each runs
+  on a frame that holds only the constants and the parameters it binds;
+  each state variable enters it on its first read, and the run records one
+  past the deepest position (in declaration order) it read.  Its result
+  stands while the walk's first changed position is at or beyond that
+  depth.  An event's binding list is decided by its parameter domains, and
+  the bindings kept after each guard by the list before them and that
+  guard's runs on it, so guards run in guard order, each only where the
+  ones before it held.  A run that stops before reading a late variable, as
+  a quantifier or an implication does when it knows its answer early, is
+  thus not repeated when only that variable changes.  Evaluation order and
+  short-circuiting are those of a plain evaluation, so a predicate that
+  raises does so in the state where it would if it ran in every state.
 * A case reuses what is already decided.  An INV goal none of whose
   variables the event's actions gave a different value is as true after
   the event as before it, which the walk already knows.  A GRD goal that is
@@ -58,22 +59,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NotSuperposition, UnboundIdentifier, UnresolvedReference
-from .kernel import FETCH, Env, eval_expr_frame, eval_pred_frame
-from .runtime import (
-    State,
-    initial_state,
-    param_bindings,
-    reachable_states,
-    state_universe,
-)
-from .syntax import (
-    INIT_EVENT,
-    Expr,
-    Pred,
-    free_idents_expr,
-    free_idents_pred,
-)
+from .errors import NotSuperposition, UnresolvedReference
+from .kernel import Env, eval_expr_frame, eval_pred_frame
+from .runtime import State, bind_params, initial_state, reachable_states, state_universe
+from .syntax import INIT_EVENT, Expr, Pred, free_idents_pred
 from .typecheck import EventInfo, TypedMachine
 
 ALL_STATES = "all_invariant_states"
@@ -314,73 +303,75 @@ def _judge(
         w.counterexample = ce
 
 
+class _Reader(dict):
+    """A frame that holds the constants and reads the walk's current state
+    on demand: a state variable enters it on first read and stays until
+    depth() is asked, so a run on this frame shows how much of the state
+    it read."""
+
+    __slots__ = ("bound", "position", "values", "fetched")
+
+    def __init__(self, order: tuple[str, ...], env: Env):
+        super().__init__(env.bindings)
+        self.bound = env.powerset_bound
+        self.position = {v: k + 1 for k, v in enumerate(order)}
+        self.values: dict = {}  # the values of the state being read
+        self.fetched: list[str] = []
+
+    def __missing__(self, name: str):
+        value = self[name] = self.values[name]
+        self.fetched.append(name)
+        return value
+
+    def depth(self) -> int:
+        """One past the deepest position read since the last call; the
+        variables read leave the frame."""
+        position = self.position
+        depth = 0
+        for name in self.fetched:
+            del self[name]
+            if position[name] > depth:
+                depth = position[name]
+        self.fetched.clear()
+        return depth
+
+
 class _Truths:
     """Invariants' truths in the walk's current state, each decided again
     only when the walk changes a variable it read on its last run (see the
-    module docstring).  A run's frame holds the constants; a state variable
-    enters it through the kernel's FETCH hook on first read and leaves it
-    when the run ends.  Until then the run would read, and so decide, the
+    module docstring).  Until then the run would read, and so decide, the
     same again: every variable before its decided depth is the very object
     it read."""
 
-    __slots__ = ("codes", "truths", "depths", "frame", "bound", "position", "current", "fetched")
+    __slots__ = ("codes", "reader", "truths", "depths")
 
-    def __init__(self, codes: list, order: tuple[str, ...], env: Env):
+    def __init__(self, codes: list, reader: _Reader):
         self.codes = codes
+        self.reader = reader
         self.truths = [True] * len(codes)
         self.depths = [0] * len(codes)  # the first state (changed -1) decides all
-        self.bound = env.powerset_bound
-        self.position = {v: k + 1 for k, v in enumerate(order)}
-        # The hook refers to these two lists, not to self, so that the frame
-        # and self form no reference cycle.
-        current: list[dict] = [{}]  # the values of the state runs read
-        fetched: list[str] = []
-
-        def fetch(frame: dict, name: str):
-            try:
-                value = frame[name] = current[0][name]
-            except KeyError:
-                raise UnboundIdentifier(name) from None
-            fetched.append(name)
-            return value
-
-        self.current, self.fetched = current, fetched
-        self.frame = dict(env.bindings)
-        self.frame[FETCH] = fetch
 
     def at(self, state: State, changed: int) -> list[bool]:
-        """The truths in `state`, whose first changed position is `changed`."""
-        depths = self.depths
-        self.current[0] = state.values
+        """The truths in `state`, whose first changed position is `changed`;
+        the reader reads `state` from now on."""
+        reader, depths = self.reader, self.depths
+        reader.values = state.values
         for k, depth in enumerate(depths):
             if depth > changed:
-                frame, fetched, position = self.frame, self.fetched, self.position
-                self.truths[k] = self.codes[k](frame, self.bound)
-                depth = 0
-                for name in fetched:
-                    del frame[name]
-                    if position[name] > depth:
-                        depth = position[name]
-                fetched.clear()
-                depths[k] = depth
+                self.truths[k] = self.codes[k](reader, reader.bound)
+                depths[k] = reader.depth()
         return self.truths
 
 
 def _holds_on(code, states: Iterable[State], order: tuple[str, ...], env: Env) -> tuple[int, int]:
     """On how many of the states a compiled invariant holds, and of how many."""
-    truths = _Truths([code], order, env)
+    truths = _Truths([code], _Reader(order, env))
     holds = total = 0
     for state, changed in _with_changes(states, order):
         total += 1
         if truths.at(state, changed)[0]:
             holds += 1
     return holds, total
-
-
-def _prefix_len(idents: set[str], order: tuple[str, ...]) -> int:
-    """How many leading state variables a predicate depends on: one past the
-    position in `order` of the last variable among `idents`, 0 if none."""
-    return max((k + 1 for k, v in enumerate(order) if v in idents), default=0)
 
 
 def _with_changes(states: Iterable[State], order: tuple[str, ...]) -> Iterator[tuple[State, int]]:
@@ -392,77 +383,73 @@ def _with_changes(states: Iterable[State], order: tuple[str, ...]) -> Iterator[t
         cur = [state.values[v] for v in order]
         if prev is None:
             changed = -1
-        else:
-            changed = next((k for k, (a, b) in enumerate(zip(cur, prev)) if a is not b), len(order))
+        else:  # a plain loop costs a fraction of a generator expression here
+            changed = len(order)
+            for k, value in enumerate(cur):
+                if value is not prev[k]:
+                    changed = k
+                    break
         prev = cur
         yield state, changed
 
 
 class _Bindings:
-    """One event's parameter bindings and, after each guard group, those
-    that pass every guard so far, in binding order.
+    """One event's parameter bindings and, after each guard, those that
+    pass it and every guard before it, in binding order, read on the
+    reader in its current state.
 
     lists[0] holds the bindings; lists[k] holds those of lists[k - 1] on
-    which every guard of groups[k - 1] holds, each guard tried in guard
-    order and only while the ones before it held.  A guard joins the group
-    of the guard before it when they depend on the same variable prefix,
-    counting the parameter domains and every earlier guard as well as its
-    own reads.  A list is recomputed, lazily and from the one before it,
-    only after the walk has changed a variable inside its prefix.
+    which guard k - 1 holds.  depths[k] is the decided depth of lists[k]:
+    the deepest of its own runs' reads and depths[k - 1], so the depths
+    never decrease.  A list stands while the walk's first changed position
+    is at or beyond its depth; otherwise it is made again, lazily and from
+    the one before it.
     """
 
-    __slots__ = ("info", "env", "groups", "lists", "fresh", "stale_from")
+    __slots__ = ("info", "reader", "codes", "lists", "depths", "fresh")
 
-    def __init__(self, info: EventInfo, order: tuple[str, ...], env: Env):
+    def __init__(self, info: EventInfo, reader: _Reader):
         self.info = info
-        self.env = env
-        reads = _prefix_len(set().union(*map(free_idents_expr, info.param_domains.values())), order)
-        prefixes = [reads]
-        self.groups: list[list] = []
-        for guard, (_label, code) in zip(info.ast.guards, info.guard_code):
-            reads = max(reads, _prefix_len(free_idents_pred(guard.pred), order))
-            if self.groups and reads == prefixes[-1]:
-                self.groups[-1].append(code)
-            else:
-                prefixes.append(reads)
-                self.groups.append([code])
-        self.lists: list[list[dict]] = [[] for _ in prefixes]
+        self.reader = reader
+        self.codes = [code for _label, code in info.guard_code]
+        self.lists: list[list[dict]] = [[] for _ in range(len(self.codes) + 1)]
+        self.depths = [0] * len(self.lists)
         self.fresh = 0  # lists[:fresh] hold for the current state
-        # stale_from[changed + 1]: the first list a change at `changed` voids
-        self.stale_from = [
-            next((k for k, n in enumerate(prefixes) if n > changed), len(prefixes))
-            for changed in range(-1, len(order) + 1)
-        ]
 
     def moved(self, changed: int) -> None:
         """The walk moved to a state whose first changed variable is `changed`."""
-        self.fresh = min(self.fresh, self.stale_from[changed + 1])
+        while self.fresh and self.depths[self.fresh - 1] > changed:
+            self.fresh -= 1
 
-    def bindings(self, state: State, frame: dict, bound: int) -> list[dict]:
-        """Every binding in `state`, whose values `frame` holds."""
-        return self._upto(0, state, frame, bound)
+    def bindings(self) -> list[dict]:
+        """Every binding in the current state."""
+        return self._upto(0)
 
-    def enabled(self, state: State, frame: dict, bound: int) -> list[dict]:
-        """The bindings in `state` on which every guard holds."""
-        return self._upto(len(self.lists) - 1, state, frame, bound)
+    def enabled(self) -> list[dict]:
+        """The bindings in the current state on which every guard holds."""
+        return self._upto(len(self.codes))
 
-    def _upto(self, k: int, state: State, frame: dict, bound: int) -> list[dict]:
-        lists = self.lists
+    def _upto(self, k: int) -> list[dict]:
+        lists, depths, frame = self.lists, self.depths, self.reader
+        bound = frame.bound
         for i in range(self.fresh, k + 1):
             if i == 0:
-                lists[0] = list(param_bindings(self.info, state, self.env))
-                continue
-            codes = self.groups[i - 1]
-            kept = []
-            for binding in lists[i - 1]:
-                frame.update(binding)
-                for code in codes:
-                    if not code(frame, bound):
-                        break
-                else:
-                    kept.append(binding)
-            lists[i] = kept
-        self.fresh = max(self.fresh, k + 1)
+                lists[0] = list(bind_params(self.info, frame, bound))
+                depth = 0
+            else:
+                code, kept = self.codes[i - 1], []
+                for binding in lists[i - 1]:
+                    frame.update(binding)
+                    if code(frame, bound):
+                        kept.append(binding)
+                lists[i], depth = kept, depths[i - 1]
+            if frame.fetched:
+                depth = max(depth, frame.depth())
+            depths[i] = depth
+        if self.fresh <= k:
+            for p in self.info.ast.params:
+                frame.pop(p, None)
+            self.fresh = k + 1
         return lists[k]
 
 
@@ -479,17 +466,13 @@ def discharge_all(
     the same walk, report vacuous guards if `vacuity` is set and count the
     states where the invariant labelled `goal` holds if one is given.
 
-    Each invariant is decided again only when the walk changes a variable
-    it read on its last run, and each case reuses the pre-state truths and
-    the guards it already has (see the module docstring).  A preservation
-    obligation's hypothesis then reduces to `the only false invariant
-    outside exclude_labels, if any, is the obligation's own` plus the
-    event's guards.  The bindings that pass the guards come from each
-    event's _Bindings, which evaluates a guard once per binding and per run
-    of states that agree on what it, the guards before it and the
-    parameter domains read; guards still run in guard order, each only
-    where the ones before it held.  Vacuity looks only at states where
-    every invariant holds, and there each guard is evaluated on every
+    Each invariant, binding list and guard is decided again only when the
+    walk changes a variable it read on its last run, and each case reuses
+    the pre-state truths and the guards it already has (see the module
+    docstring).  A preservation obligation's hypothesis then reduces to
+    `the only false invariant outside exclude_labels, if any, is the
+    obligation's own` plus the event's guards.  Vacuity looks only at states
+    where every invariant holds, and there each guard is evaluated on every
     binding for both consumers.  Counterexamples are the first in
     enumeration order, and case counts are exact.  A guard or an invariant
     that raises does so in the same state as it would if every predicate
@@ -539,14 +522,15 @@ def discharge_all(
         if vacuity and not info.ast.is_init
     }
     order = tm.var_order
+    reader = _Reader(order, env)
     events = [
-        (name, info, event_pos.get(name, []), vac_reps.get(name), _Bindings(info, order, env))
+        (name, info, event_pos.get(name, []), vac_reps.get(name), _Bindings(info, reader))
         for name, info in tm.events.items()
         if name in event_pos or name in vac_reps
     ]
     holds = states = 0
     if events or goal is not None:
-        decided = _Truths([code for _lbl, code in checked], order, env)
+        decided = _Truths([code for _lbl, code in checked], reader)
         drop_excluded = any(lbl in exclude_labels for lbl in labels)
         frame = dict(env.bindings)
         for state, changed in _with_changes(_state_iter(tm, env, state_source), order):
@@ -577,7 +561,7 @@ def discharge_all(
                 if valid:
                     # Vacuity needs every guard's truth on every binding.
                     guards = info.guard_code
-                    for binding in cache.bindings(state, frame, bound):
+                    for binding in cache.bindings():
                         frame.update(binding)
                         oks = [code(frame, bound) for _label, code in guards]
                         for rep, ok in zip(vreps, oks):
@@ -592,7 +576,7 @@ def discharge_all(
                         if targets and all(oks):
                             _judge(targets, tm, info, state, binding, frame, bound, truths)
                 elif targets:
-                    for binding in cache.enabled(state, frame, bound):
+                    for binding in cache.enabled():
                         frame.update(binding)
                         _judge(targets, tm, info, state, binding, frame, bound, truths)
                 for p in info.ast.params:

@@ -240,15 +240,19 @@ def _assignments(
 def param_bindings(
     info: EventInfo, state: State, env: Env
 ) -> Iterator[dict[str, Value]]:
-    """All parameter bindings for an event, last parameter varying fastest.
+    """All parameter bindings for an event in a state (see bind_params)."""
+    return bind_params(info, event_frame(env, state), env.powerset_bound)
+
+
+def bind_params(info: EventInfo, frame: dict, bound: int) -> Iterator[dict[str, Value]]:
+    """All parameter bindings for an event, its domains read on `frame`,
+    last parameter varying fastest.
 
     A later parameter's typing guard may mention earlier parameters, so
     candidates are recomputed down the product tree.
     """
     params = info.ast.params
     domains = [compile_domain(info.param_domains[name]) for name in params]
-    bound = env.powerset_bound
-    frame = event_frame(env, state)
     for _ in _assignments(params, lambda k: domains[k](frame, bound), frame):
         yield {name: frame[name] for name in params}
 

@@ -407,7 +407,6 @@ BRANCHING_RECORDS = "".join(
         "ce po=grow/inv3/INV part=binding var=x value=s2",
         "ce po=grow/inv3/INV part=post var=a value={s2}",
         "ce po=grow/inv3/INV part=post var=d value={s1}",
-        "note po=grow/inv3/INV text=under ",
         "po name=shrink/inv1/INV machine=Branch event=shrink kind=INV verdict=discharged cases=54",
         "po name=shrink/inv2/INV machine=Branch event=shrink kind=INV verdict=discharged cases=54",
         "po name=shrink/inv3/INV machine=Branch event=shrink kind=INV verdict=failed cases=96",
@@ -416,7 +415,6 @@ BRANCHING_RECORDS = "".join(
         "ce po=shrink/inv3/INV part=binding var=x value=s1",
         "ce po=shrink/inv3/INV part=post var=a value={s2}",
         "ce po=shrink/inv3/INV part=post var=d value={s1}",
-        "note po=shrink/inv3/INV text=under ",
         "po name=add/inv1/INV machine=Branch event=add kind=INV verdict=discharged cases=102",
         "po name=add/inv2/INV machine=Branch event=add kind=INV verdict=discharged cases=102",
         "po name=add/inv3/INV machine=Branch event=add kind=INV verdict=failed cases=192",
@@ -425,10 +423,22 @@ BRANCHING_RECORDS = "".join(
         "ce po=add/inv3/INV part=binding var=y value=s2",
         "ce po=add/inv3/INV part=post var=a value={s1}",
         "ce po=add/inv3/INV part=post var=d value={s2}",
-        "note po=add/inv3/INV text=under ",
         "summary pos=12 discharged=9 failed=3 vacuous=0",
     )
 )
+
+
+def _counted(pairs, counts):
+    """(label, code) pairs whose codes count their runs in counts[label]."""
+
+    def wrap(label, code):
+        def run(frame, bound):
+            counts[label] = counts.get(label, 0) + 1
+            return code(frame, bound)
+
+        return label, run
+
+    return tuple(wrap(label, code) for label, code in pairs)
 
 
 def test_invariant_reading_a_later_variable_on_one_branch(tmp_path):
@@ -444,6 +454,83 @@ def test_invariant_reading_a_later_variable_on_one_branch(tmp_path):
     head, rest = out.getvalue().split("\n", 1)
     assert head == f"run machine=Branch file={model} instantiations=1"
     assert rest == BRANCHING_RECORDS
+
+
+# grd2 of mark reads d only for an x in a, so while a is empty the bindings
+# it keeps stand whatever d holds.
+GUARDED = """CONTEXT c
+SETS S
+END
+MACHINE Guarded
+SEES c
+VARIABLES a d
+INVARIANTS
+  @inv1: a : pow(S)
+  @inv2: d : pow(S)
+EVENT INITIALISATION
+THEN
+  @act1: a := {}
+  @act2: d := {}
+END
+EVENT mark
+ANY x
+WHERE
+  @grd1: x : S
+  @grd2: x : a => x : d
+THEN
+  @act1: a := a \\/ {x}
+END
+EVENT clear
+ANY y
+WHERE
+  @grd1: y : d
+THEN
+  @act1: d := d \\ {y}
+END
+END
+"""
+
+GUARDED_RECORDS = """\
+po name=INITIALISATION/inv1/INV machine=Guarded event=INITIALISATION kind=INV verdict=discharged cases=1
+po name=INITIALISATION/inv2/INV machine=Guarded event=INITIALISATION kind=INV verdict=discharged cases=1
+po name=mark/inv1/INV machine=Guarded event=mark kind=INV verdict=discharged cases=24
+po name=mark/inv2/INV machine=Guarded event=mark kind=INV verdict=discharged cases=24
+po name=clear/inv1/INV machine=Guarded event=clear kind=INV verdict=discharged cases=16
+po name=clear/inv2/INV machine=Guarded event=clear kind=INV verdict=discharged cases=16
+summary pos=6 discharged=6 failed=0 vacuous=0
+"""
+
+
+def test_guard_reading_a_later_variable_on_one_branch(tmp_path, monkeypatch):
+    import io
+
+    from trustb.cli import run_command
+    from trustb.dsl import parse_file
+    from trustb.runtime import enumerate_instantiations
+    from trustb.typecheck import elaborate
+
+    model = tmp_path / "guarded.ebt"
+    model.write_text(GUARDED)
+    out = io.StringIO()
+    assert run_command(["check", str(model), "--format", "records"], stdout=out) == 0
+    head, rest = out.getvalue().split("\n", 1)
+    assert head == f"run machine=Guarded file={model} instantiations=1"
+    assert rest == GUARDED_RECORDS
+
+    tm = elaborate(parse_file(GUARDED, "guarded.ebt")).machine("Guarded")
+    [inst] = enumerate_instantiations(tm.context, {"S": 2})
+    env = inst.env()
+    info = tm.event("mark")
+    counts: dict[str, int] = {}
+    monkeypatch.setattr(info, "guard_code", _counted(info.guard_code, counts))
+    discharge_all(tm, env)
+    states = list(state_universe(tm, env))
+    assert len(states) == 16 and tm.var_order == ("a", "d")
+    # grd2 names d, the last variable, so a static prefix would run it for
+    # both x in all 16 states; as read, it runs for both x once while a is
+    # empty and again in each of the 12 states where a is not.
+    assert counts == {"grd1": 2, "grd2": 2 + 12 * 2}
+    assert counts["grd2"] < len(states) * 2
 
 
 # inv4's last conjunct applies g, which is partial; the conjuncts before it
@@ -529,20 +616,9 @@ def test_each_predicate_runs_once_per_prefix(monkeypatch):
     # neither should run again while the walk varies the later ones.
     tm, inst, env = setup(2, BoundSpec(1, 2, 2))
     counts: dict[str, int] = {}
-
-    def counted(pairs):
-        def wrap(label, code):
-            def run(frame, bound):
-                counts[label] = counts.get(label, 0) + 1
-                return code(frame, bound)
-
-            return label, run
-
-        return tuple(wrap(label, code) for label, code in pairs)
-
     info = tm.event("trust")
-    monkeypatch.setattr(tm, "invariant_code", counted(tm.invariant_code))
-    monkeypatch.setattr(info, "guard_code", counted(info.guard_code))
+    monkeypatch.setattr(tm, "invariant_code", _counted(tm.invariant_code, counts))
+    monkeypatch.setattr(info, "guard_code", _counted(info.guard_code, counts))
     excluded = frozenset({"inv4"})
     pos = generate_pos(tm, include_refinement=True, exclude_labels=excluded)
     discharge_all(tm, env, pos, exclude_labels=excluded, vacuity=True)

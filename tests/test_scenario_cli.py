@@ -212,6 +212,23 @@ def test_check_bounds_env_default(monkeypatch):
     assert "bounds=1,1,1" in out
 
 
+def test_repeated_commands_leave_no_reference_cycles():
+    # A long-lived caller runs command after command; garbage that only the
+    # cycle collector frees, such as a fresh argparse parser per call, would
+    # pile up between its runs.
+    import gc
+
+    argv = ["check", "--level", "0", "--bounds", "1,1,1"]
+    first = run(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == first
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # --- usage and failure exits ------------------------------------------------------
 
 
