@@ -29,6 +29,7 @@ from .kernel import DEFAULT_POWERSET_BOUND
 from .models import (
     BoundSpec,
     Mutation,
+    build_model,
     import_state,
     export_state,
     machine_setup,
@@ -79,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common_model_flags(p):
         p.add_argument("--level", type=int, choices=(0, 1, 2), default=None,
                        help="trust level of the built-in model (default 2)")
-        p.add_argument("--variant", default="base",
+        p.add_argument("--variant", default=None,
                        choices=("base", "rel", "nopart", "bad_act"),
-                       help="built-in model family member")
+                       help="built-in model family member (default base)")
         p.add_argument("--mutate", metavar="drop:LABEL", default=None,
                        help="drop a guard by label before checking")
         p.add_argument("--machine", default=None,
@@ -228,6 +229,27 @@ def _carrier_sizes(specs: list[str], carriers: tuple[str, ...]) -> dict[str, int
 
 # --- subcommand handlers ------------------------------------------------------
 
+# The flags of check and dump-po that apply to one kind of model only.
+_MODEL_FLAGS = {
+    "the built-in model": ("--level", "--variant", "--mutate", "--bounds", "--overlap",
+                           "--vacuity", "--goal-invariant"),
+    "a model file": ("--machine", "--carrier"),
+}
+
+
+def _refuse_other_model_flags(args) -> None:
+    """A flag given for the other kind of model is a usage error, not ignored.
+    A flag counts as given when its value is not its default: None, False or []."""
+    kind = "the built-in model" if args.file is None else "a model file"
+    for applies, flags in _MODEL_FLAGS.items():
+        if applies == kind:
+            continue
+        for flag in flags:
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None and value is not False and value != []:
+                raise _Usage(f"trustb {args.command}: error: {flag} applies only to "
+                             f"{applies}, not to {kind}")
+
 
 @dataclass
 class _Out:
@@ -251,32 +273,20 @@ def _load_file_model(args) -> TypedMachine:
     return model.machine(name)
 
 
-def _builtin_setup(args, bounds: BoundSpec, powerset_bound: int):
-    level = 2 if args.level is None else args.level
-    mutate = Mutation.parse(args.mutate) if args.mutate else None
-    overlap = getattr(args, "overlap", False)
-    return machine_setup(level, bounds, args.variant, mutate, overlap, powerset_bound)
-
-
 def _cmd_check(args, out: _Out) -> int:
     fmt = args.format
     exclude = frozenset({args.goal_invariant}) if args.goal_invariant else frozenset()
 
+    _refuse_other_model_flags(args)
     if args.file is not None:
-        builtin_only = {
-            "--level": args.level is not None,
-            "--mutate": args.mutate,
-            "--vacuity": args.vacuity,
-            "--goal-invariant": args.goal_invariant,
-        }
-        for flag, given in builtin_only.items():
-            if given:
-                raise _Usage(f"trustb check: error: {flag} applies only to the "
-                             "built-in model, not to a model file")
         return _check_file(args, out)
 
     bounds = BoundSpec.parse(args.bounds or os.environ.get("TRUSTB_BOUNDS", "2,2,2"))
-    tm, inst, env = _builtin_setup(args, bounds, args.powerset_bound)
+    level = 2 if args.level is None else args.level
+    mutate = Mutation.parse(args.mutate) if args.mutate else None
+    tm, _inst, env = machine_setup(
+        level, bounds, args.variant or "base", mutate, args.overlap, args.powerset_bound
+    )
     if args.goal_invariant and not any(
         lbl == args.goal_invariant for lbl, _i, _o in tm.invariant_scope
     ):
@@ -409,14 +419,13 @@ def _hypothesis_lines(tm: TypedMachine, po) -> list[str]:
 
 
 def _cmd_dump(args, out: _Out) -> int:
+    _refuse_other_model_flags(args)
     if args.file is not None:
         tm = _load_file_model(args)
     else:
         level = 2 if args.level is None else args.level
         mutate = Mutation.parse(args.mutate) if args.mutate else None
-        from .models import build_model
-
-        _model, tm = build_model(level, args.variant, mutate)
+        _model, tm = build_model(level, args.variant or "base", mutate)
     pos = generate_pos(tm, include_refinement=True)
     if args.format == "records":
         for po in pos:

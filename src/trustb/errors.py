@@ -129,7 +129,7 @@ class GuardFailed(TrustbError):
 
 
 class NotSuperposition(TrustbError):
-    """The concrete machine drops or retypes a variable of its abstraction."""
+    """No abstraction, or a dropped variable, or a dropped or retyped event parameter."""
 
 
 # --- trust model API -------------------------------------------------------

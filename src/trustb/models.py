@@ -482,7 +482,8 @@ def import_state(text: str) -> TrustState:
     ts = TrustState(
         int(header["level"][0]), header["trustors"], header["trustees"], header["tasks"]
     )
-    atom_env = {name: Atom(name) for name in (*ts.trustors, *ts.trustees, *ts.tasks)}
+    frame = dict(ts._env.bindings)
+    frame.update((name, Atom(name)) for name in (*ts.trustors, *ts.trustees, *ts.tasks))
 
     values: dict[str, Value] = {}
     current: str | None = None
@@ -504,8 +505,6 @@ def import_state(text: str) -> TrustState:
         if current is None:
             raise ScenarioError(f"value line outside a section: '{ln.strip()}'")
         expr = parse_expression(ln.strip())
-        frame = dict(ts._env.bindings)
-        frame.update(atom_env)
         collected.append(eval_expr_frame(expr, frame, ts._env.powerset_bound))
     if current is not None:
         values[current] = mkset(collected)

@@ -61,7 +61,8 @@ from typing import Iterable, Iterator
 
 from .errors import NotSuperposition, UnresolvedReference
 from .kernel import Env, eval_expr_frame, eval_pred_frame
-from .runtime import State, bind_params, initial_state, reachable_states, state_universe
+from .runtime import State, bind_params, event_frame, guard_truths, initial_state, post_values
+from .runtime import reachable_states, state_universe
 from .syntax import INIT_EVENT, Expr, Pred, free_idents_pred
 from .typecheck import EventInfo, TypedMachine
 
@@ -249,7 +250,6 @@ def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterator[State
 
 def _judge(
     targets: list[_Working],
-    tm: TypedMachine,
     info: EventInfo,
     state: State,
     binding: dict,
@@ -261,7 +261,7 @@ def _judge(
     first counterexample of each.  `truths` holds the pre-state truths of
     the walk's invariants: an INV goal none of whose variables the actions
     gave a different value is as true after the event as before it."""
-    post_frame = moved = None
+    post = moved = None
     for w in targets:
         w.cases += 1
         if w.failed or w.given:
@@ -272,18 +272,12 @@ def _judge(
                 continue
             post_state = None
         else:
-            if post_frame is None:
-                post_frame = dict(frame)
-                post_frame.update(
-                    {a.variable: eval_expr_frame(a.expr, frame, bound) for a in info.ast.actions}
-                )
+            if post is None:
+                post = post_values(info, frame, bound)
+                post_frame = {**frame, **post}
             if po.kind == "INV":
                 if moved is None:
-                    moved = {
-                        a.variable
-                        for a in info.ast.actions
-                        if post_frame[a.variable] != frame[a.variable]
-                    }
+                    moved = {v for v, value in post.items() if value != frame[v]}
                 if w.pre is not None and moved.isdisjoint(w.reads):
                     if truths[w.pre]:
                         continue
@@ -294,7 +288,7 @@ def _judge(
                 actual = post_frame[po.label]
                 if expected == actual:
                     continue
-            post_state = State({v: post_frame[v] for v in tm.var_order})
+            post_state = state.updated(post)
         w.failed = True
         ce = Counterexample(State(dict(state.values)), tuple(sorted(binding.items())), post_state)
         if po.kind == "SIM":
@@ -505,8 +499,7 @@ def discharge_all(
             # Establishment: a single case from the initial state, axioms assumed.
             if init is None:
                 init = initial_state(tm, env)
-                frame0 = dict(env.bindings)
-                frame0.update(init.values)
+                frame0 = event_frame(env, init)
             ok = eval_pred_frame(po.goal, frame0, bound)
             ce = None if ok else Counterexample(None, (), init)
             reports.append(DischargeReport(po, DISCHARGED if ok else FAILED, 1, ce, po.note))
@@ -560,10 +553,9 @@ def discharge_all(
                     ]
                 if valid:
                     # Vacuity needs every guard's truth on every binding.
-                    guards = info.guard_code
                     for binding in cache.bindings():
                         frame.update(binding)
-                        oks = [code(frame, bound) for _label, code in guards]
+                        oks = [ok for _label, ok in guard_truths(info, frame, bound)]
                         for rep, ok in zip(vreps, oks):
                             rep.cases += 1
                             if not ok and rep.witness is None:
@@ -574,11 +566,11 @@ def discharge_all(
                                     None,
                                 )
                         if targets and all(oks):
-                            _judge(targets, tm, info, state, binding, frame, bound, truths)
+                            _judge(targets, info, state, binding, frame, bound, truths)
                 elif targets:
                     for binding in cache.enabled():
                         frame.update(binding)
-                        _judge(targets, tm, info, state, binding, frame, bound, truths)
+                        _judge(targets, info, state, binding, frame, bound, truths)
                 for p in info.ast.params:
                     frame.pop(p, None)
 
@@ -613,21 +605,11 @@ def check_refinement(
     env: Env,
     state_source: str = ALL_STATES,
 ) -> list[DischargeReport]:
-    """Guard-strengthening and simulation obligations against tm's abstraction.
-
-    Raises NotSuperposition when the machines do not even line up
-    structurally (missing abstraction, lost parameters).
-    """
+    """The guard-strengthening and simulation reports against tm's abstraction;
+    NotSuperposition if tm refines nothing.  Elaboration has already refused
+    a machine that drops an abstract variable or drops or retypes a parameter."""
     if tm.refines is None:
         raise NotSuperposition(f"machine '{tm.name}' refines nothing")
-    for info in tm.events.values():
-        if info.abstract is None or info.ast.is_init:
-            continue
-        lost = [p for p in info.abstract.params if p not in info.ast.params]
-        if lost:
-            raise NotSuperposition(
-                f"event '{info.name}' drops abstract parameters: {', '.join(lost)}"
-            )
     pos = [po for po in generate_pos(tm, include_refinement=True) if po.kind != "INV"]
     return discharge_all(tm, env, pos, state_source).reports
 

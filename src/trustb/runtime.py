@@ -5,6 +5,9 @@ values.  On top of that this module evaluates guards and invariants,
 fires events, enumerates parameter bindings and whole state spaces, and
 replays recorded traces.
 
+refusing_guard is the one guard walk and post_values the one action step:
+every event application, here and in po, goes through them.
+
 Enumeration order is canonical everywhere: variable and parameter
 candidates come from the kernel's one domain enumerator, compile_domain,
 in its order (pow(S) by bitmask over S's sorted members, a relation space
@@ -148,6 +151,22 @@ def guard_report(
     return GuardReport(event_name, tuple(sorted(binding.items())), truths)
 
 
+def refusing_guard(info: EventInfo, frame: dict, bound: int) -> str | None:
+    """The label of the first false guard in an event frame, or None.  The walk
+    stops there: as Event-B reads a guard list, a guard is only well defined
+    under the guards before it."""
+    for label, code in info.guard_code:
+        if not code(frame, bound):
+            return label
+    return None
+
+
+def post_values(info: EventInfo, frame: dict, bound: int) -> dict[str, Value]:
+    """The values an event's actions assign, every right-hand side
+    evaluated in the pre-state frame before any variable changes."""
+    return {act.variable: eval_expr_frame(act.expr, frame, bound) for act in info.ast.actions}
+
+
 def event_enabled(
     tm: TypedMachine,
     event_name: str,
@@ -155,16 +174,9 @@ def event_enabled(
     binding: Mapping[str, Value],
     env: Env,
 ) -> bool:
-    """Whether every guard holds, read as Event-B reads a guard list: a
-    guard is only well defined under the guards before it, so evaluation
-    stops at the first false guard (as fire_event does), and a later guard
-    that would be ill defined there is never evaluated."""
+    """Whether every guard holds (see refusing_guard)."""
     frame = event_frame(env, state, binding)
-    bound = env.powerset_bound
-    for _label, code in tm.event(event_name).guard_code:
-        if not code(frame, bound):
-            return False
-    return True
+    return refusing_guard(tm.event(event_name), frame, env.powerset_bound) is None
 
 
 def fire_event(
@@ -175,30 +187,19 @@ def fire_event(
     env: Env,
     check_guards: bool = True,
 ) -> State:
-    """Apply an event's actions simultaneously: every right-hand side is
-    evaluated in the pre-state before any variable changes."""
+    """Apply an event's actions (see post_values), after checking its guards
+    (see refusing_guard) unless check_guards is off."""
     info = tm.event(event_name)
     frame = event_frame(env, state, binding)
     bound = env.powerset_bound
-    if check_guards:
-        for label, code in info.guard_code:
-            if not code(frame, bound):
-                raise GuardFailed(event_name, label)
-    changes = {
-        act.variable: eval_expr_frame(act.expr, frame, bound) for act in info.ast.actions
-    }
-    return state.updated(changes)
+    if check_guards and (label := refusing_guard(info, frame, bound)) is not None:
+        raise GuardFailed(event_name, label)
+    return state.updated(post_values(info, frame, bound))
 
 
 def initial_state(tm: TypedMachine, env: Env) -> State:
     """The state established by INITIALISATION's simultaneous assignments."""
-    init = tm.event("INITIALISATION")
-    frame = dict(env.bindings)
-    bound = env.powerset_bound
-    values = {
-        act.variable: eval_expr_frame(act.expr, frame, bound) for act in init.ast.actions
-    }
-    return State(values)
+    return State(post_values(tm.event("INITIALISATION"), dict(env.bindings), env.powerset_bound))
 
 
 def invariant_report(tm: TypedMachine, state: State, env: Env) -> list[tuple[str, bool]]:
@@ -248,8 +249,10 @@ def bind_params(info: EventInfo, frame: dict, bound: int) -> Iterator[dict[str, 
     """All parameter bindings for an event, its domains read on `frame`,
     last parameter varying fastest.
 
-    A later parameter's typing guard may mention earlier parameters, so
-    candidates are recomputed down the product tree.
+    Each binding is in `frame` while the caller reads it, so guards and
+    actions may run on `frame` as it stands; the parameters leave it when
+    the enumeration runs out.  A later parameter's typing guard may mention
+    earlier parameters, so candidates are recomputed down the product tree.
     """
     params = info.ast.params
     domains = [compile_domain(info.param_domains[name]) for name in params]
@@ -270,12 +273,14 @@ class Transition:
 def enumerate_transitions(tm: TypedMachine, state: State, env: Env) -> list[Transition]:
     """Every enabled (event, binding) pair from a state, in canonical order."""
     out: list[Transition] = []
+    frame = event_frame(env, state)
+    bound = env.powerset_bound
     for name, info in tm.events.items():
         if info.ast.is_init:
             continue
-        for binding in param_bindings(info, state, env):
-            if event_enabled(tm, name, state, binding, env):
-                post = fire_event(tm, name, state, binding, env, check_guards=False)
+        for binding in bind_params(info, frame, bound):
+            if refusing_guard(info, frame, bound) is None:
+                post = state.updated(post_values(info, frame, bound))
                 out.append(Transition(name, tuple(sorted(binding.items())), post))
     return out
 
@@ -374,17 +379,10 @@ def reachable_states(tm: TypedMachine, env: Env) -> list[State]:
 
 
 @dataclass
-class TraceStep:
-    event: str
-    binding: tuple[tuple[str, Value], ...]
-    post: State
-
-
-@dataclass
 class Trace:
     machine: str
     initial: State
-    steps: list[TraceStep] = field(default_factory=list)
+    steps: list[Transition] = field(default_factory=list)
 
     @property
     def final(self) -> State:
@@ -407,5 +405,5 @@ def replay(
     trace = Trace(tm.name, state)
     for event_name, binding in steps:
         state = fire_event(tm, event_name, state, binding, env, check_guards=True)
-        trace.steps.append(TraceStep(event_name, tuple(sorted(binding.items())), state))
+        trace.steps.append(Transition(event_name, tuple(sorted(binding.items())), state))
     return trace

@@ -12,7 +12,8 @@ API) works on the structures built here rather than on raw syntax:
 * invariant labels are resolved per machine scope: a refining machine's
   `@inv4` replaces the abstract `@inv4`, so each scope is a flat list of
   the most concrete predicate per label;
-* events resolve their REFINES targets and parameter typing guards.
+* events resolve their REFINES targets and parameter typing guards, and a
+  refining event keeps each abstract parameter at its type.
 
 The type language is small: carriers, BOOL, pairs, and sets, plus a
 bottom set type for the empty set literal.
@@ -602,6 +603,15 @@ def _elaborate_events(
             if ev.refines_event is not None and ev.refines_event not in abstract.events:
                 raise UnresolvedReference("event", ev.refines_event)
             if target is not None:
+                # Superposition keeps each abstract parameter at its type.
+                abs_types = abstract.events[target].param_types
+                lost = ", ".join(p for p in abs_types if p not in param_types)
+                if lost:
+                    raise NotSuperposition(f"event '{ev.name}' drops abstract parameters: {lost}")
+                for p, ptype in abs_types.items():
+                    if unify(param_types[p], ptype) is None:
+                        raise NotSuperposition(f"event '{ev.name}' retypes abstract parameter "
+                                               f"'{p}': {param_types[p]!r}, not {ptype!r}")
                 info.abstract = abstract.events[target].ast
         events[ev.name] = info
 

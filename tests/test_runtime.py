@@ -9,6 +9,7 @@ from trustb.models import BoundSpec, machine_setup, make_instantiation
 from trustb.runtime import (
     Instantiation,
     State,
+    Transition,
     enumerate_instantiations,
     enumerate_transitions,
     event_enabled,
@@ -22,7 +23,7 @@ from trustb.runtime import (
     state_universe,
 )
 from trustb.typecheck import elaborate
-from trustb.values import EMPTY_SET, TRUE, Atom, PairV, SetV, mkatoms, mkset
+from trustb.values import EMPTY_SET, TRUE, Atom, PairV, SetV, canon, mkatoms, mkset
 
 
 def setup(level=0, bounds=BoundSpec(2, 2, 2), variant="base"):
@@ -208,6 +209,130 @@ def test_reachable_is_initial_state_only():
         tm, inst, env = setup(level, BoundSpec(2, 2, 1))
         reach = reachable_states(tm, env)
         assert reach == [initial_state(tm, env)]
+
+
+# toy2 adds `last` and grd2 to toy's pick.  With bright = COLORS at
+# COLORS=2 it reaches five states, and pick has two bindings in each.
+PICKS = """CONTEXT toyctx
+SETS COLORS
+CONSTANTS bright
+AXIOMS
+  @axm1: bright <: COLORS
+END
+MACHINE toy
+SEES toyctx
+VARIABLES picked
+INVARIANTS
+  @inv1: picked : pow(bright)
+EVENT INITIALISATION
+THEN
+  @act1: picked := {}
+END
+EVENT pick
+ANY c
+WHERE
+  @grd1: c : bright
+THEN
+  @act1: picked := picked \\/ {c}
+END
+END
+MACHINE toy2
+REFINES toy
+SEES toyctx
+VARIABLES picked last
+INVARIANTS
+  @inv2: last : pow(bright)
+  @inv3: last <: picked
+  @inv4: picked /= bright
+EVENT INITIALISATION
+THEN
+  @act1: picked := {}
+  @act2: last := {}
+END
+EVENT pick
+ANY c
+WHERE
+  @grd1: c : bright
+  @grd2: c /: last
+THEN
+  @act1: picked := picked \\/ {c}
+  @act2: last := {c}
+END
+END
+"""
+
+
+def test_enumerate_transitions_composes_the_public_steps():
+    tm = elaborate(parse_file(PICKS)).machine("toy2")
+    [env] = [
+        inst.env()
+        for inst in enumerate_instantiations(tm.context, {"COLORS": 2})
+        if inst.values["bright"] == inst.values["COLORS"]
+    ]
+    states = list(state_universe(tm, env))
+    assert len(states) == 16
+    for state in states:
+        # The reference: the public functions, one binding at a time.
+        expected = [
+            Transition(
+                name, tuple(sorted(binding.items())), fire_event(tm, name, state, binding, env)
+            )
+            for name, info in tm.events.items()
+            if not info.ast.is_init
+            for binding in param_bindings(info, state, env)
+            if event_enabled(tm, name, state, binding, env)
+        ]
+        assert enumerate_transitions(tm, state, env) == expected
+    init = initial_state(tm, env)
+    assert len(enumerate_transitions(tm, init, env)) == 2
+    reach = reachable_states(tm, env)
+    assert [(canon(s.values["picked"]), canon(s.values["last"])) for s in reach] == [
+        ("{}", "{}"),
+        ("{colors1}", "{colors1}"),
+        ("{colors2}", "{colors2}"),
+        ("{colors1, colors2}", "{colors2}"),
+        ("{colors1, colors2}", "{colors1}"),
+    ]
+
+
+PICKS_REACHABLE_RECORDS = """\
+po name=INITIALISATION/inv1/INV machine=toy2 event=INITIALISATION kind=INV verdict=discharged cases=4
+po name=INITIALISATION/inv2/INV machine=toy2 event=INITIALISATION kind=INV verdict=discharged cases=4
+po name=INITIALISATION/inv3/INV machine=toy2 event=INITIALISATION kind=INV verdict=discharged cases=4
+po name=INITIALISATION/inv4/INV machine=toy2 event=INITIALISATION kind=INV verdict=failed cases=4
+ce po=INITIALISATION/inv4/INV part=post var=picked value={}
+ce po=INITIALISATION/inv4/INV part=post var=last value={}
+note po=INITIALISATION/inv4/INV text=under bright = {}
+po name=pick/inv1/INV machine=toy2 event=pick kind=INV verdict=discharged cases=6
+po name=pick/inv2/INV machine=toy2 event=pick kind=INV verdict=discharged cases=6
+po name=pick/inv3/INV machine=toy2 event=pick kind=INV verdict=discharged cases=6
+po name=pick/inv4/INV machine=toy2 event=pick kind=INV verdict=failed cases=8
+ce po=pick/inv4/INV part=pre var=picked value={}
+ce po=pick/inv4/INV part=pre var=last value={}
+ce po=pick/inv4/INV part=binding var=c value=colors1
+ce po=pick/inv4/INV part=post var=picked value={colors1}
+ce po=pick/inv4/INV part=post var=last value={colors1}
+note po=pick/inv4/INV text=under bright = {colors1}
+po name=pick/grd1/GRD machine=toy2 event=pick kind=GRD verdict=discharged cases=6
+po name=pick/picked/SIM machine=toy2 event=pick kind=SIM verdict=discharged cases=6
+summary pos=10 discharged=8 failed=2 vacuous=0
+"""
+
+
+def test_check_file_over_reachable_states(tmp_path):
+    import io
+
+    from trustb.cli import run_command
+
+    model = tmp_path / "picks.ebt"
+    model.write_text(PICKS)
+    out = io.StringIO()
+    argv = ["check", str(model), "--carrier", "COLORS=2", "--state-source", "reachable_only",
+            "--refinement", "--format", "records"]
+    assert run_command(argv, stdout=out) == 1
+    head, rest = out.getvalue().split("\n", 1)
+    assert head == f"run machine=toy2 file={model} instantiations=4"
+    assert rest == PICKS_REACHABLE_RECORDS
 
 
 def test_replay_reproduces_trace():

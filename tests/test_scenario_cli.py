@@ -307,6 +307,30 @@ def test_file_mode_rejects_builtin_only_flags(tmp_path):
     assert code == 2 and "--vacuity" in err and out == ""
     code, out, err = run(["check", "--goal-invariant", "inv1", str(model)])
     assert code == 2 and "--goal-invariant" in err and out == ""
+    for argv in (
+        ["check", "--bounds", "3,3,3", str(model)],
+        ["check", "--overlap", str(model)],
+        ["check", "--variant", "rel", str(model)],
+        ["dump-po", "--level", "1", str(model)],
+        ["dump-po", "--mutate", "drop:grd1", str(model)],
+        ["dump-po", "--variant", "base", str(model)],
+    ):
+        code, out, err = run(argv)
+        flag = argv[1]
+        assert (code, out) == (2, ""), argv
+        assert f"{flag} applies only to the built-in model, not to a model file" in err
+
+
+def test_builtin_mode_rejects_file_only_flags():
+    for argv in (
+        ["check", "--level", "0", "--bounds", "1,1,1", "--carrier", "S=2"],
+        ["check", "--level", "0", "--bounds", "1,1,1", "--machine", "X"],
+        ["dump-po", "--level", "0", "--machine", "X"],
+    ):
+        code, out, err = run(argv)
+        flag = argv[-2]
+        assert (code, out) == (2, ""), argv
+        assert f"{flag} applies only to a model file, not to the built-in model" in err
 
 
 def test_file_mode_rejects_unknown_carrier(tmp_path):

@@ -201,6 +201,62 @@ END"""
         make(text)
 
 
+# m's add takes p : S; refine_add(...) is a machine m2 whose add refines it.
+ADD = """MACHINE m SEES c
+VARIABLES v
+INVARIANTS
+  @inv1: v : pow(S)
+EVENT INITIALISATION THEN @act1: v := {} END
+EVENT add ANY p WHERE
+  @grd1: p : S
+THEN
+  @act1: v := v \\/ {p}
+END
+END
+"""
+
+
+def refine_add(param: str, domain: str, added: str) -> str:
+    return ADD + f"""
+MACHINE m2 REFINES m SEES c
+VARIABLES v
+EVENT INITIALISATION THEN @act1: v := {{}} END
+EVENT add ANY {param} WHERE
+  @grd1: {param} : {domain}
+THEN
+  @act1: v := v \\/ {added}
+END
+END"""
+
+
+DROPS_P = refine_add("q", "S", "{q}")
+
+
+def test_refinement_must_keep_event_parameters():
+    with pytest.raises(NotSuperposition, match="event 'add' drops abstract parameters: p"):
+        make(DROPS_P)
+
+
+def test_refinement_must_keep_event_parameter_types():
+    with pytest.raises(NotSuperposition, match="event 'add' retypes abstract parameter 'p'"):
+        make(refine_add("p", "pow(S)", "p"))
+    make(refine_add("p", "k", "{p}"))  # k <: S, so p keeps type S
+
+
+def test_cli_refuses_a_dropped_event_parameter(tmp_path):
+    import io
+
+    from trustb.cli import run_command
+
+    model = tmp_path / "drops.ebt"
+    model.write_text(CTX + DROPS_P)
+    for argv in (["check", str(model), "--refinement"], ["dump-po", str(model)]):
+        out, err = io.StringIO(), io.StringIO()
+        assert run_command(argv, stdout=out, stderr=err) == 3, argv
+        assert err.getvalue() == "error: event 'add' drops abstract parameters: p\n"
+        assert out.getvalue() == ""
+
+
 def test_refined_event_must_name_existing_abstract_event():
     text = """MACHINE m SEES c
 VARIABLES v
