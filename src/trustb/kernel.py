@@ -490,6 +490,26 @@ def _member_code(item_expr: Expr, container: Expr) -> PredCode:
             return item(f, b) in members
 
         return in_image
+    if tc is Dom:
+        # x : dom(r) scans r for a pair (x |-> y); dom(r) is never built, but
+        # a non-pair anywhere in r raises as domain_of would, before x is read.
+        rel = compile_expr(container.rel)
+
+        def in_domain(f, b):
+            r = rel(f, b)
+            if type(r) is not SetV:
+                raise NotARelation(f"dom needs a relation, got {r!r}")
+            pairs = r.elements
+            for p in pairs:
+                if type(p) is not PairV:
+                    raise _non_pair("dom", r)
+            x = item(f, b)
+            for p in pairs:
+                if p.left == x:
+                    return True
+            return False
+
+        return in_domain
     cont = compile_expr(container)
 
     def member(f, b):

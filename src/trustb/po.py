@@ -25,11 +25,30 @@ canonical order: a verdict is `discharged` when the goal held in every
 hypothesis-satisfying case, `failed` with the first counterexample
 otherwise, and `vacuous` when no case satisfied the hypothesis.
 
+Symmetry.  Over all typed states the walk visits one state per orbit of
+runtime.symmetry_group, the least in canonical order (runtime.state_orbits),
+and counts every case, vacuity case and goal-count state it finds there as
+many times as the orbit has states.  This is exact.  A group element maps
+each case to a case of its image state whose hypothesis and goal have the
+same truth, and an evaluation that raises in a state raises in its image.
+So the first failing case, the first vacuity witness and the first raising
+state of the full walk all lie in the least state of their orbit, which the
+reduced walk visits after the same representatives and whose bindings it
+walks in full: verdicts, exact counts and first counterexamples are those of
+the full walk.  The group is the trivial one, and the walk the full one,
+when a constant pins every atom apart, when the candidate permutations
+number more than 2**powerset_bound, or when a quantifier body in the
+machine's invariants, guards or abstract guards could raise on typed values
+(it applies a function, or enumerates a powerset or relation space that
+reads a variable or overflows the bound), since a quantifier stops at the
+first member that settles it and its members come in an order the atoms'
+names fix.  The reachable states are walked in full.
+
 Prefix caching.  The walk does not decide a predicate again while its
 inputs stay the same.  A variable counts as unchanged only when the state
 holds the very object the previous state held: an identical object is the
-same value, and anything else is evaluated again.  state_universe varies
-the last variable fastest and hands out memoised candidate values, so
+same value, and anything else is evaluated again.  state_orbits varies the
+last variable fastest and hands out memoised candidate values, so
 consecutive states share the objects of their common prefix; the reachable
 states share the objects of every variable an event left alone.
 
@@ -62,7 +81,7 @@ from typing import Iterable, Iterator
 from .errors import NotSuperposition, UnresolvedReference
 from .kernel import Env, eval_expr_frame, eval_pred_frame
 from .runtime import State, bind_params, event_frame, guard_truths, initial_state, post_values
-from .runtime import reachable_states, state_universe
+from .runtime import reachable_states, state_orbits
 from .syntax import INIT_EVENT, Expr, Pred, free_idents_pred
 from .typecheck import EventInfo, TypedMachine
 
@@ -240,11 +259,12 @@ def _given(po: ProofObligation, info: EventInfo) -> bool:
     return False
 
 
-def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterator[State]:
+def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterator[tuple[State, int]]:
+    """The pre-states with the number of states each stands for."""
     if state_source == ALL_STATES:
-        return state_universe(tm, env)
+        return state_orbits(tm, env)
     if state_source == REACHABLE:
-        return iter(reachable_states(tm, env))
+        return ((state, 1) for state in reachable_states(tm, env))
     raise ValueError(f"unknown state source {state_source!r}; use one of {STATE_SOURCES}")
 
 
@@ -252,18 +272,20 @@ def _judge(
     targets: list[_Working],
     info: EventInfo,
     state: State,
+    weight: int,
     binding: dict,
     frame: dict,
     bound: int,
     truths: list[bool],
 ) -> None:
-    """Count one enabled case against each target obligation and keep the
-    first counterexample of each.  `truths` holds the pre-state truths of
-    the walk's invariants: an INV goal none of whose variables the actions
-    gave a different value is as true after the event as before it."""
+    """Count one enabled case, standing for `weight` cases, against each
+    target obligation and keep the first counterexample of each.  `truths`
+    holds the pre-state truths of the walk's invariants: an INV goal none
+    of whose variables the actions gave a different value is as true after
+    the event as before it."""
     post = moved = None
     for w in targets:
-        w.cases += 1
+        w.cases += weight
         if w.failed or w.given:
             continue
         po = w.po
@@ -357,23 +379,28 @@ class _Truths:
         return self.truths
 
 
-def _holds_on(code, states: Iterable[State], order: tuple[str, ...], env: Env) -> tuple[int, int]:
-    """On how many of the states a compiled invariant holds, and of how many."""
+def _holds_on(
+    code, states: Iterable[tuple[State, int]], order: tuple[str, ...], env: Env
+) -> tuple[int, int]:
+    """On how many of the weighted states a compiled invariant holds, and of
+    how many."""
     truths = _Truths([code], _Reader(order, env))
     holds = total = 0
-    for state, changed in _with_changes(states, order):
-        total += 1
+    for state, weight, changed in _with_changes(states, order):
+        total += weight
         if truths.at(state, changed)[0]:
-            holds += 1
+            holds += weight
     return holds, total
 
 
-def _with_changes(states: Iterable[State], order: tuple[str, ...]) -> Iterator[tuple[State, int]]:
-    """Each state with the position of the first variable whose value is not
-    the very object the previous state held: -1 for the first state,
-    len(order) if every object is the same."""
+def _with_changes(
+    states: Iterable[tuple[State, int]], order: tuple[str, ...]
+) -> Iterator[tuple[State, int, int]]:
+    """Each weighted state with the position of the first variable whose
+    value is not the very object the previous state held: -1 for the first
+    state, len(order) if every object is the same."""
     prev = None
-    for state in states:
+    for state, weight in states:
         cur = [state.values[v] for v in order]
         if prev is None:
             changed = -1
@@ -384,7 +411,7 @@ def _with_changes(states: Iterable[State], order: tuple[str, ...]) -> Iterator[t
                     changed = k
                     break
         prev = cur
-        yield state, changed
+        yield state, weight, changed
 
 
 class _Bindings:
@@ -460,10 +487,12 @@ def discharge_all(
     the same walk, report vacuous guards if `vacuity` is set and count the
     states where the invariant labelled `goal` holds if one is given.
 
-    Each invariant, binding list and guard is decided again only when the
-    walk changes a variable it read on its last run, and each case reuses
-    the pre-state truths and the guards it already has (see the module
-    docstring).  A preservation obligation's hypothesis then reduces to
+    Over all typed states the walk visits one state per symmetry orbit and
+    weights what it counts there by the orbit's size (see the module
+    docstring).  Each invariant, binding list and guard is decided again
+    only when the walk changes a variable it read on its last run, and each
+    case reuses the pre-state truths and the guards it already has.  A
+    preservation obligation's hypothesis then reduces to
     `the only false invariant outside exclude_labels, if any, is the
     obligation's own` plus the event's guards.  Vacuity looks only at states
     where every invariant holds, and there each guard is evaluated on every
@@ -526,15 +555,15 @@ def discharge_all(
         decided = _Truths([code for _lbl, code in checked], reader)
         drop_excluded = any(lbl in exclude_labels for lbl in labels)
         frame = dict(env.bindings)
-        for state, changed in _with_changes(_state_iter(tm, env, state_source), order):
+        for state, weight, changed in _with_changes(_state_iter(tm, env, state_source), order):
             frame.update(state.values)
             truths = decided.at(state, changed)
             for *_ev, cache in events:
                 cache.moved(changed)
             false_invs = [lbl for lbl, ok in zip(labels, truths) if not ok]
-            states += 1
+            states += weight
             if goal not in false_invs:
-                holds += 1
+                holds += weight
             valid = vacuity and not false_invs
             if drop_excluded:
                 false_invs = [lbl for lbl in false_invs if lbl not in exclude_labels]
@@ -557,7 +586,7 @@ def discharge_all(
                         frame.update(binding)
                         oks = [ok for _label, ok in guard_truths(info, frame, bound)]
                         for rep, ok in zip(vreps, oks):
-                            rep.cases += 1
+                            rep.cases += weight
                             if not ok and rep.witness is None:
                                 rep.vacuous = False
                                 rep.witness = Counterexample(
@@ -566,11 +595,11 @@ def discharge_all(
                                     None,
                                 )
                         if targets and all(oks):
-                            _judge(targets, info, state, binding, frame, bound, truths)
+                            _judge(targets, info, state, weight, binding, frame, bound, truths)
                 elif targets:
                     for binding in cache.enabled():
                         frame.update(binding)
-                        _judge(targets, info, state, binding, frame, bound, truths)
+                        _judge(targets, info, state, weight, binding, frame, bound, truths)
                 for p in info.ast.params:
                     frame.pop(p, None)
 
@@ -587,15 +616,12 @@ def discharge_all(
 
     goal_rep = None
     if goal is not None:
-        code = codes[goal]
+        other = ALL_STATES if state_source == REACHABLE else REACHABLE
+        counts = _holds_on(codes[goal], _state_iter(tm, env, other), order, env)
         if state_source == REACHABLE:
-            goal_rep = GoalInvariantReport(
-                goal, *_holds_on(code, state_universe(tm, env), order, env), holds, states
-            )
+            goal_rep = GoalInvariantReport(goal, *counts, holds, states)
         else:
-            goal_rep = GoalInvariantReport(
-                goal, holds, states, *_holds_on(code, reachable_states(tm, env), order, env)
-            )
+            goal_rep = GoalInvariantReport(goal, holds, states, *counts)
     vacuity_reps = [rep for reps in vac_reps.values() for rep in reps]
     return CheckResult(reports, vacuity_reps, goal_rep)
 

@@ -19,11 +19,19 @@ over the same model therefore visit states and transitions identically.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import AxiomViolation, BoundExceeded, GuardFailed
+from .errors import (
+    AxiomViolation,
+    BoundExceeded,
+    GuardFailed,
+    NonFiniteQuantifierDomain,
+    TrustbError,
+)
 from .kernel import (
     DEFAULT_POWERSET_BOUND,
     Env,
@@ -31,10 +39,27 @@ from .kernel import (
     eval_expr_frame,
     eval_pred_frame,
     powerset_elements,
+    quantifier_domains,
 )
-from .syntax import Subset, free_idents_expr
+from .syntax import (
+    And,
+    Exists,
+    Expr,
+    FnSpace,
+    Forall,
+    FunApp,
+    Implies,
+    Member,
+    NotMember,
+    Partition,
+    Pow,
+    Pred,
+    Subset,
+    free_idents_expr,
+    subexprs,
+)
 from .typecheck import EventInfo, TypedContext, TypedMachine
-from .values import Atom, Value, canon, mkset
+from .values import Atom, PairV, SetV, Value, canon, mkset, value_sorted
 
 
 # --- instantiation ------------------------------------------------------
@@ -214,10 +239,12 @@ def invariant_report(tm: TypedMachine, state: State, env: Env) -> list[tuple[str
 
 def _assignments(
     names: tuple[str, ...],
-    candidates: Callable[[int], Iterable[Value]],
+    candidates: Callable[[int], Sequence[Value]],
     frame: dict,
     k: int = 0,
-) -> Iterator[None]:
+    images: Callable[[Sequence[Value], int], list[int]] | None = None,
+    eq: tuple[int, ...] = (),
+) -> Iterator[tuple[int, ...]]:
     """Bind names[k], names[k + 1], ... in `frame` to each value
     `candidates(k)` lists for the k-th name, the last name varying fastest,
     and yield once per complete assignment; the caller reads the values
@@ -227,14 +254,39 @@ def _assignments(
     later name's candidates may depend on earlier ones.  (A recursive
     closure here would be a reference cycle holding the frame and the
     candidate lists until the cycle collector ran.)
+
+    With a group of permutations, `eq` holds the group elements g that map
+    the assignment so far to itself, and `images(values, g)` lists, for
+    each value of a candidate list, the index of its image under g in the
+    same list; while g fixes the earlier names, their list is the same.  A
+    value that some g in `eq` maps to an earlier index is skipped with all
+    its completions, since g maps each of them to one that comes earlier:
+    only the least assignment of each orbit is bound (a lex-leader test,
+    Crawford et al., KR 1996).  What is yielded is `eq` at the complete
+    assignment, the group elements other than the identity that fix it.
     """
     if k == len(names):
-        yield
+        yield eq
         return
     name = names[k]
-    for v in candidates(k):
-        frame[name] = v
-        yield from _assignments(names, candidates, frame, k + 1)
+    values = candidates(k)
+    if not eq:
+        for v in values:
+            frame[name] = v
+            yield from _assignments(names, candidates, frame, k + 1)
+    else:
+        maps = [images(values, g) for g in eq]
+        for i, v in enumerate(values):
+            fixing = []
+            for g, where in zip(eq, maps):
+                j = where[i]
+                if j < i:
+                    break
+                if j == i:
+                    fixing.append(g)
+            else:
+                frame[name] = v
+                yield from _assignments(names, candidates, frame, k + 1, images, tuple(fixing))
     frame.pop(name, None)
 
 
@@ -285,39 +337,199 @@ def enumerate_transitions(tm: TypedMachine, state: State, env: Env) -> list[Tran
     return out
 
 
+class _VarDomains:
+    """The state variables' candidate lists, read on the walk's frame.
+
+    A variable whose domain expression mentions earlier variables gets its
+    list recomputed, and memoised, per combination of those values.  The
+    memo keeps every list for the whole walk, so a list's id names it, and
+    images() keeps the index maps of each list per group element.
+    """
+
+    __slots__ = ("order", "domains", "deps", "memo", "frame", "bound", "perms", "maps")
+
+    def __init__(self, tm: TypedMachine, env: Env, perms: tuple[dict, ...] = ()):
+        order = self.order = tm.var_order
+        infos = [tm.variables[v] for v in order]
+        self.domains = [compile_domain(info.domain_expr) for info in infos]
+        var_set = set(order)
+        self.deps = []
+        for info in infos:
+            free = free_idents_expr(info.domain_expr)
+            self.deps.append(tuple(v for v in order if v in free and v in var_set))
+        self.memo: list[dict[tuple[Value, ...], tuple[Value, ...]]] = [{} for _ in order]
+        self.frame = dict(env.bindings)
+        self.bound = env.powerset_bound
+        self.perms = perms
+        self.maps: dict[int, list] = {}
+
+    def candidates(self, k: int) -> tuple[Value, ...]:
+        """The k-th variable's list, with the variables before it bound."""
+        frame = self.frame
+        key = tuple(frame[d] for d in self.deps[k])
+        cached = self.memo[k].get(key)
+        if cached is None:
+            try:
+                cached = self.domains[k](frame, self.bound)
+            except BoundExceeded as err:
+                raise BoundExceeded(err.what, err.size, err.bound, self.order[k]) from None
+            self.memo[k][key] = cached
+        return cached
+
+    def images(self, values: tuple[Value, ...], g: int) -> list[int]:
+        """For each i, the index in `values` of the g-th permutation's image
+        of values[i]."""
+        entry = self.maps.get(id(values))
+        if entry is None:
+            entry = self.maps[id(values)] = [None] * len(self.perms)
+        where = entry[g]
+        if where is None:
+            index = {v: i for i, v in enumerate(values)}
+            perm = self.perms[g]
+            where = entry[g] = [index[permute(v, perm)] for v in values]
+        return where
+
+
 def state_universe(tm: TypedMachine, env: Env) -> Iterator[State]:
     """Every state allowed by the variables' typing invariants.
 
-    Variables enumerate in declaration order; a variable whose domain
-    expression mentions earlier variables gets its candidate list
-    recomputed (and memoised) per combination of those values.  A domain
-    too large to enumerate raises BoundExceeded naming its variable.
+    Variables enumerate in declaration order, each over the candidate list
+    its domain expression gives; a variable whose domain mentions earlier
+    variables gets its list recomputed (and memoised) per combination of
+    those values.  A domain too large to enumerate raises BoundExceeded
+    naming its variable.
     """
-    order = tm.var_order
-    infos = [tm.variables[v] for v in order]
-    domains = [compile_domain(info.domain_expr) for info in infos]
-    var_set = set(order)
-    deps: list[tuple[str, ...]] = []
-    for info in infos:
-        free = free_idents_expr(info.domain_expr)
-        deps.append(tuple(v for v in order if v in free and v in var_set))
-    bound = env.powerset_bound
-    frame = dict(env.bindings)
-    memo: list[dict[tuple[Value, ...], tuple[Value, ...]]] = [{} for _ in order]
-
-    def candidates(k: int) -> tuple[Value, ...]:
-        key = tuple(frame[d] for d in deps[k])
-        cached = memo[k].get(key)
-        if cached is None:
-            try:
-                cached = domains[k](frame, bound)
-            except BoundExceeded as err:
-                raise BoundExceeded(err.what, err.size, err.bound, order[k]) from None
-            memo[k][key] = cached
-        return cached
-
-    for _ in _assignments(order, candidates, frame):
+    domains = _VarDomains(tm, env)
+    order, frame = domains.order, domains.frame
+    for _ in _assignments(order, domains.candidates, frame):
         yield State({v: frame[v] for v in order})
+
+
+def state_orbits(tm: TypedMachine, env: Env) -> Iterator[tuple[State, int]]:
+    """One state per orbit of symmetry_group(tm, env) on state_universe,
+    with the orbit's size, in state_universe's order.
+
+    The state of each orbit is its least member in that order, and the
+    walk never binds a prefix that some group element maps to an earlier
+    one (see _assignments).  The orbit's size is the group's order over
+    that of the state's stabilizer.  Under the trivial group this is
+    state_universe, each state with size 1.
+    """
+    perms = symmetry_group(tm, env)
+    domains = _VarDomains(tm, env, perms)
+    order, frame = domains.order, domains.frame
+    size = len(perms)
+    others = tuple(range(1, size))
+    for fixing in _assignments(order, domains.candidates, frame, 0, domains.images, others):
+        yield State({v: frame[v] for v in order}), size // (len(fixing) + 1)
+
+
+# --- symmetry ------------------------------------------------------
+
+
+def permute(v: Value, perm: Mapping[Value, Value]) -> Value:
+    """v with every atom a replaced by perm.get(a, a)."""
+    t = type(v)
+    if t is SetV:
+        return SetV([permute(e, perm) for e in v.elements])
+    if t is PairV:
+        return PairV(permute(v.left, perm), permute(v.right, perm))
+    return perm.get(v, v)
+
+
+def symmetry_group(tm: TypedMachine, env: Env) -> tuple[dict[Value, Value], ...]:
+    """The permutations of the carriers' atoms that map checking tm to
+    itself, the identity first, each as a map of the atoms it moves.
+
+    These are the permutations within each carrier that fix every
+    constant's value.  Atoms that no constant separates, being equal to or
+    members of the same constants, form a class; only permutations within
+    classes are candidates, and each is kept if it fixes every constant.
+
+    The group is the identity alone if the candidates number more than
+    2**powerset_bound, the cap every enumeration has, or if a quantifier
+    body in tm's invariants, guards or abstract guards is not total (see
+    _total_pred).  A quantifier decides its body for one member of its
+    domain after another, in canonical order, and stops at the first that
+    settles it, so a body that can raise on some members might raise in a
+    state and not in its image.  Everything else evaluates alike in a state
+    and in its image: the same truth, and the same error if it raises.
+    """
+    bound = env.powerset_bound
+    constants = list(env.bindings.values())
+    atoms = {a for name in tm.context.carriers for a in env.bindings[name].elements}
+    classes: dict[tuple[bool, ...], list[Value]] = {}
+    for atom in value_sorted(atoms):
+        profile = tuple(atom == c or (type(c) is SetV and atom in c.elements) for c in constants)
+        classes.setdefault(profile, []).append(atom)
+    members = list(classes.values())
+    size = math.prod(math.factorial(len(c)) for c in members)
+    if size > 1 << bound or not _quantifier_bodies_total(tm, env):
+        return ({},)
+    group = []
+    for images in itertools.product(*(itertools.permutations(c) for c in members)):
+        perm = {a: b for c, img in zip(members, images) for a, b in zip(c, img) if a != b}
+        if all(permute(v, perm) == v for v in constants):
+            group.append(perm)
+    return tuple(group)
+
+
+def _quantifier_bodies_total(tm: TypedMachine, env: Env) -> bool:
+    """Whether every quantifier body in tm's invariants, guards and the
+    abstract guards its events refine is total (see _total_pred)."""
+    preds = [inv.pred for _lbl, inv, _origin in tm.invariant_scope]
+    for info in tm.events.values():
+        preds += [g.pred for g in info.ast.guards]
+        if info.abstract is not None:
+            preds += [g.pred for g in info.abstract.guards]
+    return all(_total_pred(p, dict(env.bindings), env.powerset_bound) for p in preds)
+
+
+def _total_pred(p: Pred, constants: dict, bound: int, inside: bool = False) -> bool:
+    """Whether every quantifier body in p is total: it cannot raise on typed
+    values.  A total body has no function application and no malformed
+    quantifier, and each powerset or relation space it enumerates, as a
+    value or as an inner quantifier's domain, reads only `constants` and
+    fits under the bound.  `inside` says p is in a body."""
+    t = type(p)
+    if t is And or t is Implies:
+        return _total_pred(p.left, constants, bound, inside) and _total_pred(
+            p.right, constants, bound, inside
+        )
+    if t is Forall or t is Exists:
+        try:
+            domains = quantifier_domains(p.vars, p.body, t is Forall)
+        except NonFiniteQuantifierDomain:
+            return False
+        constants = {n: v for n, v in constants.items() if n not in p.vars}
+        # `!x, y . P` runs as `!x . !y . P`: only x's domain is outside a body.
+        return all(
+            _total_expr(d, constants, bound) for k, d in enumerate(domains) if inside or k
+        ) and _total_pred(p.body, constants, bound, True)
+    if not inside:
+        return True
+    if t is Member or t is NotMember:
+        c = p.container
+        # x : pow(S) is a subset test and x : S +-> T a kind check: neither
+        # enumerates its container.
+        exprs = (p.item, *subexprs(c)) if type(c) is Pow or type(c) is FnSpace else (p.item, c)
+    elif t is Partition:
+        exprs = (p.whole, *p.parts)
+    else:
+        exprs = (p.left, p.right)
+    return all(_total_expr(e, constants, bound) for e in exprs)
+
+
+def _total_expr(e: Expr, constants: dict, bound: int) -> bool:
+    t = type(e)
+    if t is FunApp:
+        return False
+    if t is Pow or t is FnSpace:
+        try:  # an unbound identifier here is a variable's
+            compile_domain(e)(constants, bound)
+        except TrustbError:
+            return False
+    return all(_total_expr(sub, constants, bound) for sub in subexprs(e))
 
 
 def _constant_candidates(name: str, tc: TypedContext, frame: dict, bound: int):

@@ -245,29 +245,31 @@ class MachineAST:
 # --- free-identifier collection ----------------------------------------------
 
 
-def collect_idents_expr(e: Expr, out: set[str]) -> None:
+def subexprs(e: Expr) -> tuple[Expr, ...]:
+    """The immediate operands of an expression node."""
     t = type(e)
-    if t is Ident:
+    if t is SetEnum:
+        return e.items
+    if t in (Maplet, Union, Difference):
+        return (e.left, e.right)
+    if t is Pow:
+        return (e.base,)
+    if t is Dom:
+        return (e.rel,)
+    if t is Image:
+        return (e.rel, e.arg)
+    if t is FunApp:
+        return (e.fn, e.arg)
+    if t is FnSpace:
+        return (e.dom, e.ran)
+    return ()
+
+
+def collect_idents_expr(e: Expr, out: set[str]) -> None:
+    if type(e) is Ident:
         out.add(e.name)
-    elif t is SetEnum:
-        for item in e.items:
-            collect_idents_expr(item, out)
-    elif t in (Maplet, Union, Difference):
-        collect_idents_expr(e.left, out)
-        collect_idents_expr(e.right, out)
-    elif t is Pow:
-        collect_idents_expr(e.base, out)
-    elif t is Dom:
-        collect_idents_expr(e.rel, out)
-    elif t is Image:
-        collect_idents_expr(e.rel, out)
-        collect_idents_expr(e.arg, out)
-    elif t is FunApp:
-        collect_idents_expr(e.fn, out)
-        collect_idents_expr(e.arg, out)
-    elif t is FnSpace:
-        collect_idents_expr(e.dom, out)
-        collect_idents_expr(e.ran, out)
+    for sub in subexprs(e):
+        collect_idents_expr(sub, out)
 
 
 def collect_idents_pred(p: Pred, out: set[str]) -> None:

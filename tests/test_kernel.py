@@ -441,6 +441,8 @@ _preds = st.recursive(
         st.builds(_maplet_member, _atoms, _atoms, _relations),
         # the shapes the compiler evaluates without building the image
         st.builds(_atomic_pred, st.sampled_from(["member", "not_member"]), _atoms, _images),
+        st.builds(_atomic_pred, st.sampled_from(["member", "not_member"]), _atoms,
+                  st.builds(_dom, _relations)),
         st.builds(_atomic_pred, st.sampled_from(["subset", "equal"]), _sets, _images),
         st.builds(_atomic_pred, st.just("equal"), _images, _sets),
     ),
@@ -484,6 +486,21 @@ def test_compiled_expressions_match_frozenset_arithmetic(term, env):
 def test_compiled_predicates_match_frozenset_arithmetic(term, env):
     text, ref = term
     assert eval_pred_frame(parse_predicate(text), _frame(env)) == ref(env), text
+
+
+def test_member_of_dom_raises_as_domain_of():
+    a, b = Atom("a"), Atom("b")
+    member = parse_predicate("x : dom(r)")
+    for r in (SetV([PairV(b, a), a, SetV([a])]), SetV([b, PairV(a, b)])):
+        with pytest.raises(NotARelation) as built:
+            domain_of(r)
+        with pytest.raises(NotARelation) as scanned:
+            eval_pred_frame(member, {"x": a, "r": r})
+        assert str(scanned.value) == str(built.value)
+    # The relation is read, and refused, before the item.
+    with pytest.raises(NotARelation, match="dom needs a relation, got a"):
+        eval_pred_frame(member, {"r": a})
+    assert eval_pred_frame(member, {"x": b, "r": SetV([PairV(a, b), PairV(b, a)])})
 
 
 _HASH_PROBE = """

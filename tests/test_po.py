@@ -15,7 +15,13 @@ from trustb.po import (
     generate_pos,
     goal_invariant_report,
 )
-from trustb.runtime import fire_event, invariant_report, param_bindings, state_universe
+from trustb.runtime import (
+    fire_event,
+    invariant_report,
+    param_bindings,
+    state_orbits,
+    state_universe,
+)
 
 
 def setup(level, bounds=BoundSpec(2, 2, 2), variant="base", mutate=None, overlap=False):
@@ -526,11 +532,19 @@ def test_guard_reading_a_later_variable_on_one_branch(tmp_path, monkeypatch):
     discharge_all(tm, env)
     states = list(state_universe(tm, env))
     assert len(states) == 16 and tm.var_order == ("a", "d")
+    # Swapping s1 and s2 maps the model to itself, so the walk visits the
+    # least state of each orbit: with pow(S) listed as {}, {s1}, {s2}, S,
+    # a = {s2} is never visited, and for a = {} or a = S neither is d = {s2}.
+    # That leaves 3 + 4 + 3 states, standing for all 16.
+    visited = [(s.values["a"], s.values["d"], size) for s, size in state_orbits(tm, env)]
+    assert len(visited) == 10 and sum(size for *_s, size in visited) == 16
+    assert [len(a) for a, _d, _size in visited] == [0] * 3 + [1] * 4 + [2] * 3
     # grd2 names d, the last variable, so a static prefix would run it for
-    # both x in all 16 states; as read, it runs for both x once while a is
-    # empty and again in each of the 12 states where a is not.
-    assert counts == {"grd1": 2, "grd2": 2 + 12 * 2}
-    assert counts["grd2"] < len(states) * 2
+    # both x in all 10 visited states; as read, it runs for both x once
+    # while a is empty and again in each of the 7 visited states where a
+    # is not.
+    assert counts == {"grd1": 2, "grd2": 2 + 7 * 2}
+    assert counts["grd2"] < len(visited) * 2
 
 
 # inv4's last conjunct applies g, which is partial; the conjuncts before it
@@ -584,13 +598,13 @@ def test_check_walks_the_state_universe_once(monkeypatch):
     from trustb.cli import run_command
 
     calls = []
-    real = po.state_universe
+    real = po.state_orbits
 
     def counting(tm, env):
         calls.append(tm.name)
         return real(tm, env)
 
-    monkeypatch.setattr(po, "state_universe", counting)
+    monkeypatch.setattr(po, "state_orbits", counting)
     argv = ["check", "--level", "2", "--bounds", "1,2,2", "--refinement", "--vacuity",
             "--goal-invariant", "inv4"]
     assert run_command(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
@@ -623,14 +637,22 @@ def test_each_predicate_runs_once_per_prefix(monkeypatch):
     pos = generate_pos(tm, include_refinement=True, exclude_labels=excluded)
     discharge_all(tm, env, pos, exclude_labels=excluded, vacuity=True)
 
-    states = list(state_universe(tm, env))
+    # The walk visits one state per orbit of the 4 permutations of
+    # trustees and tasks: 565 of the 2,052 typed states.
+    states = [state for state, _size in state_orbits(tm, env)]
+    assert (len(states), len(list(state_universe(tm, env)))) == (565, 2052)
     prefixes = {(s.values["agent_task"], s.values["trustor_trustee_task"]) for s in states}
     agent_tasks = {s.values["agent_task"] for s in states}
     bindings = list(param_bindings(info, states[0], env))
     assert tm.var_order[:2] == ("agent_task", "trustor_trustee_task")
-    assert counts["inv1"] == len(states)  # reads commitments, the last variable
-    assert 0 < counts["inv3"] <= len(prefixes) < len(states)
-    assert 0 < counts["grd4"] <= len(agent_tasks) * len(bindings)
+    # inv1 reads commitments, the last variable: it runs once per visited state.
+    assert counts["inv1"] == len(states)
+    # inv3 reads only the first two variables: it runs once per visited
+    # prefix of them, 91 times.
+    assert counts["inv3"] == len(prefixes) == 91
+    # grd4 reads only agent_task: it runs on each of the 8 bindings, all of
+    # which pass the typing guards before it, once per visited agent_task.
+    assert counts["grd4"] == len(agent_tasks) * len(bindings) == 28 * 8
     # inv4 can read every variable, but a run that finds its first (i, t)
     # without a group for t stops before reading commitments.
     assert 0 < counts["inv4"] < len(states)

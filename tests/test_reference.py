@@ -1,0 +1,187 @@
+"""po.discharge_all against a naive reference discharger, field by field.
+
+The reference states the discharge semantics of the po module docstring the
+slow way, on the public API only: every invariant, guard and goal is
+decided afresh on a fresh frame in every state of state_universe (or of
+reachable_states), with no decided depths, no reuse of pre-state truths, no
+given goals and no symmetry.  Verdicts, case counts, counterexamples,
+vacuity reports and the goal report must all agree, and where one raises,
+the other must raise the same error.
+"""
+
+import pytest
+
+from trustb.dsl import parse_file
+from trustb.errors import ScenarioError, TrustbError
+from trustb.kernel import eval_expr_frame, eval_pred_frame
+from trustb.models import VARIANTS, BoundSpec, Mutation, build_model, machine_setup
+from trustb.po import (
+    ALL_STATES,
+    DISCHARGED,
+    FAILED,
+    REACHABLE,
+    VACUOUS,
+    CheckResult,
+    Counterexample,
+    DischargeReport,
+    GoalInvariantReport,
+    VacuityReport,
+    discharge_all,
+    generate_pos,
+)
+from trustb.runtime import (
+    enumerate_instantiations,
+    event_frame,
+    fire_event,
+    initial_state,
+    param_bindings,
+    reachable_states,
+    state_universe,
+)
+from trustb.syntax import INIT_EVENT
+from trustb.typecheck import elaborate
+
+import test_po
+import test_runtime
+
+
+def reference(tm, env, pos, state_source=ALL_STATES, exclude=frozenset(), vacuity=False,
+              goal=None) -> CheckResult:
+    bound = env.powerset_bound
+
+    def holds(pred, state, binding=None):
+        return eval_pred_frame(pred, event_frame(env, state, binding), bound)
+
+    scope = [(lbl, inv.pred) for lbl, inv, _origin in tm.invariant_scope]
+    cases = {po.name: 0 for po in pos}
+    found: dict[str, Counterexample] = {}
+    vac = {
+        (name, g.label): VacuityReport(name, g.label, True, 0)
+        for name, info in tm.events.items()
+        if vacuity and not info.ast.is_init
+        for g in info.ast.guards
+    }
+    init = initial_state(tm, env)
+    for po in pos:
+        if po.event == INIT_EVENT and not holds(po.goal, init):
+            found[po.name] = Counterexample(None, (), init)
+    walk = [po for po in pos if po.event != INIT_EVENT]
+    states = state_universe(tm, env) if state_source == ALL_STATES else reachable_states(tm, env)
+    for state in states:
+        false = {lbl for lbl, pred in scope if not holds(pred, state)}
+        for name, info in tm.events.items():
+            mine = [po for po in walk if po.event == name]
+            if info.ast.is_init or not (mine or vacuity):
+                continue
+            for binding in param_bindings(info, state, env):
+                b = tuple(sorted(binding.items()))
+                if vacuity and not false:
+                    oks = [holds(g.pred, state, binding) for g in info.ast.guards]
+                    for g, ok in zip(info.ast.guards, oks):
+                        rep = vac[name, g.label]
+                        rep.cases += 1
+                        if not ok and rep.witness is None:
+                            rep.vacuous, rep.witness = False, Counterexample(state, b, None)
+                    enabled = all(oks)
+                else:
+                    enabled = all(holds(g.pred, state, binding) for g in info.ast.guards)
+                if not enabled:
+                    continue
+                post = fire_event(tm, name, state, binding, env, check_guards=False)
+                for po in mine:
+                    if false - exclude - ({po.label} if po.kind == "INV" else set()):
+                        continue
+                    cases[po.name] += 1
+                    if po.name in found:
+                        continue
+                    if po.kind == "INV" and not holds(po.goal, post):
+                        found[po.name] = Counterexample(state, b, post)
+                    elif po.kind == "GRD" and not holds(po.goal, state, binding):
+                        found[po.name] = Counterexample(state, b, None)
+                    elif po.kind == "SIM":
+                        expected = eval_expr_frame(po.sim_expr, event_frame(env, state, binding))
+                        if expected != post.values[po.label]:
+                            found[po.name] = Counterexample(
+                                state, b, post, expected, post.values[po.label]
+                            )
+    reports = []
+    for po in pos:
+        n = 1 if po.event == INIT_EVENT else cases[po.name]
+        verdict = FAILED if po.name in found else VACUOUS if n == 0 else DISCHARGED
+        reports.append(DischargeReport(po, verdict, n, found.get(po.name), po.note))
+    report = None
+    if goal is not None:
+        pred = tm.invariant(goal).pred
+        typed, reach = list(state_universe(tm, env)), reachable_states(tm, env)
+        report = GoalInvariantReport(
+            goal, sum(holds(pred, s) for s in typed), len(typed),
+            sum(holds(pred, s) for s in reach), len(reach),
+        )
+    return CheckResult(reports, list(vac.values()), report)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except TrustbError as err:
+        return type(err), str(err)
+
+
+def _agree(tm, env, state_source=ALL_STATES, goal=None):
+    exclude = frozenset({goal}) if goal else frozenset()
+    pos = generate_pos(tm, include_refinement=tm.refines is not None, exclude_labels=exclude)
+    args = (tm, env, pos, state_source, exclude, True, goal)
+    expected = _outcome(lambda: reference(*args))
+    assert _outcome(lambda: discharge_all(*args)) == expected
+    return expected
+
+
+MUTATIONS = {("base", 1): "drop:grd7", ("base", 2): "drop:grd8", ("rel", 2): "drop:grd8"}
+
+
+def _cells():
+    for variant in VARIANTS:
+        for level in (0, 1, 2):
+            try:
+                build_model(level, variant)
+            except ScenarioError:
+                continue
+            for bounds in ("1,2,1", "1,1,2"):
+                modes = ["plain", "goal", "reachable_goal"]
+                if (variant, level) in MUTATIONS:
+                    modes.append("mutate")
+                if variant == "nopart":
+                    modes.append("overlap")
+                for mode in modes:
+                    yield variant, level, bounds, mode
+
+
+@pytest.mark.parametrize("variant,level,bounds,mode", list(_cells()))
+def test_discharge_all_matches_the_reference(variant, level, bounds, mode):
+    mutate = Mutation.parse(MUTATIONS[variant, level]) if mode == "mutate" else None
+    tm, _inst, env = machine_setup(level, BoundSpec.parse(bounds), variant, mutate,
+                                   overlap=mode == "overlap")
+    goal = tm.invariant_scope[-1][0] if mode.endswith("goal") else None
+    source = REACHABLE if mode == "reachable_goal" else ALL_STATES
+    result = _agree(tm, env, source, goal)
+    assert isinstance(result, CheckResult)
+
+
+FILE_MODELS = {
+    "hoist": (test_po.HOISTING, "Hoist", {"S": 2}),
+    "branch": (test_po.BRANCHING, "Branch", {"S": 3}),
+    "guarded": (test_po.GUARDED, "Guarded", {"S": 2}),
+    "partial": (test_po.PARTIAL, "Partial", {"S": 2}),
+    "picks": (test_runtime.PICKS, "toy2", {"COLORS": 2}),
+    "look": (test_runtime.PARTIAL, "Partial", {"S": 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_MODELS))
+def test_file_models_match_the_reference(name):
+    text, machine, sizes = FILE_MODELS[name]
+    tm = elaborate(parse_file(text)).machine(machine)
+    for inst in enumerate_instantiations(tm.context, sizes):
+        for source in (ALL_STATES, REACHABLE):
+            _agree(tm, inst.env(), source, tm.invariant_scope[-1][0])
+            _agree(tm, inst.env(), source)

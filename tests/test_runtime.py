@@ -18,9 +18,12 @@ from trustb.runtime import (
     initial_state,
     invariant_report,
     param_bindings,
+    permute,
     reachable_states,
     replay,
+    state_orbits,
     state_universe,
+    symmetry_group,
 )
 from trustb.typecheck import elaborate
 from trustb.values import EMPTY_SET, TRUE, Atom, PairV, SetV, canon, mkatoms, mkset
@@ -449,3 +452,145 @@ def test_instantiation_order_follows_each_typing_axiom():
     subset_order = ["{}", "{s1}", "{s2}", "{s1, s2}"]
     labels = [inst.label for inst in enumerate_instantiations(tc, {"S": 2})]
     assert labels == [f"a = {x}; b = {y}" for x in member_order for y in subset_order]
+
+
+# --- symmetry ------------------------------------------------------
+
+
+@pytest.mark.parametrize("bounds,size", [("2,2,2", 8), ("3,2,2", 24), ("1,2,2", 4)])
+def test_symmetry_group_permutes_within_trustors_trustees_and_tasks(bounds, size):
+    tm, _inst, env = setup(2, BoundSpec.parse(bounds))
+    group = symmetry_group(tm, env)
+    assert len(group) == size and group[0] == {}
+    for perm in group:
+        for name in ("trustors", "trustees", "TASKS"):
+            assert permute(env.bindings[name], perm) == env.bindings[name]
+
+
+PINNED = """CONTEXT c
+SETS S
+CONSTANTS p
+AXIOMS
+  @axm1: p : S
+END
+MACHINE Pin
+SEES c
+VARIABLES a
+INVARIANTS
+  @inv1: a : pow(S)
+EVENT INITIALISATION
+THEN
+  @act1: a := {}
+END
+EVENT add
+ANY x
+WHERE
+  @grd1: x : S
+THEN
+  @act1: a := a \\/ {x}
+END
+END
+"""
+
+
+def test_symmetry_group_fixes_a_pinned_atom():
+    tm = elaborate(parse_file(PINNED)).machine("Pin")
+    for inst in enumerate_instantiations(tm.context, {"S": 2}):
+        assert symmetry_group(tm, inst.env()) == ({},)
+    # With three atoms the two that p does not pin may still swap.
+    inst = enumerate_instantiations(tm.context, {"S": 3})[0]
+    assert inst.values["p"] == Atom("s1")
+    assert symmetry_group(tm, inst.env()) == ({}, {Atom("s2"): Atom("s3"), Atom("s3"): Atom("s2")})
+
+
+def test_symmetry_group_is_trivial_when_a_quantifier_body_applies_a_function():
+    from test_po import HOISTING, PARTIAL
+
+    # inv4 applies g inside its quantifier, so it could raise on one member
+    # of S before it settles on another, and which comes first depends on
+    # the atoms' names.
+    tm = elaborate(parse_file(PARTIAL)).machine("Partial")
+    [inst] = enumerate_instantiations(tm.context, {"S": 2})
+    assert symmetry_group(tm, inst.env()) == ({},)
+    # Hoist's guards apply f outside any quantifier: with f = {} both atoms
+    # may swap.
+    tm = elaborate(parse_file(HOISTING)).machine("Hoist")
+    [inst] = [i for i in enumerate_instantiations(tm.context, {"S": 2}) if not i.values["f"]]
+    assert len(symmetry_group(tm, inst.env())) == 2
+
+
+QUANTIFIED = """CONTEXT c
+SETS S
+END
+MACHINE Quantified
+SEES c
+VARIABLES a
+INVARIANTS
+  @inv1: a : pow(S)
+  @inv2: {claim}
+EVENT INITIALISATION
+THEN
+  @act1: a := {{}}
+END
+END
+"""
+
+
+@pytest.mark.parametrize("claim,size", [
+    # The inner domain pow(a) reads a variable, so it is enumerated in the
+    # body; over the constant S it is not a hazard, and neither is pow(a) as
+    # the outermost domain, which is listed before any body runs.
+    ("!x . x : S => (#y . y : pow(a) & x /: y)", 1),
+    ("!x . x : S => (#y . y : pow(S) & x /: y)", 2),
+    ("!y . y : pow(a) => y <: S", 2),
+])
+def test_symmetry_group_needs_inner_domains_over_constants(claim, size):
+    tm = elaborate(parse_file(QUANTIFIED.format(claim=claim))).machine("Quantified")
+    [inst] = enumerate_instantiations(tm.context, {"S": 2})
+    assert len(symmetry_group(tm, inst.env())) == size
+
+
+def _permute_state(state, perm):
+    return State({v: permute(x, perm) for v, x in state.values.items()})
+
+
+def _permute_transition(tr, perm):
+    binding = tuple((name, permute(v, perm)) for name, v in tr.binding)
+    return Transition(tr.event, binding, _permute_state(tr.post, perm))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_checking_is_equivariant_under_the_group(level):
+    tm, _inst, env = setup(level)
+    group = symmetry_group(tm, env)
+    assert len(group) == 8
+    states = list(state_universe(tm, env))
+    typed = set(states)
+    # A prime stride spreads the sample over every variable's values.
+    sample = [states[k * 7919 % len(states)] for k in range(48)]
+    enabled = 0
+    for state in sample:
+        report = invariant_report(tm, state, env)
+        moves = set(enumerate_transitions(tm, state, env))
+        enabled += bool(moves)
+        for perm in group:
+            image = _permute_state(state, perm)
+            assert image in typed
+            assert invariant_report(tm, image, env) == report
+            assert set(enumerate_transitions(tm, image, env)) == {
+                _permute_transition(tr, perm) for tr in moves
+            }
+    assert enabled >= 10
+
+
+def test_state_orbits_partition_the_state_universe():
+    tm, _inst, env = setup(2, BoundSpec(1, 2, 2))
+    group = symmetry_group(tm, env)
+    typed = list(state_universe(tm, env))
+    orbits = list(state_orbits(tm, env))
+    assert (len(orbits), sum(size for _s, size in orbits)) == (565, len(typed))
+    position = {state: k for k, state in enumerate(typed)}
+    for state, size in orbits:
+        orbit = {_permute_state(state, perm) for perm in group}
+        assert len(orbit) == size
+        assert min(position[s] for s in orbit) == position[state]
