@@ -27,6 +27,7 @@ from .dsl import parse_file, pp_expr, pp_pred
 from .errors import ParseError, TrustbError
 from .kernel import DEFAULT_POWERSET_BOUND
 from .models import (
+    VARIANTS,
     BoundSpec,
     Mutation,
     build_model,
@@ -80,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common_model_flags(p):
         p.add_argument("--level", type=int, choices=(0, 1, 2), default=None,
                        help="trust level of the built-in model (default 2)")
-        p.add_argument("--variant", default=None,
-                       choices=("base", "rel", "nopart", "bad_act"),
+        p.add_argument("--variant", default=None, choices=VARIANTS,
                        help="built-in model family member (default base)")
         p.add_argument("--mutate", metavar="drop:LABEL", default=None,
                        help="drop a guard by label before checking")

@@ -33,7 +33,7 @@ back to this ASCII form; parsing that output yields an equal tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DuplicateLabel, MultipleAssignment, ParseError
 from .syntax import (
@@ -115,6 +115,18 @@ _OPERATORS = [
     "]",
     "@",
 ]
+
+# One table per operator family, from its token to the node it builds (to
+# the FnSpace kind for relation spaces); the printer reads them inverted.
+_RELATIONS = {":": Member, "/:": NotMember, "<:": Subset, "=": Equal, "/=": NotEqual}
+_SET_OPERATORS = {"\\/": Union, "\\": Difference}
+_RELATION_SPACES = {"<->": "rel", "+->": "pfun", "-->": "tfun"}
+_QUANTIFIERS = {"!": Forall, "#": Exists}
+_SPELLING = {
+    node: op
+    for table in (_RELATIONS, _SET_OPERATORS, _RELATION_SPACES, _QUANTIFIERS)
+    for op, node in table.items()
+}
 
 # Mathematical glyphs lex as their ASCII spelling.
 _UNICODE_ALIASES = {
@@ -419,16 +431,12 @@ class Parser:
         tok = self.peek()
         self._enter(tok)
         try:
-            if tok.kind == "!":
+            if tok.kind in _QUANTIFIERS:
                 self.next()
                 vars = self.quantvar_list()
                 self.expect(".")
-                return Forall(tuple(vars), self.parse_pred(), pos=(tok.line, tok.col))
-            if tok.kind == "#":
-                self.next()
-                vars = self.quantvar_list()
-                self.expect(".")
-                return Exists(tuple(vars), self.parse_pred(), pos=(tok.line, tok.col))
+                node = _QUANTIFIERS[tok.kind]
+                return node(tuple(vars), self.parse_pred(), pos=(tok.line, tok.col))
             if tok.kind == "ident" and tok.text == "partition" and self.peek(1).kind == "(":
                 self.next()
                 self.next()
@@ -478,22 +486,9 @@ class Parser:
     def relational(self) -> Pred:
         left = self.parse_expr()
         tok = self.peek()
-        pos = (tok.line, tok.col)
-        if tok.kind == ":":
+        if tok.kind in _RELATIONS:
             self.next()
-            return Member(left, self.parse_expr(), pos=pos)
-        if tok.kind == "/:":
-            self.next()
-            return NotMember(left, self.parse_expr(), pos=pos)
-        if tok.kind == "<:":
-            self.next()
-            return Subset(left, self.parse_expr(), pos=pos)
-        if tok.kind == "=":
-            self.next()
-            return Equal(left, self.parse_expr(), pos=pos)
-        if tok.kind == "/=":
-            self.next()
-            return NotEqual(left, self.parse_expr(), pos=pos)
+            return _RELATIONS[tok.kind](left, self.parse_expr(), pos=(tok.line, tok.col))
         raise ParseError(
             tok.line, tok.col,
             f"expected a relational operator, found {tok.text or 'end of input'!r}",
@@ -512,11 +507,10 @@ class Parser:
     def fnspace(self) -> Expr:
         left = self.maplet()
         tok = self.peek()
-        if tok.kind in ("<->", "+->", "-->"):
-            kind = {"<->": "rel", "+->": "pfun", "-->": "tfun"}[tok.kind]
+        if tok.kind in _RELATION_SPACES:
             self.next()
             right = self.maplet()
-            return FnSpace(kind, left, right, pos=(tok.line, tok.col))
+            return FnSpace(_RELATION_SPACES[tok.kind], left, right, pos=(tok.line, tok.col))
         return left
 
     def maplet(self) -> Expr:
@@ -531,14 +525,10 @@ class Parser:
         left = self.postfix()
         while True:
             tok = self.peek()
-            if tok.kind == "\\/":
-                self.next()
-                left = Union(left, self.postfix(), pos=(tok.line, tok.col))
-            elif tok.kind == "\\":
-                self.next()
-                left = Difference(left, self.postfix(), pos=(tok.line, tok.col))
-            else:
+            if tok.kind not in _SET_OPERATORS:
                 return left
+            self.next()
+            left = _SET_OPERATORS[tok.kind](left, self.postfix(), pos=(tok.line, tok.col))
 
     def postfix(self) -> Expr:
         e = self.primary()
@@ -627,8 +617,6 @@ def parse_expression(text: str) -> Expr:
 
 # --- pretty printing ------------------------------------------------------
 
-_FNSPACE_OPS = {"rel": "<->", "pfun": "+->", "tfun": "-->"}
-
 
 def pp_expr(e: Expr, ctx: int = 0) -> str:
     """Render an expression; ctx is the binding level of the surrounding hole.
@@ -651,17 +639,14 @@ def pp_expr(e: Expr, ctx: int = 0) -> str:
         return f"{pp_expr(e.rel, 3)}[{pp_expr(e.arg)}]"
     if t is FunApp:
         return f"{pp_expr(e.fn, 3)}({pp_expr(e.arg)})"
-    if t is Union:
-        s = f"{pp_expr(e.left, 2)} \\/ {pp_expr(e.right, 3)}"
-        return f"({s})" if ctx > 2 else s
-    if t is Difference:
-        s = f"{pp_expr(e.left, 2)} \\ {pp_expr(e.right, 3)}"
+    if t is Union or t is Difference:
+        s = f"{pp_expr(e.left, 2)} {_SPELLING[t]} {pp_expr(e.right, 3)}"
         return f"({s})" if ctx > 2 else s
     if t is Maplet:
         s = f"{pp_expr(e.left, 1)} |-> {pp_expr(e.right, 2)}"
         return f"({s})" if ctx > 1 else s
     if t is FnSpace:
-        s = f"{pp_expr(e.dom, 1)} {_FNSPACE_OPS[e.kind]} {pp_expr(e.ran, 1)}"
+        s = f"{pp_expr(e.dom, 1)} {_SPELLING[e.kind]} {pp_expr(e.ran, 1)}"
         return f"({s})" if ctx > 0 else s
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -669,16 +654,12 @@ def pp_expr(e: Expr, ctx: int = 0) -> str:
 def pp_pred(p: Pred, ctx: int = 0) -> str:
     """Render a predicate; ctx 0 is open position, 1 inside =>, 2 inside &."""
     t = type(p)
-    if t is Member:
-        return f"{pp_expr(p.item)} : {pp_expr(p.container)}"
-    if t is NotMember:
-        return f"{pp_expr(p.item)} /: {pp_expr(p.container)}"
-    if t is Subset:
-        return f"{pp_expr(p.left)} <: {pp_expr(p.right)}"
-    if t is Equal:
-        return f"{pp_expr(p.left)} = {pp_expr(p.right)}"
-    if t is NotEqual:
-        return f"{pp_expr(p.left)} /= {pp_expr(p.right)}"
+    if t is Forall or t is Exists:
+        s = f"{_SPELLING[t]}{', '.join(p.vars)} . {pp_pred(p.body, 0)}"
+        return f"({s})" if ctx > 0 else s
+    if t in _RELATIONS.values():  # its operands are its first two fields
+        left, right = (getattr(p, f.name) for f in fields(p)[:2])
+        return f"{pp_expr(left)} {_SPELLING[t]} {pp_expr(right)}"
     if t is Partition:
         inner = ", ".join([pp_expr(p.whole)] + [pp_expr(q) for q in p.parts])
         return f"partition({inner})"
@@ -687,12 +668,6 @@ def pp_pred(p: Pred, ctx: int = 0) -> str:
         return f"({s})" if ctx > 1 else s
     if t is Implies:
         s = f"{pp_pred(p.left, 1)} => {pp_pred(p.right, 0)}"
-        return f"({s})" if ctx > 0 else s
-    if t is Forall:
-        s = f"!{', '.join(p.vars)} . {pp_pred(p.body, 0)}"
-        return f"({s})" if ctx > 0 else s
-    if t is Exists:
-        s = f"#{', '.join(p.vars)} . {pp_pred(p.body, 0)}"
         return f"({s})" if ctx > 0 else s
     raise TypeError(f"not a predicate node: {p!r}")
 

@@ -18,7 +18,7 @@ when the commitments run ahead of the trust record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from importlib import resources
 
@@ -40,7 +40,7 @@ from .runtime import (
     initial_state,
     invariant_report,
 )
-from .syntax import ContextAST, EventAST, MachineAST
+from .syntax import ContextAST, MachineAST
 from .typecheck import TypedMachine, TypedModel, elaborate
 from .values import FALSE, TRUE, Atom, PairV, SetV, Value, canon, mkset, value_sorted
 
@@ -99,7 +99,6 @@ class Mutation:
     event of the target machine that carries it.
     """
 
-    op: str
     label: str
 
     @staticmethod
@@ -107,7 +106,7 @@ class Mutation:
         op, _sep, label = text.partition(":")
         if op != "drop" or not label:
             raise ScenarioError(f"unknown mutation '{text}'; expected drop:<guard-label>")
-        return Mutation(op, label)
+        return Mutation(label)
 
 
 def _drop_guard(machine: MachineAST, label: str) -> MachineAST:
@@ -117,18 +116,11 @@ def _drop_guard(machine: MachineAST, label: str) -> MachineAST:
         kept = tuple(g for g in ev.guards if g.label != label)
         if len(kept) != len(ev.guards):
             hit = True
-            ev = EventAST(ev.name, ev.params, kept, ev.actions, ev.refines_event)
+            ev = replace(ev, guards=kept)
         events.append(ev)
     if not hit:
         raise UnresolvedReference("guard", label)
-    return MachineAST(
-        machine.name,
-        machine.sees,
-        machine.refines,
-        machine.variables,
-        machine.invariants,
-        tuple(events),
-    )
+    return replace(machine, events=tuple(events))
 
 
 # --- model loading ------------------------------------------------------
@@ -296,16 +288,16 @@ class TrustState:
         trustors: tuple[str, ...] | list[str],
         trustees: tuple[str, ...] | list[str],
         tasks: tuple[str, ...] | list[str],
-        powerset_bound: int = DEFAULT_POWERSET_BOUND,
     ):
+        # The model first: it refuses a level the variant does not define.
+        _model, self._tm = build_model(int(level))
         self.level = TrustLevel(int(level))
         self.trustors = tuple(trustors)
         self.trustees = tuple(trustees)
         self.tasks = tuple(tasks)
         self.instantiation = make_instantiation(self.trustors, self.trustees, self.tasks)
-        _model, self._tm = build_model(int(self.level))
-        self._env = self.instantiation.env(powerset_bound)
-        self.instantiation.validate(self._tm.context, powerset_bound)
+        self._env = self.instantiation.env()
+        self.instantiation.validate(self._tm.context)
 
         self._state = initial_state(self._tm, self._env)
         self._frame: dict[str, Value] | None = None  # the trust-event frame of _state
@@ -351,7 +343,7 @@ class TrustState:
         for pair in allocated:
             if pair.left == group and pair.right != t:
                 raise FunctionalityViolation(
-                    f"group {canon_group(group)} is already allocated task {pair.right.name}"
+                    f"group {canon(group)} is already allocated task {pair.right.name}"
                 )
         self._set("agent_task", allocated | {PairV(group, t)})
 
@@ -437,10 +429,6 @@ class TrustState:
 
     def trusts(self, trustor: str, trustees, task: str) -> bool:
         return self._triple(trustor, trustees, task) in self._state.values["trustor_trustee_task"]
-
-
-def canon_group(group: SetV) -> str:
-    return "{" + ", ".join(a.name for a in value_sorted(group.elements)) + "}"
 
 
 # --- state files ------------------------------------------------------

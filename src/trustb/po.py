@@ -247,6 +247,15 @@ class _Working:
         self.pre = pre
         self.reads = free_idents_pred(po.goal) if po.kind == "INV" else frozenset()
 
+    def report(self) -> DischargeReport:
+        if self.failed:
+            verdict = FAILED
+        elif self.cases == 0:
+            verdict = VACUOUS
+        else:
+            verdict = DISCHARGED
+        return DischargeReport(self.po, verdict, self.cases, self.counterexample, self.po.note)
+
 
 def _given(po: ProofObligation, info: EventInfo) -> bool:
     """Whether a GRD goal is one of the concrete event's own guards, all of
@@ -511,7 +520,8 @@ def discharge_all(
         raise UnresolvedReference("invariant", goal)
     bound = env.powerset_bound
 
-    reports: list[DischargeReport] = []
+    # In obligation order; an event's obligations are _Working until the walk ends.
+    reports: list[DischargeReport | _Working] = []
     # The invariants some consumer needs, in scope order.
     walked = any(po.event != INIT_EVENT for po in pos)
     checked = [
@@ -520,7 +530,6 @@ def discharge_all(
         if vacuity or lbl == goal or (walked and lbl not in exclude_labels)
     ]
     labels = [lbl for lbl, _code in checked]
-    working: dict[str, _Working] = {}
     event_pos: dict[str, list[_Working]] = {}
     init = None
     for po in pos:
@@ -535,7 +544,8 @@ def discharge_all(
         else:
             info = tm.events.get(po.event)
             pre = labels.index(po.label) if po.kind == "INV" and po.label in labels else None
-            w = working[po.name] = _Working(po, info is not None and _given(po, info), pre)
+            w = _Working(po, info is not None and _given(po, info), pre)
+            reports.append(w)
             event_pos.setdefault(po.event, []).append(w)
 
     vac_reps = {
@@ -603,16 +613,7 @@ def discharge_all(
                 for p in info.ast.params:
                     frame.pop(p, None)
 
-    for w in working.values():
-        if w.failed:
-            verdict = FAILED
-        elif w.cases == 0:
-            verdict = VACUOUS
-        else:
-            verdict = DISCHARGED
-        reports.append(DischargeReport(w.po, verdict, w.cases, w.counterexample, w.po.note))
-    by_name = {po.name: k for k, po in enumerate(pos)}
-    reports.sort(key=lambda r: by_name[r.po.name])
+    reports = [r.report() if type(r) is _Working else r for r in reports]
 
     goal_rep = None
     if goal is not None:

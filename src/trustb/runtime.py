@@ -264,29 +264,25 @@ def _assignments(
     only the least assignment of each orbit is bound (a lex-leader test,
     Crawford et al., KR 1996).  What is yielded is `eq` at the complete
     assignment, the group elements other than the identity that fix it.
+    With `eq` empty every candidate is bound and `images` is never asked.
     """
     if k == len(names):
         yield eq
         return
     name = names[k]
     values = candidates(k)
-    if not eq:
-        for v in values:
+    maps = [images(values, g) for g in eq]
+    for i, v in enumerate(values):
+        fixing = []
+        for g, where in zip(eq, maps):
+            j = where[i]
+            if j < i:
+                break
+            if j == i:
+                fixing.append(g)
+        else:
             frame[name] = v
-            yield from _assignments(names, candidates, frame, k + 1)
-    else:
-        maps = [images(values, g) for g in eq]
-        for i, v in enumerate(values):
-            fixing = []
-            for g, where in zip(eq, maps):
-                j = where[i]
-                if j < i:
-                    break
-                if j == i:
-                    fixing.append(g)
-            else:
-                frame[name] = v
-                yield from _assignments(names, candidates, frame, k + 1, images, tuple(fixing))
+            yield from _assignments(names, candidates, frame, k + 1, images, tuple(fixing))
     frame.pop(name, None)
 
 
@@ -348,7 +344,7 @@ class _VarDomains:
 
     __slots__ = ("order", "domains", "deps", "memo", "frame", "bound", "perms", "maps")
 
-    def __init__(self, tm: TypedMachine, env: Env, perms: tuple[dict, ...] = ()):
+    def __init__(self, tm: TypedMachine, env: Env, perms: tuple[dict, ...]):
         order = self.order = tm.var_order
         infos = [tm.variables[v] for v in order]
         self.domains = [compile_domain(info.domain_expr) for info in infos]
@@ -389,9 +385,18 @@ class _VarDomains:
             where = entry[g] = [index[permute(v, perm)] for v in values]
         return where
 
+    def walk(self) -> Iterator[tuple[State, int]]:
+        """The states least in their orbits under the group, each with the
+        orbit's size (see _assignments)."""
+        order, frame, size = self.order, self.frame, len(self.perms)
+        others = tuple(range(1, size))
+        for fixing in _assignments(order, self.candidates, frame, 0, self.images, others):
+            yield State({v: frame[v] for v in order}), size // (len(fixing) + 1)
+
 
 def state_universe(tm: TypedMachine, env: Env) -> Iterator[State]:
-    """Every state allowed by the variables' typing invariants.
+    """Every state allowed by the variables' typing invariants: the walk of
+    state_orbits under the identity group, where each orbit is one state.
 
     Variables enumerate in declaration order, each over the candidate list
     its domain expression gives; a variable whose domain mentions earlier
@@ -399,10 +404,8 @@ def state_universe(tm: TypedMachine, env: Env) -> Iterator[State]:
     those values.  A domain too large to enumerate raises BoundExceeded
     naming its variable.
     """
-    domains = _VarDomains(tm, env)
-    order, frame = domains.order, domains.frame
-    for _ in _assignments(order, domains.candidates, frame):
-        yield State({v: frame[v] for v in order})
+    for state, _size in _VarDomains(tm, env, ({},)).walk():
+        yield state
 
 
 def state_orbits(tm: TypedMachine, env: Env) -> Iterator[tuple[State, int]]:
@@ -415,13 +418,7 @@ def state_orbits(tm: TypedMachine, env: Env) -> Iterator[tuple[State, int]]:
     that of the state's stabilizer.  Under the trivial group this is
     state_universe, each state with size 1.
     """
-    perms = symmetry_group(tm, env)
-    domains = _VarDomains(tm, env, perms)
-    order, frame = domains.order, domains.frame
-    size = len(perms)
-    others = tuple(range(1, size))
-    for fixing in _assignments(order, domains.candidates, frame, 0, domains.images, others):
-        yield State({v: frame[v] for v in order}), size // (len(fixing) + 1)
+    yield from _VarDomains(tm, env, symmetry_group(tm, env)).walk()
 
 
 # --- symmetry ------------------------------------------------------

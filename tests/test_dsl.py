@@ -214,6 +214,9 @@ PRED_SAMPLES = [
     "#j . j : pow(s) & j /= {} & j |-> t : r & j <: k[{i}]",
     "x = y => (#z . z : s & z /= x) => y /= x",
     "r[{a}] = {b} & f(a) = b",
+    "s \\ t <: u & f : s --> t",
+    "x /: s \\ (t \\/ u) \\ v & a |-> (s <-> t) : r",
+    "(s <-> t) |-> a : (s +-> t) <-> u",
 ]
 
 

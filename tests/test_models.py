@@ -16,13 +16,12 @@ from trustb.models import (
     TrustState,
     build_model,
     builtin_source,
-    canon_group,
     export_state,
     import_state,
     machine_name,
     machine_setup,
 )
-from trustb.values import FALSE, TRUE, Atom, PairV, mkset
+from trustb.values import FALSE, TRUE, Atom, PairV, canon, mkset
 
 
 # --- bounds ------------------------------------------------------
@@ -91,7 +90,7 @@ def test_builtin_source_errors_on_unknown():
 
 def test_mutation_parse():
     m = Mutation.parse("drop:grd7")
-    assert (m.op, m.label) == ("drop", "grd7")
+    assert m.label == "grd7"
     for bad in ("add:grd7", "drop:", "grd7", ""):
         with pytest.raises(ScenarioError):
             Mutation.parse(bad)
@@ -131,6 +130,14 @@ def test_allocate_is_functional_per_group():
     ts.allocate_task(["b"], "t1")  # same pair again is fine
     with pytest.raises(FunctionalityViolation):
         ts.allocate_task(["b"], "t2")
+
+
+def test_allocate_conflict_names_the_group_canonically():
+    ts = TrustState(0, ["a"], ["bob", "carol"], ["t1", "t2"])
+    ts.allocate_task(["carol", "bob"], "t1")
+    with pytest.raises(FunctionalityViolation) as err:
+        ts.allocate_task(["carol", "bob"], "t2")
+    assert str(err.value) == "group {bob, carol} is already allocated task t1"
 
 
 def test_undeclared_atoms_rejected():
@@ -241,7 +248,7 @@ def test_group_identity_ignores_listing_order():
     ts.commit("alice", ["bob", "carol"], "deliver", True)
     d = ts.trust_query("alice", ["carol", "bob"], "deliver")
     assert d.granted
-    assert canon_group(ts._trustee_group(["carol", "bob"])) == "{bob, carol}"
+    assert canon(ts._trustee_group(["carol", "bob"])) == "{bob, carol}"
 
 
 def test_invariant_warnings_surface_transients():

@@ -4,7 +4,7 @@ import pytest
 
 from trustb.cli import run_command
 from trustb.errors import BoundExceeded, ScenarioError
-from trustb.models import BoundSpec, builtin_source, import_state, machine_setup
+from trustb.models import BoundSpec, TrustState, builtin_source, import_state, machine_setup
 from trustb.runtime import state_universe
 from trustb.scenario import parse_scenario, run_scenario, run_scenario_text
 
@@ -410,6 +410,19 @@ def test_query_level_mismatch_is_usage_error(tmp_path):
     code, _, err = run(["query", "--state", str(state_file), "--level", "2", "i", "a", "t"])
     assert code == 2
     assert "level" in err
+
+
+def test_undefined_level_is_a_model_error(tmp_path):
+    header = "level 3\ntrustors i\ntrustees a\ntasks t\n"
+    scn = tmp_path / "l3.scn"
+    scn.write_text(header)
+    state_file = tmp_path / "l3.state"
+    state_file.write_text(header + "agent_task\ntrustor_trustee_task\nend\n")
+    message = "error: variant 'base' defines levels [0, 1, 2], not 3\n"
+    for argv in (["simulate", str(scn)], ["query", "--state", str(state_file), "i", "a", "t"]):
+        assert run(argv) == (3, "", message), argv
+    with pytest.raises(ScenarioError, match="not 3"):
+        TrustState(3, ["i"], ["a"], ["t"])
 
 
 # --- dump-po ------------------------------------------------------
