@@ -8,19 +8,22 @@ Four subcommands:
     trustb dump-po   print obligations without discharging them
 
 `check` works on the built-in model family (pick with --level/--variant)
-or on a model file given as a positional argument.  Exit status: 0 when
-nothing failed, 1 when at least one obligation or scenario assertion
-failed, 2 on usage errors, 3 on file, parse and model errors.  A vacuous
-obligation is a warning, not a failure.
+or on a model file given as a positional argument.  A model file is
+checked under each instantiation of its context and the reports merged;
+a built-in model is checked by the same loop, as one instantiation at
+--bounds.  Exit status: 0 when nothing failed, 1 when at least one
+obligation or scenario assertion failed, 2 on usage errors, 3 on file,
+parse and model errors.  A vacuous obligation is a warning, not a
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .dsl import parse_file, pp_expr, pp_pred
@@ -33,13 +36,13 @@ from .models import (
     build_model,
     import_state,
     export_state,
-    machine_setup,
 )
 from .po import (
     ALL_STATES,
-    REACHABLE,
     FAILED,
+    STATE_SOURCES,
     VACUOUS,
+    CheckResult,
     DischargeReport,
     discharge_all,
     generate_pos,
@@ -95,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--bounds", default=None, metavar="A,B,C",
                          help="trustors,trustees,tasks (default: TRUSTB_BOUNDS or 2,2,2)")
     p_check.add_argument("--state-source", default=ALL_STATES,
-                         choices=(ALL_STATES, REACHABLE),
+                         choices=STATE_SOURCES,
                          help="which pre-states obligations quantify over")
     p_check.add_argument("--goal-invariant", metavar="LABEL", default=None,
                          help="treat LABEL as a goal: drop its obligations and "
@@ -133,101 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# --- report rendering ------------------------------------------------------
-
-
-def _table_counterexample(rep: DischargeReport, order) -> list[str]:
-    ce = rep.counterexample
-    lines = ["  counterexample:"]
-    if ce.state is not None:
-        for text in state_lines(ce.state, order):
-            lines.append("    pre   " + text)
-    if ce.binding:
-        pairs = ", ".join(f"{n} = {canon(v)}" for n, v in ce.binding)
-        lines.append("    with  " + pairs)
-    if ce.post is not None:
-        for text in state_lines(ce.post, order):
-            lines.append("    post  " + text)
-    if ce.expected is not None or ce.actual is not None:
-        lines.append(f"    expected {rep.po.label} = {canon(ce.expected)}")
-        lines.append(f"    actual   {rep.po.label} = {canon(ce.actual)}")
-    return lines
-
-
-def _render_reports(reports: list[DischargeReport], order, fmt: str) -> list[str]:
-    lines: list[str] = []
-    if fmt == "records":
-        for rep in reports:
-            po = rep.po
-            lines.append(
-                f"po name={po.name} machine={po.machine} event={po.event} "
-                f"kind={po.kind} verdict={rep.verdict} cases={rep.cases}"
-            )
-            ce = rep.counterexample
-            if ce is not None:
-                if ce.state is not None:
-                    for var in order:
-                        lines.append(
-                            f"ce po={po.name} part=pre var={var} value={canon(ce.state.values[var])}"
-                        )
-                for name, value in ce.binding:
-                    lines.append(f"ce po={po.name} part=binding var={name} value={canon(value)}")
-                if ce.post is not None:
-                    for var in order:
-                        lines.append(
-                            f"ce po={po.name} part=post var={var} value={canon(ce.post.values[var])}"
-                        )
-                if ce.expected is not None or ce.actual is not None:
-                    lines.append(f"ce po={po.name} part=expected value={canon(ce.expected)}")
-                    lines.append(f"ce po={po.name} part=actual value={canon(ce.actual)}")
-            if rep.note:
-                lines.append(f"note po={po.name} text={rep.note}")
-    else:
-        width = max([len(r.po.name) for r in reports], default=10) + 2
-        lines.append(f"{'obligation'.ljust(width)} {'verdict'.ljust(10)} {'cases':>10}")
-        for rep in reports:
-            lines.append(
-                f"{rep.po.name.ljust(width)} {rep.verdict.ljust(10)} {rep.cases:>10}"
-            )
-            if rep.counterexample is not None:
-                lines.extend(_table_counterexample(rep, order))
-            if rep.note:
-                lines.append(f"  note: {rep.note}")
-    failed = sum(1 for r in reports if r.verdict == FAILED)
-    vacuous = sum(1 for r in reports if r.verdict == VACUOUS)
-    discharged = len(reports) - failed - vacuous
-    if fmt == "records":
-        lines.append(
-            f"summary pos={len(reports)} discharged={discharged} "
-            f"failed={failed} vacuous={vacuous}"
-        )
-    else:
-        lines.append(
-            f"summary: {len(reports)} obligations, {discharged} discharged, "
-            f"{failed} failed, {vacuous} vacuous"
-        )
-    return lines
-
-
-# --- model file instantiation ------------------------------------------------------
-
-
-def _carrier_sizes(specs: list[str], carriers: tuple[str, ...]) -> dict[str, int]:
-    sizes: dict[str, int] = {}
-    for spec in specs:
-        name, eq, num = spec.partition("=")
-        if not eq or not num.isdigit() or int(num) < 1:
-            raise _Usage(f"trustb: error: bad --carrier '{spec}', expected SET=N")
-        if name not in carriers:
-            raise _Usage(
-                f"trustb check: error: --carrier {name}: the model has no carrier set "
-                f"of that name; its carrier sets are {', '.join(carriers) or '(none)'}"
-            )
-        sizes[name] = int(num)
-    return sizes
-
-
-# --- subcommand handlers ------------------------------------------------------
+# --- model loading ------------------------------------------------------
 
 # The flags of check and dump-po that apply to one kind of model only.
 _MODEL_FLAGS = {
@@ -237,9 +146,12 @@ _MODEL_FLAGS = {
 }
 
 
-def _refuse_other_model_flags(args) -> None:
-    """A flag given for the other kind of model is a usage error, not ignored.
-    A flag counts as given when its value is not its default: None, False or []."""
+def _model(args) -> tuple[TypedMachine, BoundSpec | None]:
+    """The machine that check or dump-po works on, and the bounds of a
+    built-in check.  A flag given for the other kind of model is a usage
+    error, not ignored; it counts as given when its value is not its
+    default: None, False or [].  A built-in check reads --bounds before
+    --mutate, so a bad --bounds is the error it reports."""
     kind = "the built-in model" if args.file is None else "a model file"
     for applies, flags in _MODEL_FLAGS.items():
         if applies == kind:
@@ -249,17 +161,13 @@ def _refuse_other_model_flags(args) -> None:
             if value is not None and value is not False and value != []:
                 raise _Usage(f"trustb {args.command}: error: {flag} applies only to "
                              f"{applies}, not to {kind}")
-
-
-@dataclass
-class _Out:
-    stream: object
-
-    def line(self, text: str = "") -> None:
-        self.stream.write(text + "\n")
-
-
-def _load_file_model(args) -> TypedMachine:
+    if args.file is None:
+        bounds = None
+        if args.command == "check":
+            bounds = BoundSpec.parse(args.bounds or os.environ.get("TRUSTB_BOUNDS", "2,2,2"))
+        level = 2 if args.level is None else args.level
+        mutate = Mutation.parse(args.mutate) if args.mutate else None
+        return build_model(level, args.variant or "base", mutate)[1], bounds
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     units = parse_file(text, args.file)
@@ -270,119 +178,165 @@ def _load_file_model(args) -> TypedMachine:
     name = args.machine or machines[-1]
     if name not in machines:
         raise TrustbError(f"{args.file}: no machine named '{name}'")
-    return model.machine(name)
+    return model.machine(name), None
 
 
-def _cmd_check(args, out: _Out) -> int:
-    fmt = args.format
-    exclude = frozenset({args.goal_invariant}) if args.goal_invariant else frozenset()
-
-    _refuse_other_model_flags(args)
-    if args.file is not None:
-        return _check_file(args, out)
-
-    bounds = BoundSpec.parse(args.bounds or os.environ.get("TRUSTB_BOUNDS", "2,2,2"))
-    level = 2 if args.level is None else args.level
-    mutate = Mutation.parse(args.mutate) if args.mutate else None
-    tm, _inst, env = machine_setup(
-        level, bounds, args.variant or "base", mutate, args.overlap, args.powerset_bound
-    )
-    if args.goal_invariant and not any(
-        lbl == args.goal_invariant for lbl, _i, _o in tm.invariant_scope
-    ):
-        raise TrustbError(f"no invariant labelled '{args.goal_invariant}' in {tm.name}")
-
-    pos = generate_pos(tm, include_refinement=args.refinement, exclude_labels=exclude)
-    result = discharge_all(
-        tm, env, pos, args.state_source, exclude,
-        vacuity=args.vacuity, goal=args.goal_invariant or None,
-    )
-
-    if fmt == "table":
-        head = f"machine {tm.name}  bounds {bounds}  source {args.state_source}"
-        if args.mutate:
-            head += f"  mutation {args.mutate}"
-        out.line(head)
-    else:
-        mut = f" mutation={args.mutate}" if args.mutate else ""
-        out.line(f"run machine={tm.name} bounds={bounds} source={args.state_source}{mut}")
-    for text in _render_reports(result.reports, tm.var_order, fmt):
-        out.line(text)
-
-    rep = result.goal
-    if rep is not None:
-        if fmt == "records":
-            out.line(
-                f"goal label={rep.label} holds={rep.holds} states={rep.states} "
-                f"reachable_holds={rep.holds_reachable} reachable={rep.reachable}"
+def _carrier_sizes(specs: list[str], carriers: tuple[str, ...]) -> dict[str, int]:
+    sizes: dict[str, int] = {}
+    for spec in specs:
+        name, eq, num = spec.partition("=")
+        if not eq or not num.isdigit() or int(num) < 1:
+            raise _Usage(f"trustb check: error: bad --carrier '{spec}', expected SET=N")
+        if name not in carriers:
+            raise _Usage(
+                f"trustb check: error: --carrier {name}: the model has no carrier set "
+                f"of that name; its carrier sets are {', '.join(carriers) or '(none)'}"
             )
-        else:
-            out.line(
-                f"goal invariant {rep.label}: holds in {rep.holds} of {rep.states} "
-                f"typed states and {rep.holds_reachable} of {rep.reachable} reachable states"
-            )
-    for vac in result.vacuity:
-        if fmt == "records":
-            out.line(
-                f"vacuity event={vac.event} guard={vac.guard} "
-                f"vacuous={'true' if vac.vacuous else 'false'} cases={vac.cases}"
-            )
-        else:
-            verdict = "vacuous" if vac.vacuous else "falsifiable"
-            out.line(
-                f"guard {vac.guard} of {vac.event}: {verdict} over {vac.cases} cases"
-            )
-    return 1 if any(r.verdict == FAILED for r in result.reports) else 0
+        sizes[name] = int(num)
+    return sizes
 
 
-def _check_file(args, out: _Out) -> int:
-    tm = _load_file_model(args)
-    sizes = _carrier_sizes(args.carrier, tm.context.carriers)
-    insts = enumerate_instantiations(tm.context, sizes, args.powerset_bound)
-    if not insts:
-        raise TrustbError(
-            f"{args.file}: no axiom-consistent instantiation at these carrier sizes"
+# --- check ------------------------------------------------------
+
+
+def _check_lines(fields: list[tuple[str, object]], result: CheckResult, order,
+                 fmt: str) -> list[str]:
+    """A check's output: the header made of `fields`, each report, the
+    summary, then the goal and vacuity lines, as records or as a table."""
+    reports, goal = result.reports, result.goal
+    failed = sum(1 for r in reports if r.verdict == FAILED)
+    vacuous = sum(1 for r in reports if r.verdict == VACUOUS)
+    counts = (len(reports), len(reports) - failed - vacuous, failed, vacuous)
+    if fmt == "records":
+        lines = ["run " + " ".join(f"{key}={value}" for key, value in fields)]
+        for rep in reports:
+            po, ce = rep.po, rep.counterexample
+            lines.append(
+                f"po name={po.name} machine={po.machine} event={po.event} "
+                f"kind={po.kind} verdict={rep.verdict} cases={rep.cases}"
+            )
+            if ce is not None:
+                part = f"ce po={po.name} part="
+                if ce.state is not None:
+                    lines += [f"{part}pre var={v} value={canon(ce.state.values[v])}"
+                              for v in order]
+                lines += [f"{part}binding var={n} value={canon(x)}" for n, x in ce.binding]
+                if ce.post is not None:
+                    lines += [f"{part}post var={v} value={canon(ce.post.values[v])}"
+                              for v in order]
+                if ce.expected is not None or ce.actual is not None:
+                    lines.append(f"{part}expected value={canon(ce.expected)}")
+                    lines.append(f"{part}actual value={canon(ce.actual)}")
+            if rep.note:
+                lines.append(f"note po={po.name} text={rep.note}")
+        lines.append("summary pos={} discharged={} failed={} vacuous={}".format(*counts))
+        if goal is not None:
+            lines.append(
+                f"goal label={goal.label} holds={goal.holds} states={goal.states} "
+                f"reachable_holds={goal.holds_reachable} reachable={goal.reachable}"
+            )
+        lines += [
+            f"vacuity event={vac.event} guard={vac.guard} "
+            f"vacuous={'true' if vac.vacuous else 'false'} cases={vac.cases}"
+            for vac in result.vacuity
+        ]
+        return lines
+    width = max([len(r.po.name) for r in reports], default=10) + 2
+    lines = ["  ".join(f"{key} {value}" for key, value in fields),
+             f"{'obligation'.ljust(width)} {'verdict'.ljust(10)} {'cases':>10}"]
+    for rep in reports:
+        ce = rep.counterexample
+        lines.append(f"{rep.po.name.ljust(width)} {rep.verdict.ljust(10)} {rep.cases:>10}")
+        if ce is not None:
+            lines.append("  counterexample:")
+            if ce.state is not None:
+                lines += ["    pre   " + text for text in state_lines(ce.state, order)]
+            if ce.binding:
+                lines.append("    with  " + ", ".join(f"{n} = {canon(x)}" for n, x in ce.binding))
+            if ce.post is not None:
+                lines += ["    post  " + text for text in state_lines(ce.post, order)]
+            if ce.expected is not None or ce.actual is not None:
+                lines.append(f"    expected {rep.po.label} = {canon(ce.expected)}")
+                lines.append(f"    actual   {rep.po.label} = {canon(ce.actual)}")
+        if rep.note:
+            lines.append(f"  note: {rep.note}")
+    lines.append("summary: {} obligations, {} discharged, {} failed, {} vacuous".format(*counts))
+    if goal is not None:
+        lines.append(
+            f"goal invariant {goal.label}: holds in {goal.holds} of {goal.states} "
+            f"typed states and {goal.holds_reachable} of {goal.reachable} reachable states"
         )
-    pos = generate_pos(tm, include_refinement=args.refinement)
+    lines += [
+        f"guard {vac.guard} of {vac.event}: "
+        f"{'vacuous' if vac.vacuous else 'falsifiable'} over {vac.cases} cases"
+        for vac in result.vacuity
+    ]
+    return lines
 
-    merged: dict[str, DischargeReport] = {}
-    for inst in insts:
-        env = inst.env(args.powerset_bound)
-        for rep in discharge_all(tm, env, pos, args.state_source).reports:
-            prev = merged.setdefault(rep.po.name, rep)
+
+def _cmd_check(args, out) -> int:
+    """Check the machine under each of its instantiations: a model file's
+    axiom-consistent ones at the --carrier sizes, or the one of a built-in
+    model at --bounds."""
+    tm, bounds = _model(args)
+    goal = args.goal_invariant or None
+    exclude = frozenset({goal}) if goal else frozenset()
+    if args.file is None:
+        inst = bounds.instantiation(args.overlap)
+        inst.validate(tm.context, args.powerset_bound)
+        if goal and not any(lbl == goal for lbl, _i, _o in tm.invariant_scope):
+            raise TrustbError(f"no invariant labelled '{goal}' in {tm.name}")
+        runs = [(inst.env(args.powerset_bound), "")]
+        fields = [("machine", tm.name), ("bounds", bounds), ("source", args.state_source)]
+        if args.mutate:
+            fields.append(("mutation", args.mutate))
+    else:
+        sizes = _carrier_sizes(args.carrier, tm.context.carriers)
+        insts = enumerate_instantiations(tm.context, sizes, args.powerset_bound)
+        if not insts:
+            raise TrustbError(
+                f"{args.file}: no axiom-consistent instantiation at these carrier sizes"
+            )
+        runs = [(inst.env(args.powerset_bound), inst.label) for inst in insts]
+        fields = [("machine", tm.name), ("file", args.file), ("instantiations", len(insts))]
+    pos = generate_pos(tm, include_refinement=args.refinement, exclude_labels=exclude)
+
+    # Over the instantiations the cases add up, the first failure keeps its
+    # counterexample, and a failure names the constants it happened under.
+    reports: list[DischargeReport] = []
+    for env, label in runs:
+        result = discharge_all(tm, env, pos, args.state_source, exclude,
+                               vacuity=args.vacuity, goal=goal)
+        reports = reports or result.reports
+        for prev, rep in zip(reports, result.reports):
             if prev is not rep:
                 prev.cases += rep.cases
                 if prev.verdict == FAILED or rep.verdict == VACUOUS:
                     continue
                 prev.verdict, prev.counterexample = rep.verdict, rep.counterexample
-            if prev.verdict == FAILED and inst.label:
-                prev.note = (prev.note + "; " if prev.note else "") + f"under {inst.label}"
-    reports = list(merged.values())
-    if args.format == "table":
-        out.line(
-            f"machine {tm.name}  file {args.file}  instantiations {len(insts)}"
-        )
-    else:
-        out.line(f"run machine={tm.name} file={args.file} instantiations={len(insts)}")
-    for text in _render_reports(reports, tm.var_order, args.format):
-        out.line(text)
+            if prev.verdict == FAILED and label:
+                prev.note = (prev.note + "; " if prev.note else "") + f"under {label}"
+    # The goal and vacuity lines come from the one built-in run; a model file has neither.
+    result.reports = reports
+    for line in _check_lines(fields, result, tm.var_order, args.format):
+        print(line, file=out)
     return 1 if any(r.verdict == FAILED for r in reports) else 0
 
 
-def _cmd_simulate(args, out: _Out) -> int:
+def _cmd_simulate(args, out) -> int:
     with open(args.script, encoding="utf-8") as fh:
         text = fh.read()
     result = run_scenario_text(text)
     for line in result.lines:
-        out.line(line)
+        print(line, file=out)
     if args.export_state:
         with open(args.export_state, "w", encoding="utf-8") as fh:
             fh.write(export_state(result.state))
-        out.line(f"state written to {args.export_state}")
+        print(f"state written to {args.export_state}", file=out)
     return 0 if result.ok else 1
 
 
-def _cmd_query(args, out: _Out) -> int:
+def _cmd_query(args, out) -> int:
     if len(args.atoms) < 3:
         raise _Usage(
             "trustb query: error: need a trustor, at least one trustee, and a task"
@@ -397,7 +351,7 @@ def _cmd_query(args, out: _Out) -> int:
     trustor, *trustees, task = args.atoms
     decision = ts.trust_query(trustor, tuple(trustees), task)
     for line in decision_lines(decision):
-        out.line(line)
+        print(line, file=out)
     return 0
 
 
@@ -418,40 +372,33 @@ def _hypothesis_lines(tm: TypedMachine, po) -> list[str]:
     return lines
 
 
-def _cmd_dump(args, out: _Out) -> int:
-    _refuse_other_model_flags(args)
-    if args.file is not None:
-        tm = _load_file_model(args)
-    else:
-        level = 2 if args.level is None else args.level
-        mutate = Mutation.parse(args.mutate) if args.mutate else None
-        _model, tm = build_model(level, args.variant or "base", mutate)
+def _cmd_dump(args, out) -> int:
+    tm, _bounds = _model(args)
     pos = generate_pos(tm, include_refinement=True)
     if args.format == "records":
         for po in pos:
-            out.line(
+            print(
                 f"po name={po.name} machine={po.machine} event={po.event} "
-                f"kind={po.kind} label={po.label}"
+                f"kind={po.kind} label={po.label}",
+                file=out,
             )
         return 0
     for po in pos:
-        out.line(f"po {po.name}")
+        print(f"po {po.name}", file=out)
         info = tm.events[po.event]
         params = ", ".join(info.ast.params) if info.ast.params else "(none)"
-        out.line(f"  machine {po.machine}  event {po.event}  parameters {params}")
+        print(f"  machine {po.machine}  event {po.event}  parameters {params}", file=out)
         for line in _hypothesis_lines(tm, po):
-            out.line(line)
+            print(line, file=out)
         if po.kind == "INV":
-            out.line(f"  goal after {po.event}: {po.label}: {pp_pred(po.goal)}")
+            print(f"  goal after {po.event}: {po.label}: {pp_pred(po.goal)}", file=out)
         elif po.kind == "GRD":
-            out.line(f"  goal abstract guard {po.label}: {pp_pred(po.goal)}")
+            print(f"  goal abstract guard {po.label}: {pp_pred(po.goal)}", file=out)
         else:
-            out.line(
-                f"  goal simulate abstract {po.label} := {pp_expr(po.sim_expr)}"
-            )
+            print(f"  goal simulate abstract {po.label} := {pp_expr(po.sim_expr)}", file=out)
         if po.note:
-            out.line(f"  note: {po.note}")
-    out.line(f"total {len(pos)} obligations")
+            print(f"  note: {po.note}", file=out)
+    print(f"total {len(pos)} obligations", file=out)
     return 0
 
 
@@ -461,17 +408,6 @@ def _cmd_dump(args, out: _Out) -> int:
 def run_command(argv=None, stdout=None, stderr=None) -> int:
     out_stream = stdout if stdout is not None else sys.stdout
     err_stream = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _Usage as usage:
-        err_stream.write(str(usage).rstrip() + "\n")
-        return 2
-    except SystemExit as done:  # --help/--version print and leave
-        code = done.code
-        return int(code) if code else 0
-
-    out = _Out(out_stream)
     handlers = {
         "check": _cmd_check,
         "simulate": _cmd_simulate,
@@ -479,7 +415,12 @@ def run_command(argv=None, stdout=None, stderr=None) -> int:
         "dump-po": _cmd_dump,
     }
     try:
-        return handlers[args.command](args, out)
+        with contextlib.redirect_stdout(out_stream):
+            args = build_parser().parse_args(argv)
+        return handlers[args.command](args, out_stream)
+    except SystemExit as done:  # --help/--version print and leave
+        code = done.code
+        return int(code) if code else 0
     except _Usage as usage:
         err_stream.write(str(usage).rstrip() + "\n")
         return 2

@@ -338,6 +338,49 @@ def test_check_file_over_reachable_states(tmp_path):
     assert rest == PICKS_REACHABLE_RECORDS
 
 
+PICKS_REACHABLE_TABLE = """\
+obligation                verdict         cases
+INITIALISATION/inv1/INV   discharged          4
+INITIALISATION/inv2/INV   discharged          4
+INITIALISATION/inv3/INV   discharged          4
+INITIALISATION/inv4/INV   failed              4
+  counterexample:
+    post  picked = {}
+    post  last = {}
+  note: under bright = {}
+pick/inv1/INV             discharged          6
+pick/inv2/INV             discharged          6
+pick/inv3/INV             discharged          6
+pick/inv4/INV             failed              8
+  counterexample:
+    pre   picked = {}
+    pre   last = {}
+    with  c = colors1
+    post  picked = {colors1}
+    post  last = {colors1}
+  note: under bright = {colors1}
+pick/grd1/GRD             discharged          6
+pick/picked/SIM           discharged          6
+summary: 10 obligations, 8 discharged, 2 failed, 0 vacuous
+"""
+
+
+def test_check_file_over_reachable_states_table(tmp_path):
+    import io
+
+    from trustb.cli import run_command
+
+    model = tmp_path / "picks.ebt"
+    model.write_text(PICKS)
+    out = io.StringIO()
+    argv = ["check", str(model), "--carrier", "COLORS=2", "--state-source", "reachable_only",
+            "--refinement"]
+    assert run_command(argv, stdout=out) == 1
+    head, rest = out.getvalue().split("\n", 1)
+    assert head == f"machine toy2  file {model}  instantiations 4"
+    assert rest == PICKS_REACHABLE_TABLE
+
+
 def test_replay_reproduces_trace():
     tm, inst, env = setup(0)
     at = mkset([PairV(grp("v1"), u("t1"))])

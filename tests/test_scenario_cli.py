@@ -163,6 +163,114 @@ def test_check_table_counterexample_block():
     assert "post  trustor_trustee_task" in out
 
 
+MUTATION_GOAL_VACUITY_TABLE = """\
+machine M0_abs  bounds 1,1,1  source all_invariant_states  mutation drop:grd5
+obligation                verdict         cases
+INITIALISATION/inv1/INV   discharged          1
+INITIALISATION/inv2/INV   discharged          1
+INITIALISATION/inv4/INV   discharged          1
+  note: goal references no machine variables
+trust/inv1/INV            discharged          5
+trust/inv2/INV            failed              5
+  counterexample:
+    pre   agent_task = {({} |-> t1), ({v1} |-> t1)}
+    pre   trustor_trustee_task = {(u1 |-> ({} |-> t1))}
+    with  i = u1, j = {v1}, t = t1
+    post  agent_task = {({} |-> t1), ({v1} |-> t1)}
+    post  trustor_trustee_task = {(u1 |-> ({} |-> t1)), (u1 |-> ({v1} |-> t1))}
+trust/inv4/INV            discharged          5
+  note: goal references no machine variables
+summary: 6 obligations, 5 discharged, 1 failed, 0 vacuous
+goal invariant inv3: holds in 8 of 8 typed states and 1 of 1 reachable states
+guard grd1 of trust: vacuous over 16 cases
+guard grd2 of trust: vacuous over 16 cases
+guard grd3 of trust: vacuous over 16 cases
+guard grd4 of trust: falsifiable over 16 cases
+guard grd6 of trust: falsifiable over 16 cases
+"""
+
+
+def test_check_table_with_mutation_goal_and_vacuity():
+    argv = ["check", "--level", "0", "--bounds", "1,1,1", "--mutate", "drop:grd5",
+            "--vacuity", "--goal-invariant", "inv3"]
+    assert run(argv) == (1, MUTATION_GOAL_VACUITY_TABLE, "")
+
+
+BAD_ACT_REFINEMENT_TABLE = """\
+machine M2_bad_act  bounds 2,2,1  source all_invariant_states
+obligation                       verdict         cases
+INITIALISATION/inv1/INV          discharged          1
+INITIALISATION/inv2/INV          discharged          1
+INITIALISATION/inv3/INV          discharged          1
+INITIALISATION/inv4/INV          failed              1
+  counterexample:
+    post  agent_task = {}
+    post  trustor_trustee_task = {}
+    post  knowledge = {}
+    post  commitments = {}
+trust/inv1/INV                   failed            272
+  counterexample:
+    pre   agent_task = {({v2} |-> t1)}
+    pre   trustor_trustee_task = {(u1 |-> ({v2} |-> t1)), (u2 |-> ({v2} |-> t1))}
+    pre   knowledge = {(u1 |-> v2), (u2 |-> v2)}
+    pre   commitments = {((u1 |-> ({v2} |-> t1)) |-> TRUE), ((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+    with  i = u1, j = {v2}, t = t1
+    post  agent_task = {({v2} |-> t1)}
+    post  trustor_trustee_task = {(u1 |-> ({v2} |-> t1))}
+    post  knowledge = {(u1 |-> v2), (u2 |-> v2)}
+    post  commitments = {((u1 |-> ({v2} |-> t1)) |-> TRUE), ((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+trust/inv2/INV                   discharged        272
+trust/inv3/INV                   discharged        272
+trust/inv4/INV                   failed           1920
+  counterexample:
+    pre   agent_task = {({v2} |-> t1)}
+    pre   trustor_trustee_task = {(u2 |-> ({v2} |-> t1))}
+    pre   knowledge = {(u2 |-> v2)}
+    pre   commitments = {((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+    with  i = u2, j = {v2}, t = t1
+    post  agent_task = {({v2} |-> t1)}
+    post  trustor_trustee_task = {(u2 |-> ({v2} |-> t1))}
+    post  knowledge = {(u2 |-> v2)}
+    post  commitments = {((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+trust/grd1/GRD                   discharged        272
+trust/grd2/GRD                   discharged        272
+trust/grd3/GRD                   discharged        272
+trust/grd4/GRD                   discharged        272
+trust/grd5/GRD                   discharged        272
+trust/grd6/GRD                   discharged        272
+trust/grd7/GRD                   discharged        272
+trust/trustor_trustee_task/SIM   failed            272
+  counterexample:
+    pre   agent_task = {({v2} |-> t1)}
+    pre   trustor_trustee_task = {(u1 |-> ({v2} |-> t1)), (u2 |-> ({v2} |-> t1))}
+    pre   knowledge = {(u1 |-> v2), (u2 |-> v2)}
+    pre   commitments = {((u1 |-> ({v2} |-> t1)) |-> TRUE), ((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+    with  i = u1, j = {v2}, t = t1
+    post  agent_task = {({v2} |-> t1)}
+    post  trustor_trustee_task = {(u1 |-> ({v2} |-> t1))}
+    post  knowledge = {(u1 |-> v2), (u2 |-> v2)}
+    post  commitments = {((u1 |-> ({v2} |-> t1)) |-> TRUE), ((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+    expected trustor_trustee_task = {(u1 |-> ({v2} |-> t1)), (u2 |-> ({v2} |-> t1))}
+    actual   trustor_trustee_task = {(u1 |-> ({v2} |-> t1))}
+summary: 16 obligations, 12 discharged, 4 failed, 0 vacuous
+"""
+
+
+def test_check_table_simulation_counterexample():
+    argv = ["check", "--variant", "bad_act", "--level", "2", "--bounds", "2,2,1",
+            "--refinement"]
+    assert run(argv) == (1, BAD_ACT_REFINEMENT_TABLE, "")
+
+
+def test_readme_check_example_is_the_output():
+    import pathlib
+
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("$ trustb check --level 0 --bounds 2,2,1\n")[1]
+    expected = block.split("```")[0]
+    assert run(["check", "--level", "0", "--bounds", "2,2,1"]) == (1, expected, "")
+
+
 def test_check_vacuity_listing():
     code, out, _ = run(["check", "--level", "0", "--bounds", "1,1,1", "--vacuity"])
     assert "guard grd5 of trust: vacuous over 16 cases" in out
@@ -259,6 +367,11 @@ def test_model_errors_exit_3(tmp_path):
     assert code == 3 and "broken.ebt" in err
 
 
+def test_bad_bounds_is_reported_before_bad_mutation():
+    expected = "error: bounds must be three comma-separated sizes, got 'x'\n"
+    assert run(["check", "--bounds", "x", "--mutate", "bad"]) == (3, "", expected)
+
+
 def test_oversized_domain_names_its_variable_and_bound():
     # agent_task : pow(trustees) +-> TASKS with 3 trustees and 2 tasks has
     # 3**8 members, more than 2**12; listing them is refused before any state.
@@ -339,6 +452,15 @@ def test_file_mode_rejects_unknown_carrier(tmp_path):
     code, out, err = run(["check", "--carrier", "SHAPES=1", str(model)])
     assert code == 2 and out == ""
     assert "SHAPES" in err and "COLORS" in err
+
+
+def test_malformed_carrier_is_a_check_usage_error(tmp_path):
+    model = tmp_path / "toy.ebt"
+    model.write_text(TOY_MODEL)
+    for spec in ("COLORS", "COLORS=0", "COLORS=x"):
+        code, out, err = run(["check", "--carrier", spec, str(model)])
+        assert (code, out) == (2, ""), spec
+        assert err == f"trustb check: error: bad --carrier '{spec}', expected SET=N\n"
 
 
 def test_file_mode_checks_all_instantiations(tmp_path):
@@ -468,3 +590,11 @@ def test_version_and_help(capsys):
     assert code == 0 and "check" in captured and "simulate" in captured
     code, _, err = run([])
     assert code == 2
+
+
+def test_version_and_help_write_to_the_given_stream(capsys):
+    for argv, text in ((["--version"], "trustb "), (["check", "--help"], "--state-source")):
+        out = io.StringIO()
+        assert run_command(argv, stdout=out) == 0
+        assert text in out.getvalue()
+        assert capsys.readouterr() == ("", "")
