@@ -279,7 +279,9 @@ def _cmd_check(args, out) -> int:
     axiom-consistent ones at the --carrier sizes, or the one of a built-in
     model at --bounds."""
     tm, bounds = _model(args)
-    goal = args.goal_invariant or None
+    goal = args.goal_invariant
+    if goal == "":
+        raise _Usage("trustb check: error: --goal-invariant needs a label")
     exclude = frozenset({goal}) if goal else frozenset()
     if args.file is None:
         inst = bounds.instantiation(args.overlap)

@@ -37,16 +37,19 @@ class NotFunctional(TrustbError):
 
 class BoundExceeded(TrustbError):
     """An enumeration would list `size` members, more than 2**bound; when
-    the enumeration was a state variable's domain, `variable` names it."""
+    the enumeration was the domain of a state variable or of a constant,
+    `variable` names it and `kind` says which."""
 
-    def __init__(self, what: str, size: int, bound: int, variable: str | None = None):
+    def __init__(self, what: str, size: int, bound: int, variable: str | None = None,
+                 kind: str = "variable"):
         count = size if size.bit_length() <= 64 else f"at least 2**{size.bit_length() - 1}"
-        where = f"domain of variable '{variable}': " if variable else ""
+        where = f"domain of {kind} '{variable}': " if variable else ""
         super().__init__(f"{where}{what} has {count} members, more than the 2**{bound} bound")
         self.what = what
         self.size = size
         self.bound = bound
         self.variable = variable
+        self.kind = kind
 
 
 class NonFiniteQuantifierDomain(TrustbError):

@@ -14,10 +14,16 @@ the commitments variable counts as FALSE, so querying an uncommitted
 triple fails guard grd8 just as the model says, while the
 commitment-typing invariant is evaluated as written and reported honestly
 when the commitments run ahead of the trust record.
+
+build_model parses and elaborates each built-in model once per process,
+and every caller shares it, so callers treat the returned TypedModel and
+TypedMachine as read-only.  A TrustState decides an invariant again only
+when a write changed a variable the invariant mentions.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from importlib import resources
@@ -38,7 +44,6 @@ from .runtime import (
     fire_event,
     guard_truths,
     initial_state,
-    invariant_report,
 )
 from .syntax import ContextAST, MachineAST
 from .typecheck import TypedMachine, TypedModel, elaborate
@@ -147,20 +152,30 @@ def build_model(
 
     A mutation is applied to the target machine's own events before
     elaboration, so a dropped typing guard fails loudly at this point.
+    Each model is built once per process and shared: the levels of one
+    variant share its model, and a mutated model is keyed by the machine
+    the mutation targets.  Callers treat what they get as read-only.
     """
     target = machine_name(level, variant)
+    if isinstance(mutate, str):
+        mutate = Mutation.parse(mutate)
+    model = _elaborated(variant, mutate, None if mutate is None else target)
+    return model, model.machine(target)
+
+
+@functools.cache
+def _elaborated(variant: str, mutate: Mutation | None, target: str | None) -> TypedModel:
+    """A variant's chain elaborated, with `mutate` applied to machine
+    `target`.  A build that raises is not cached, so it raises again."""
     units = builtin_units(variant)
     if mutate is not None:
-        if isinstance(mutate, str):
-            mutate = Mutation.parse(mutate)
         units = [
             _drop_guard(u, mutate.label)
             if isinstance(u, MachineAST) and u.name == target
             else u
             for u in units
         ]
-    model = elaborate(units)
-    return model, model.machine(target)
+    return elaborate(units)
 
 
 # --- bounds and instantiations ------------------------------------------------------
@@ -302,6 +317,9 @@ class TrustState:
         self._state = initial_state(self._tm, self._env)
         self._frame: dict[str, Value] | None = None  # the trust-event frame of _state
         self._bindings: dict[tuple, dict[str, Value]] = {}  # checked query bindings
+        # Per invariant label: the values of the variables it mentions at
+        # its last run, and the truth it gave there.
+        self._decided: dict[str, tuple[tuple[Value, ...], bool]] = {}
 
     # -- atom handling
 
@@ -382,7 +400,23 @@ class TrustState:
         self._frame = None
 
     def invariants(self) -> list[tuple[str, bool]]:
-        return invariant_report(self._tm, self._state, self._env)
+        """Truth of every invariant of the level in the held state.  An
+        invariant runs again only when a variable it mentions no longer
+        equals its value at the last run: it depends on nothing else but
+        the constants, which never change here."""
+        values = self._state.values
+        reads = self._tm.invariant_reads
+        frame = None
+        report = []
+        for lbl, code in self._tm.invariant_code:
+            seen = tuple([values[v] for v in reads[lbl]])
+            last = self._decided.get(lbl)
+            if last is None or last[0] != seen:
+                if frame is None:
+                    frame = event_frame(self._env, self._state)
+                last = self._decided[lbl] = (seen, code(frame, self._env.powerset_bound))
+            report.append((lbl, last[1]))
+        return report
 
     def invariant_warnings(self) -> list[str]:
         return [lbl for lbl, ok in self.invariants() if not ok]

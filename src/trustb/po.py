@@ -82,7 +82,7 @@ from .errors import NotSuperposition, UnresolvedReference
 from .kernel import Env, eval_expr_frame, eval_pred_frame
 from .runtime import State, bind_params, event_frame, guard_truths, initial_state, post_values
 from .runtime import reachable_states, state_orbits
-from .syntax import INIT_EVENT, Expr, Pred, free_idents_pred
+from .syntax import INIT_EVENT, Expr, Pred
 from .typecheck import EventInfo, TypedMachine
 
 ALL_STATES = "all_invariant_states"
@@ -129,12 +129,6 @@ class DischargeReport:
     note: str = ""
 
 
-def _goal_note(goal: Pred, tm: TypedMachine) -> str:
-    if not (free_idents_pred(goal) & set(tm.variables)):
-        return "goal references no machine variables"
-    return ""
-
-
 def generate_pos(
     tm: TypedMachine,
     include_refinement: bool = False,
@@ -147,6 +141,7 @@ def generate_pos(
     pos: list[ProofObligation] = []
     for name, info in tm.events.items():
         for lbl, inv in scope:
+            note = "" if tm.invariant_reads[lbl] else "goal references no machine variables"
             pos.append(
                 ProofObligation(
                     name=f"{name}/{lbl}/INV",
@@ -155,7 +150,7 @@ def generate_pos(
                     kind="INV",
                     label=lbl,
                     goal=inv.pred,
-                    note=_goal_note(inv.pred, tm),
+                    note=note,
                 )
             )
         if include_refinement and info.abstract is not None and not info.ast.is_init:
@@ -236,16 +231,16 @@ class CheckResult:
 class _Working:
     __slots__ = ("po", "cases", "failed", "counterexample", "given", "pre", "reads")
 
-    def __init__(self, po: ProofObligation, given: bool, pre: int | None):
+    def __init__(self, po: ProofObligation, given: bool, pre: int | None, reads: tuple[str, ...]):
         self.po = po
         self.cases = 0
         self.failed = False
         self.counterexample: Counterexample | None = None
         self.given = given  # the goal holds in every case (see _given)
         # For INV: where the walk's truths keep the goal's pre-state truth,
-        # if they do, and the variables the goal reads.
+        # if they do, and then the variables the goal reads.
         self.pre = pre
-        self.reads = free_idents_pred(po.goal) if po.kind == "INV" else frozenset()
+        self.reads = reads
 
     def report(self) -> DischargeReport:
         if self.failed:
@@ -544,7 +539,8 @@ def discharge_all(
         else:
             info = tm.events.get(po.event)
             pre = labels.index(po.label) if po.kind == "INV" and po.label in labels else None
-            w = _Working(po, info is not None and _given(po, info), pre)
+            reads = tm.invariant_reads[po.label] if pre is not None else ()
+            w = _Working(po, info is not None and _given(po, info), pre, reads)
             reports.append(w)
             event_pos.setdefault(po.event, []).append(w)
 

@@ -533,9 +533,12 @@ def _constant_candidates(name: str, tc: TypedContext, frame: dict, bound: int):
     # `c : S` lists S's members in sorted order, so `c : pow(S)` does not
     # follow compile_domain's bitmask order; instantiation labels keep it.
     clause = tc.typing_axioms[name]
-    if type(clause) is Subset:
-        return powerset_elements(eval_expr_frame(clause.right, frame, bound), bound)
-    return eval_expr_frame(clause.container, frame, bound).sorted_elements()
+    try:
+        if type(clause) is Subset:
+            return powerset_elements(eval_expr_frame(clause.right, frame, bound), bound)
+        return eval_expr_frame(clause.container, frame, bound).sorted_elements()
+    except BoundExceeded as err:
+        raise BoundExceeded(err.what, err.size, err.bound, name, "constant") from None
 
 
 def enumerate_instantiations(

@@ -61,6 +61,7 @@ from .syntax import (
     SetEnum,
     Subset,
     Union,
+    free_idents_pred,
 )
 
 
@@ -349,6 +350,17 @@ class TypedMachine:
     def invariant_code(self) -> tuple[tuple[str, PredCode], ...]:
         """invariant_scope's labels with compiled predicates, built on first use."""
         return tuple((lbl, compile_pred(inv.pred)) for lbl, inv, _origin in self.invariant_scope)
+
+    @cached_property
+    def invariant_reads(self) -> dict[str, tuple[str, ...]]:
+        """Each invariant's label with the state variables it mentions, in
+        variable order: its truth in a state depends on nothing else but
+        the constants."""
+        reads = {}
+        for lbl, inv, _origin in self.invariant_scope:
+            free = free_idents_pred(inv.pred)
+            reads[lbl] = tuple(v for v in self.variables if v in free)
+        return reads
 
     def invariant(self, label: str) -> Labeled:
         for lbl, inv, _origin in self.invariant_scope:

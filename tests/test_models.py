@@ -398,3 +398,160 @@ def test_embed_and_query_follow_every_write():
     ts.adopt(start)
     assert ts.embed() == start
     assert ts.trust_query("alice", ["bob"], "deliver").failing == ["grd4", "grd7", "grd8"]
+
+
+# --- one build per model, and invariants decided again only where a write changed them
+
+
+def test_build_model_is_shared_per_variant():
+    model, tm = build_model(1)
+    assert build_model(1)[1] is tm
+    assert machine_setup(1, BoundSpec(1, 1, 1))[0] is tm
+    assert TrustState(1, ["a"], ["b"], ["t"])._tm is tm
+    # One parse and one elaboration serve every level of a variant.
+    assert build_model(0)[0] is model and build_model(2)[0] is model
+    assert build_model(2, "rel")[0] is not model
+
+
+def test_second_trust_state_parses_nothing(monkeypatch):
+    import trustb.models as models
+
+    parse = models.parse_file
+    parsed = []
+
+    def counting_parse(text, filename="<input>"):
+        parsed.append(filename)
+        return parse(text, filename)
+
+    monkeypatch.setattr(models, "parse_file", counting_parse)
+    models._elaborated.cache_clear()
+    TrustState(2, ["a"], ["b"], ["t"])
+    assert len(parsed) == 6  # the base chain's files
+    TrustState(1, ["x", "y"], ["z"], ["t"])
+    import_state(export_state(TrustState(0, ["a"], ["b"], ["t"])))
+    assert len(parsed) == 6
+
+
+def test_mutated_build_leaves_the_shared_model_intact():
+    def trust_guards(tm):
+        return [g.label for g in tm.event("trust").ast.guards]
+
+    _, before = build_model(2)
+    _, mutated = build_model(2, mutate="drop:grd7")
+    _, after = build_model(2)
+    assert after is before and "grd7" in trust_guards(after)
+    assert "grd7" not in trust_guards(mutated)
+    # The key holds the machine the mutation targets.
+    assert build_model(2, mutate=Mutation("grd7"))[1] is mutated
+    _, level1 = build_model(1, mutate="drop:grd7")
+    assert "grd7" not in trust_guards(level1)
+    assert "grd7" in trust_guards(build_model(1)[1])
+
+
+def test_mutated_and_plain_golden_records_agree_in_either_order():
+    import io
+    import pathlib
+
+    from trustb.cli import run_command
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    cells = [(variant, 1, "drop:grd7") for variant in ("base", "rel")]
+    cells += [(variant, 2, "drop:grd8") for variant in ("base", "rel")]
+
+    def run(variant, level, mutate):
+        argv = ["check", "--variant", variant, "--level", str(level), "--bounds", "1,2,2",
+                "--refinement", "--vacuity", "--format", "records"]
+        argv += ["--mutate", mutate] if mutate else []
+        out = io.StringIO()
+        code = run_command(argv, stdout=out)
+        mode = "mutate" if mutate else "plain"
+        expected = (golden / f"{variant}_l{level}_{mode}.records").read_text(encoding="utf-8")
+        assert out.getvalue() + f"exit {code}\n" == expected
+
+    runs = [cell for variant, level, mutate in cells
+            for cell in ((variant, level, None), (variant, level, mutate))]
+    for order in (runs, runs[::-1]):
+        for cell in order:
+            run(*cell)
+
+
+def test_scenario_output_repeats_within_a_process_and_in_a_fresh_one():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import trustb
+    from trustb.scenario import run_scenario_text
+
+    script = builtin_source("adv")
+    first, second = run_scenario_text(script), run_scenario_text(script)
+    assert (first.ok, first.text) == (second.ok, second.text)
+    src = str(pathlib.Path(trustb.__file__).parent.parent)
+    probe = ("from trustb.models import builtin_source\n"
+             "from trustb.scenario import run_scenario_text\n"
+             "r = run_scenario_text(builtin_source('adv'))\n"
+             "print(r.ok)\n"
+             "print(r.text, end='')\n")
+    fresh_out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                               check=True, capture_output=True, text=True).stdout
+    assert fresh_out == f"{first.ok}\n{first.text}"
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_invariants_match_a_full_report_after_every_step(level):
+    import random
+
+    from trustb.errors import TrustDenied
+    from trustb.runtime import invariant_report, state_universe
+
+    bounds = BoundSpec(2, 2, 1)
+    tm, _inst, env = machine_setup(level, bounds)
+    trustors, trustees, tasks = bounds.trustor_names(), bounds.trustee_names(), bounds.task_names()
+    ts = TrustState(level, trustors, trustees, tasks)
+    typed = list(state_universe(tm, env))
+    groups = [["v1"], ["v2"], ["v1", "v2"]]
+    verbs = ["allocate", "trust", "adopt"] + ["learn"] * (level >= 1) + ["commit"] * (level >= 2)
+    rng = random.Random(1400 + level)
+    for _step in range(300):
+        verb = rng.choice(verbs)
+        i, j, t = rng.choice(trustors), rng.choice(groups), rng.choice(tasks)
+        try:
+            if verb == "allocate":
+                ts.allocate_task(j, t)
+            elif verb == "learn":
+                ts.learn(i, rng.choice(trustees))
+            elif verb == "commit":
+                ts.commit(i, j, t, rng.random() < 0.7)
+            elif verb == "trust":
+                ts.establish_trust(i, j, t)
+            else:
+                ts.adopt(rng.choice(typed))
+        except (FunctionalityViolation, TrustDenied):
+            pass
+        assert ts.invariants() == invariant_report(tm, ts.embed(), env)
+
+
+def test_learn_decides_again_only_the_invariants_that_mention_knowledge(monkeypatch):
+    _, tm = build_model(2)
+    ran = []
+
+    def counted(lbl, code):
+        def run(frame, bound):
+            ran.append(lbl)
+            return code(frame, bound)
+        return lbl, run
+
+    monkeypatch.setattr(tm, "invariant_code", tuple(counted(*entry) for entry in tm.invariant_code))
+    ts = fresh()
+    ts.allocate_task(["bob"], "deliver")
+    first = ts.invariants()
+    assert ran == [lbl for lbl, _ok in first]
+    ran.clear()
+    ts.learn("alice", "bob")
+    ts.invariant_warnings()
+    mention = [lbl for lbl, reads in tm.invariant_reads.items() if "knowledge" in reads]
+    assert ran == mention == ["inv4"]
+    ran.clear()
+    ts.invariants()
+    assert ran == []

@@ -381,6 +381,22 @@ def test_check_file_over_reachable_states_table(tmp_path):
     assert rest == PICKS_REACHABLE_TABLE
 
 
+def test_oversized_constant_domain_names_its_constant(tmp_path):
+    import io
+
+    from trustb.cli import run_command
+
+    model = tmp_path / "picks.ebt"
+    model.write_text(PICKS)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["check", str(model), "--carrier", "COLORS=3", "--powerset-bound", "2"]
+    assert run_command(argv, stdout=out, stderr=err) == 3
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        "error: domain of constant 'bright': powerset has 8 members, more than the 2**2 bound\n"
+    )
+
+
 def test_replay_reproduces_trace():
     tm, inst, env = setup(0)
     at = mkset([PairV(grp("v1"), u("t1"))])

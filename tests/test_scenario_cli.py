@@ -367,6 +367,12 @@ def test_model_errors_exit_3(tmp_path):
     assert code == 3 and "broken.ebt" in err
 
 
+def test_empty_goal_invariant_is_a_usage_error():
+    code, out, err = run(["check", "--level", "0", "--bounds", "1,1,1", "--goal-invariant", ""])
+    assert (code, out) == (2, "")
+    assert err == "trustb check: error: --goal-invariant needs a label\n"
+
+
 def test_bad_bounds_is_reported_before_bad_mutation():
     expected = "error: bounds must be three comma-separated sizes, got 'x'\n"
     assert run(["check", "--bounds", "x", "--mutate", "bad"]) == (3, "", expected)
