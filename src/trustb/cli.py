@@ -164,9 +164,10 @@ def _model(args) -> tuple[TypedMachine, BoundSpec | None]:
     if args.file is None:
         bounds = None
         if args.command == "check":
-            bounds = BoundSpec.parse(args.bounds or os.environ.get("TRUSTB_BOUNDS", "2,2,2"))
+            default = os.environ.get("TRUSTB_BOUNDS", "2,2,2")
+            bounds = BoundSpec.parse(default if args.bounds is None else args.bounds)
         level = 2 if args.level is None else args.level
-        mutate = Mutation.parse(args.mutate) if args.mutate else None
+        mutate = None if args.mutate is None else Mutation.parse(args.mutate)
         return build_model(level, args.variant or "base", mutate)[1], bounds
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
@@ -175,7 +176,7 @@ def _model(args) -> tuple[TypedMachine, BoundSpec | None]:
     machines = [u.name for u in units if isinstance(u, MachineAST)]
     if not machines:
         raise TrustbError(f"{args.file}: no machine to check")
-    name = args.machine or machines[-1]
+    name = machines[-1] if args.machine is None else args.machine
     if name not in machines:
         raise TrustbError(f"{args.file}: no machine named '{name}'")
     return model.machine(name), None
@@ -282,15 +283,12 @@ def _cmd_check(args, out) -> int:
     goal = args.goal_invariant
     if goal == "":
         raise _Usage("trustb check: error: --goal-invariant needs a label")
-    exclude = frozenset({goal}) if goal else frozenset()
     if args.file is None:
         inst = bounds.instantiation(args.overlap)
         inst.validate(tm.context, args.powerset_bound)
-        if goal and not any(lbl == goal for lbl, _i, _o in tm.invariant_scope):
-            raise TrustbError(f"no invariant labelled '{goal}' in {tm.name}")
         runs = [(inst.env(args.powerset_bound), "")]
         fields = [("machine", tm.name), ("bounds", bounds), ("source", args.state_source)]
-        if args.mutate:
+        if args.mutate is not None:
             fields.append(("mutation", args.mutate))
     else:
         sizes = _carrier_sizes(args.carrier, tm.context.carriers)
@@ -301,14 +299,13 @@ def _cmd_check(args, out) -> int:
             )
         runs = [(inst.env(args.powerset_bound), inst.label) for inst in insts]
         fields = [("machine", tm.name), ("file", args.file), ("instantiations", len(insts))]
-    pos = generate_pos(tm, include_refinement=args.refinement, exclude_labels=exclude)
+    pos = generate_pos(tm, include_refinement=args.refinement, goal=goal)
 
     # Over the instantiations the cases add up, the first failure keeps its
     # counterexample, and a failure names the constants it happened under.
     reports: list[DischargeReport] = []
     for env, label in runs:
-        result = discharge_all(tm, env, pos, args.state_source, exclude,
-                               vacuity=args.vacuity, goal=goal)
+        result = discharge_all(tm, env, pos, args.state_source, args.vacuity, goal)
         reports = reports or result.reports
         for prev, rep in zip(reports, result.reports):
             if prev is not rep:

@@ -11,7 +11,7 @@ Obligation kinds and naming:
 
 Hypotheses.  For a preservation obligation the hypothesis is: the
 instantiation's axioms, every invariant in the machine's resolved scope
-EXCEPT the goal invariant itself, and the event's guards.  Assuming the
+EXCEPT the obligation's own invariant, and the event's guards.  Assuming the
 goal in its own pre-state is deliberately avoided: an invariant that is
 monotone in the updated variables can never fail under that assumption,
 and scopes whose invariants are jointly unsatisfiable at the chosen
@@ -19,6 +19,12 @@ bounds would make every obligation pass vacuously.  The establishment
 form used here keeps each obligation falsifiable on exactly the states
 where the remaining invariants hold.  Guard-strengthening and simulation
 obligations keep the full invariant scope in their hypothesis.
+
+The goal invariant.  A check may name one invariant as its goal
+(generate_pos's and discharge_all's `goal`, the CLI's --goal-invariant).
+That invariant then has no obligation and is in no hypothesis, and the
+walk reports instead on how many typed and reachable states it holds
+(GoalInvariantReport).
 
 Discharge enumerates all (state, binding) pairs at the chosen bounds in
 canonical order: a verdict is `discharged` when the goal held in every
@@ -78,7 +84,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NotSuperposition, UnresolvedReference
+from .errors import NotSuperposition, TrustbError
 from .kernel import Env, eval_expr_frame, eval_pred_frame
 from .runtime import State, bind_params, event_frame, guard_truths, initial_state, post_values
 from .runtime import reachable_states, state_orbits
@@ -132,50 +138,26 @@ class DischargeReport:
 def generate_pos(
     tm: TypedMachine,
     include_refinement: bool = False,
-    exclude_labels: frozenset[str] = frozenset(),
+    goal: str | None = None,
 ) -> list[ProofObligation]:
     """All obligations for a machine, in a fixed order: per event in
     machine order, invariants in scope order, then guard strengthening,
-    then simulation."""
-    scope = [(lbl, inv) for lbl, inv, _o in tm.invariant_scope if lbl not in exclude_labels]
+    then simulation.  The goal invariant, if one is named, has none."""
+    scope = [(lbl, inv.pred) for lbl, inv, _o in tm.invariant_scope if lbl != goal]
     pos: list[ProofObligation] = []
     for name, info in tm.events.items():
-        for lbl, inv in scope:
-            note = "" if tm.invariant_reads[lbl] else "goal references no machine variables"
+        goals = [("INV", lbl, pred, None) for lbl, pred in scope]
+        if include_refinement and info.abstract is not None and not info.ast.is_init:
+            goals += [("GRD", g.label, g.pred, None) for g in info.abstract.guards]
+            goals += [("SIM", act.variable, None, act.expr) for act in info.abstract.actions]
+        for kind, label, pred, expr in goals:
+            unread = kind == "INV" and not tm.invariant_reads[label]
+            note = "goal references no machine variables" if unread else ""
             pos.append(
                 ProofObligation(
-                    name=f"{name}/{lbl}/INV",
-                    machine=tm.name,
-                    event=name,
-                    kind="INV",
-                    label=lbl,
-                    goal=inv.pred,
-                    note=note,
+                    f"{name}/{label}/{kind}", tm.name, name, kind, label, pred, expr, note
                 )
             )
-        if include_refinement and info.abstract is not None and not info.ast.is_init:
-            for g in info.abstract.guards:
-                pos.append(
-                    ProofObligation(
-                        name=f"{name}/{g.label}/GRD",
-                        machine=tm.name,
-                        event=name,
-                        kind="GRD",
-                        label=g.label,
-                        goal=g.pred,
-                    )
-                )
-            for act in info.abstract.actions:
-                pos.append(
-                    ProofObligation(
-                        name=f"{name}/{act.variable}/SIM",
-                        machine=tm.name,
-                        event=name,
-                        kind="SIM",
-                        label=act.variable,
-                        sim_expr=act.expr,
-                    )
-                )
     return pos
 
 
@@ -228,30 +210,6 @@ class CheckResult:
     goal: GoalInvariantReport | None = None
 
 
-class _Working:
-    __slots__ = ("po", "cases", "failed", "counterexample", "given", "pre", "reads")
-
-    def __init__(self, po: ProofObligation, given: bool, pre: int | None, reads: tuple[str, ...]):
-        self.po = po
-        self.cases = 0
-        self.failed = False
-        self.counterexample: Counterexample | None = None
-        self.given = given  # the goal holds in every case (see _given)
-        # For INV: where the walk's truths keep the goal's pre-state truth,
-        # if they do, and then the variables the goal reads.
-        self.pre = pre
-        self.reads = reads
-
-    def report(self) -> DischargeReport:
-        if self.failed:
-            verdict = FAILED
-        elif self.cases == 0:
-            verdict = VACUOUS
-        else:
-            verdict = DISCHARGED
-        return DischargeReport(self.po, verdict, self.cases, self.counterexample, self.po.note)
-
-
 def _given(po: ProofObligation, info: EventInfo) -> bool:
     """Whether a GRD goal is one of the concrete event's own guards, all of
     which hold in every case, or a SIM's abstract expression is the one the
@@ -272,8 +230,15 @@ def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterator[tuple
     raise ValueError(f"unknown state source {state_source!r}; use one of {STATE_SOURCES}")
 
 
+# An obligation's report with what the walk knows of its goal beforehand:
+# whether it holds in every case (see _given), and for INV where the walk's
+# truths keep the goal's pre-state truth, if they do, and the variables the
+# goal reads.
+_Target = tuple[DischargeReport, bool, int | None, tuple[str, ...]]
+
+
 def _judge(
-    targets: list[_Working],
+    targets: list[_Target],
     info: EventInfo,
     state: State,
     weight: int,
@@ -288,11 +253,11 @@ def _judge(
     of whose variables the actions gave a different value is as true after
     the event as before it."""
     post = moved = None
-    for w in targets:
-        w.cases += weight
-        if w.failed or w.given:
+    for rep, given, pre, reads in targets:
+        rep.cases += weight
+        if given or rep.counterexample is not None:
             continue
-        po = w.po
+        po = rep.po
         if po.kind == "GRD":
             if eval_pred_frame(po.goal, frame, bound):
                 continue
@@ -304,8 +269,8 @@ def _judge(
             if po.kind == "INV":
                 if moved is None:
                     moved = {v for v, value in post.items() if value != frame[v]}
-                if w.pre is not None and moved.isdisjoint(w.reads):
-                    if truths[w.pre]:
+                if pre is not None and moved.isdisjoint(reads):
+                    if truths[pre]:
                         continue
                 elif eval_pred_frame(po.goal, post_frame, bound):
                     continue
@@ -315,12 +280,11 @@ def _judge(
                 if expected == actual:
                     continue
             post_state = state.updated(post)
-        w.failed = True
         ce = Counterexample(State(dict(state.values)), tuple(sorted(binding.items())), post_state)
         if po.kind == "SIM":
             ce.expected = expected
             ce.actual = actual
-        w.counterexample = ce
+        rep.counterexample = ce
 
 
 class _Reader(dict):
@@ -483,13 +447,13 @@ def discharge_all(
     env: Env,
     pos: Iterable[ProofObligation] | None = None,
     state_source: str = ALL_STATES,
-    exclude_labels: frozenset[str] = frozenset(),
     vacuity: bool = False,
     goal: str | None = None,
 ) -> CheckResult:
     """Discharge a batch of obligations in one walk over the pre-states; on
     the same walk, report vacuous guards if `vacuity` is set and count the
-    states where the invariant labelled `goal` holds if one is given.
+    states where the invariant labelled `goal` holds if one is given.  The
+    goal leaves every hypothesis, as it leaves generate_pos's obligations.
 
     Over all typed states the walk visits one state per symmetry orbit and
     weights what it counts there by the orbit's size (see the module
@@ -497,7 +461,7 @@ def discharge_all(
     only when the walk changes a variable it read on its last run, and each
     case reuses the pre-state truths and the guards it already has.  A
     preservation obligation's hypothesis then reduces to
-    `the only false invariant outside exclude_labels, if any, is the
+    `the only false invariant other than the goal, if any, is the
     obligation's own` plus the event's guards.  Vacuity looks only at states
     where every invariant holds, and there each guard is evaluated on every
     binding for both consumers.  Counterexamples are the first in
@@ -507,42 +471,40 @@ def discharge_all(
     reachable state, whichever the state source, and reads its truths
     through the same decided depths.
     """
-    if pos is None:
-        pos = generate_pos(tm, include_refinement=True, exclude_labels=exclude_labels)
-    pos = list(pos)
     codes = dict(tm.invariant_code)
     if goal is not None and goal not in codes:
-        raise UnresolvedReference("invariant", goal)
+        raise TrustbError(f"no invariant labelled '{goal}' in {tm.name}")
+    if pos is None:
+        pos = generate_pos(tm, include_refinement=True, goal=goal)
+    pos = list(pos)
     bound = env.powerset_bound
 
-    # In obligation order; an event's obligations are _Working until the walk ends.
-    reports: list[DischargeReport | _Working] = []
     # The invariants some consumer needs, in scope order.
     walked = any(po.event != INIT_EVENT for po in pos)
     checked = [
-        (lbl, code)
-        for lbl, code in tm.invariant_code
-        if vacuity or lbl == goal or (walked and lbl not in exclude_labels)
+        (lbl, code) for lbl, code in tm.invariant_code if vacuity or walked or lbl == goal
     ]
     labels = [lbl for lbl, _code in checked]
-    event_pos: dict[str, list[_Working]] = {}
+    # In obligation order; the walk adds cases and counterexamples in place.
+    reports = [DischargeReport(po, VACUOUS, 0, None, po.note) for po in pos]
+    event_pos: dict[str, list[_Target]] = {}
     init = None
-    for po in pos:
+    for rep in reports:
+        po = rep.po
         if po.event == INIT_EVENT:
             # Establishment: a single case from the initial state, axioms assumed.
             if init is None:
                 init = initial_state(tm, env)
                 frame0 = event_frame(env, init)
-            ok = eval_pred_frame(po.goal, frame0, bound)
-            ce = None if ok else Counterexample(None, (), init)
-            reports.append(DischargeReport(po, DISCHARGED if ok else FAILED, 1, ce, po.note))
+            rep.cases = 1
+            if not eval_pred_frame(po.goal, frame0, bound):
+                rep.counterexample = Counterexample(None, (), init)
         else:
             info = tm.events.get(po.event)
             pre = labels.index(po.label) if po.kind == "INV" and po.label in labels else None
             reads = tm.invariant_reads[po.label] if pre is not None else ()
-            w = _Working(po, info is not None and _given(po, info), pre, reads)
-            reports.append(w)
-            event_pos.setdefault(po.event, []).append(w)
+            given = info is not None and _given(po, info)
+            event_pos.setdefault(po.event, []).append((rep, given, pre, reads))
 
     vac_reps = {
         name: [VacuityReport(name, label, True, 0) for label, _code in info.guard_code]
@@ -559,7 +521,6 @@ def discharge_all(
     holds = states = 0
     if events or goal is not None:
         decided = _Truths([code for _lbl, code in checked], reader)
-        drop_excluded = any(lbl in exclude_labels for lbl in labels)
         frame = dict(env.bindings)
         for state, weight, changed in _with_changes(_state_iter(tm, env, state_source), order):
             frame.update(state.values)
@@ -568,23 +529,23 @@ def discharge_all(
                 cache.moved(changed)
             false_invs = [lbl for lbl, ok in zip(labels, truths) if not ok]
             states += weight
-            if goal not in false_invs:
-                holds += weight
             valid = vacuity and not false_invs
-            if drop_excluded:
-                false_invs = [lbl for lbl in false_invs if lbl not in exclude_labels]
+            if goal in false_invs:
+                false_invs.remove(goal)
+            else:
+                holds += weight
             if len(false_invs) > 1:
                 continue
             sole_false = false_invs[0] if false_invs else None
-            for name, info, ws, vreps, cache in events:
+            for name, info, mine, vreps, cache in events:
                 # With one false invariant, the only obligation whose
                 # hypothesis can hold is the one that excludes it: the
                 # preservation obligation for that very label.
                 if sole_false is None:
-                    targets = ws
+                    targets = mine
                 else:
                     targets = [
-                        w for w in ws if w.po.kind == "INV" and w.po.label == sole_false
+                        t for t in mine if t[0].po.kind == "INV" and t[0].po.label == sole_false
                     ]
                 if valid:
                     # Vacuity needs every guard's truth on every binding.
@@ -609,7 +570,9 @@ def discharge_all(
                 for p in info.ast.params:
                     frame.pop(p, None)
 
-    reports = [r.report() if type(r) is _Working else r for r in reports]
+    for rep in reports:
+        failed = rep.counterexample is not None
+        rep.verdict = FAILED if failed else DISCHARGED if rep.cases else VACUOUS
 
     goal_rep = None
     if goal is not None:

@@ -2,8 +2,7 @@
 
 An Instantiation fixes the carrier sets and constants to explicit finite
 values.  On top of that this module evaluates guards and invariants,
-fires events, enumerates parameter bindings and whole state spaces, and
-replays recorded traces.
+fires events, and enumerates parameter bindings and whole state spaces.
 
 refusing_guard is the one guard walk and post_values the one action step:
 every event application, here and in po, goes through them.
@@ -22,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -585,37 +584,3 @@ def reachable_states(tm: TypedMachine, env: Env) -> list[State]:
                 out.append(tr.post)
                 queue.append(tr.post)
     return out
-
-
-# --- traces ------------------------------------------------------
-
-
-@dataclass
-class Trace:
-    machine: str
-    initial: State
-    steps: list[Transition] = field(default_factory=list)
-
-    @property
-    def final(self) -> State:
-        return self.steps[-1].post if self.steps else self.initial
-
-
-def replay(
-    tm: TypedMachine,
-    env: Env,
-    steps: list[tuple[str, Mapping[str, Value]]],
-    start: State | None = None,
-) -> Trace:
-    """Re-execute recorded (event, binding) steps, by default from the
-    initial state.
-
-    Guards are re-checked at every step, so a replay fails loudly if the
-    recorded trace does not actually run under this model.
-    """
-    state = initial_state(tm, env) if start is None else start
-    trace = Trace(tm.name, state)
-    for event_name, binding in steps:
-        state = fire_event(tm, event_name, state, binding, env, check_guards=True)
-        trace.steps.append(Transition(event_name, tuple(sorted(binding.items())), state))
-    return trace

@@ -309,6 +309,12 @@ def test_import_rejects_damage():
     repeated = allocated.replace("\nend", "\nagent_task\nend")
     with pytest.raises(ScenarioError, match="'agent_task' appears twice"):
         import_state(repeated)
+    with pytest.raises(ScenarioError, match="expected 'level' line, found 'trustors alice'"):
+        import_state(good.split("\n", 1)[1])
+    stray = good.replace("tasks deliver\n", "tasks deliver\n  {bob} |-> deliver\n")
+    with pytest.raises(ScenarioError) as err:
+        import_state(stray)
+    assert str(err.value) == "value line outside a section: '{bob} |-> deliver'"
 
 
 def test_import_evaluates_value_expressions():

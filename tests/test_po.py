@@ -1,6 +1,6 @@
 import pytest
 
-from trustb.errors import NotSuperposition
+from trustb.errors import NotSuperposition, TrustbError
 from trustb.kernel import eval_pred_frame
 from trustb.models import BoundSpec, Mutation, machine_setup
 from trustb.po import (
@@ -19,6 +19,7 @@ from trustb.runtime import (
     fire_event,
     invariant_report,
     param_bindings,
+    reachable_states,
     state_orbits,
     state_universe,
 )
@@ -62,11 +63,18 @@ def test_refinement_pos_only_for_refining_machines():
     assert kinds == {"INV", "GRD", "SIM"}
 
 
-def test_exclude_labels_removes_goal_everywhere():
+def test_goal_has_no_obligations():
     tm, _, _ = setup(2)
-    pos = generate_pos(tm, exclude_labels=frozenset({"inv4"}))
+    pos = generate_pos(tm, goal="inv4")
     assert all(po.label != "inv4" for po in pos)
     assert len(pos) == 6
+
+
+def test_unknown_goal_is_refused_before_any_walk():
+    tm, _, env = setup(2, BoundSpec(1, 1, 1))
+    with pytest.raises(TrustbError) as err:
+        discharge_all(tm, env, goal="nope")
+    assert str(err.value) == "no invariant labelled 'nope' in M2_int"
 
 
 def test_abstract_inv4_flagged_vacuous_in_variables():
@@ -227,9 +235,8 @@ def test_dropped_guard_fails_its_guard_strengthening():
     # the GRD goals it still has among its own guards hold.  (With inv4 in
     # the hypothesis, knowledge already covers every enabled case.)
     tm, inst, env = setup(2, BoundSpec(1, 2, 1), mutate=Mutation.parse("drop:grd7"))
-    excluded = frozenset({"inv4"})
-    pos = [p for p in generate_pos(tm, True, excluded) if p.kind == "GRD"]
-    grd = {r.po.label: r for r in discharge_all(tm, env, pos, exclude_labels=excluded).reports}
+    pos = [p for p in generate_pos(tm, True, "inv4") if p.kind == "GRD"]
+    grd = {r.po.label: r for r in discharge_all(tm, env, pos, goal="inv4").reports}
     assert grd["grd7"].verdict == FAILED
     assert all(r.verdict == DISCHARGED for label, r in grd.items() if label != "grd7")
     ce = grd["grd7"].counterexample
@@ -613,14 +620,13 @@ def test_check_walks_the_state_universe_once(monkeypatch):
 
 def test_one_walk_matches_separate_walks():
     tm, inst, env = setup(0, BoundSpec(2, 2, 1))
-    pos = generate_pos(tm, include_refinement=True, exclude_labels=frozenset({"inv4"}))
-    both = discharge_all(tm, env, pos, exclude_labels=frozenset({"inv4"}),
-                         vacuity=True, goal="inv4")
-    alone = discharge_all(tm, env, pos, exclude_labels=frozenset({"inv4"}))
+    pos = generate_pos(tm, include_refinement=True, goal="inv4")
+    both = discharge_all(tm, env, pos, vacuity=True, goal="inv4")
+    alone = discharge_all(tm, env, pos, goal="inv4")
     assert [(r.po.name, r.verdict, r.cases) for r in both.reports] == [
         (r.po.name, r.verdict, r.cases) for r in alone.reports
     ]
-    assert alone.vacuity == [] and alone.goal is None
+    assert alone.vacuity == [] and alone.goal == both.goal
     assert both.vacuity == detect_vacuous_guards(tm, env)
     assert both.goal == goal_invariant_report(tm, env, "inv4")
 
@@ -629,13 +635,13 @@ def test_each_predicate_runs_once_per_prefix(monkeypatch):
     # inv3 reads only the first two variables and grd4 only the first, so
     # neither should run again while the walk varies the later ones.
     tm, inst, env = setup(2, BoundSpec(1, 2, 2))
+    reachable = reachable_states(tm, env)
     counts: dict[str, int] = {}
     info = tm.event("trust")
     monkeypatch.setattr(tm, "invariant_code", _counted(tm.invariant_code, counts))
     monkeypatch.setattr(info, "guard_code", _counted(info.guard_code, counts))
-    excluded = frozenset({"inv4"})
-    pos = generate_pos(tm, include_refinement=True, exclude_labels=excluded)
-    discharge_all(tm, env, pos, exclude_labels=excluded, vacuity=True)
+    pos = generate_pos(tm, include_refinement=True, goal="inv4")
+    discharge_all(tm, env, pos, vacuity=True, goal="inv4")
 
     # The walk visits one state per orbit of the 4 permutations of
     # trustees and tasks: 565 of the 2,052 typed states.
@@ -651,8 +657,12 @@ def test_each_predicate_runs_once_per_prefix(monkeypatch):
     # prefix of them, 91 times.
     assert counts["inv3"] == len(prefixes) == 91
     # grd4 reads only agent_task: it runs on each of the 8 bindings, all of
-    # which pass the typing guards before it, once per visited agent_task.
-    assert counts["grd4"] == len(agent_tasks) * len(bindings) == 28 * 8
+    # which pass the typing guards before it, once per visited agent_task;
+    # the goal report's search for the reachable states runs it on each
+    # binding of each reachable state once more.
+    walk, search = len(agent_tasks) * len(bindings), len(reachable) * len(bindings)
+    assert (walk, search) == (28 * 8, 1 * 8)
+    assert counts["grd4"] == walk + search
     # inv4 can read every variable, but a run that finds its first (i, t)
     # without a group for t stops before reading commitments.
     assert 0 < counts["inv4"] < len(states)
@@ -664,13 +674,9 @@ def _post_state_goals(mutate, evaluated):
     is false in every state, so with it no GRD obligation has a case);
     `evaluated` counts each predicate's evaluations by id."""
     tm, inst, env = setup(2, BoundSpec(1, 2, 2), mutate=mutate)
-    excluded = frozenset({"inv4"})
-    pos = [
-        p for p in generate_pos(tm, include_refinement=True, exclude_labels=excluded)
-        if p.event == "trust"
-    ]
+    pos = [p for p in generate_pos(tm, include_refinement=True, goal="inv4") if p.event == "trust"]
     evaluated.clear()
-    reports = discharge_all(tm, env, pos, exclude_labels=excluded).reports
+    reports = discharge_all(tm, env, pos, goal="inv4").reports
     assert all(r.cases > 0 for r in reports)
     counts = {"GRD": 0, "INV": 0}
     for p in pos:

@@ -34,6 +34,7 @@ from trustb.runtime import (
     event_frame,
     fire_event,
     initial_state,
+    invariant_report,
     param_bindings,
     reachable_states,
     state_universe,
@@ -129,10 +130,9 @@ def _outcome(run):
 
 def _agree(tm, env, state_source=ALL_STATES, goal=None):
     exclude = frozenset({goal}) if goal else frozenset()
-    pos = generate_pos(tm, include_refinement=tm.refines is not None, exclude_labels=exclude)
-    args = (tm, env, pos, state_source, exclude, True, goal)
-    expected = _outcome(lambda: reference(*args))
-    assert _outcome(lambda: discharge_all(*args)) == expected
+    pos = generate_pos(tm, include_refinement=tm.refines is not None, goal=goal)
+    expected = _outcome(lambda: reference(tm, env, pos, state_source, exclude, True, goal))
+    assert _outcome(lambda: discharge_all(tm, env, pos, state_source, True, goal)) == expected
     return expected
 
 
@@ -167,6 +167,55 @@ def test_discharge_all_matches_the_reference(variant, level, bounds, mode):
     assert isinstance(result, CheckResult)
 
 
+# Pair's concrete grd2 implies the abstract one only through inv3, so its
+# guard-strengthening goal is evaluated in each case; where a and b are
+# incomparable both inv3 and inv4 are false.
+PAIR = """CONTEXT c
+SETS S
+END
+MACHINE Base
+SEES c
+VARIABLES a
+INVARIANTS
+  @inv1: a : pow(S)
+EVENT INITIALISATION
+THEN
+  @act1: a := {}
+END
+EVENT add
+ANY x
+WHERE
+  @grd1: x : S
+  @grd2: x /: a
+THEN
+  @act1: a := a \\/ {x}
+END
+END
+MACHINE Pair
+REFINES Base
+SEES c
+VARIABLES a b
+INVARIANTS
+  @inv2: b : pow(S)
+  @inv3: a <: b
+  @inv4: b <: a
+EVENT INITIALISATION
+THEN
+  @act1: a := {}
+  @act2: b := {}
+END
+EVENT add
+ANY x
+WHERE
+  @grd1: x : S
+  @grd2: x /: b
+THEN
+  @act1: a := a \\/ {x}
+  @act2: b := b \\/ {x}
+END
+END
+"""
+
 FILE_MODELS = {
     "hoist": (test_po.HOISTING, "Hoist", {"S": 2}),
     "branch": (test_po.BRANCHING, "Branch", {"S": 3}),
@@ -174,6 +223,7 @@ FILE_MODELS = {
     "partial": (test_po.PARTIAL, "Partial", {"S": 2}),
     "picks": (test_runtime.PICKS, "toy2", {"COLORS": 2}),
     "look": (test_runtime.PARTIAL, "Partial", {"S": 2}),
+    "pair": (PAIR, "Pair", {"S": 2}),
 }
 
 
@@ -185,3 +235,19 @@ def test_file_models_match_the_reference(name):
         for source in (ALL_STATES, REACHABLE):
             _agree(tm, inst.env(), source, tm.invariant_scope[-1][0])
             _agree(tm, inst.env(), source)
+
+
+def test_pair_has_a_state_with_two_false_invariants_and_an_evaluated_guard_goal():
+    tm = elaborate(parse_file(PAIR)).machine("Pair")
+    [inst] = enumerate_instantiations(tm.context, {"S": 2})
+    env = inst.env()
+    false_counts = [
+        sum(not ok for _lbl, ok in invariant_report(tm, state, env))
+        for state in state_universe(tm, env)
+    ]
+    assert max(false_counts) == 2
+    info = tm.event("add")
+    [po] = [p for p in generate_pos(tm, include_refinement=True) if p.name == "add/grd2/GRD"]
+    assert all(po.goal != g.pred for g in info.ast.guards)
+    [rep] = discharge_all(tm, env, [po]).reports
+    assert (rep.verdict, rep.cases) == (DISCHARGED, 4)

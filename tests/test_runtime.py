@@ -1,8 +1,9 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
-from trustb.dsl import parse_file
+from trustb.dsl import parse_file, parse_predicate
 from trustb.errors import AxiomViolation, GuardFailed, ScenarioError
 from trustb.kernel import Env, check_function_kind, eval_pred_frame, powerset_elements
 from trustb.models import BoundSpec, machine_setup, make_instantiation
@@ -20,11 +21,11 @@ from trustb.runtime import (
     param_bindings,
     permute,
     reachable_states,
-    replay,
     state_orbits,
     state_universe,
     symmetry_group,
 )
+from trustb.syntax import Labeled
 from trustb.typecheck import elaborate
 from trustb.values import EMPTY_SET, TRUE, Atom, PairV, SetV, canon, mkatoms, mkset
 
@@ -397,19 +398,6 @@ def test_oversized_constant_domain_names_its_constant(tmp_path):
     )
 
 
-def test_replay_reproduces_trace():
-    tm, inst, env = setup(0)
-    at = mkset([PairV(grp("v1"), u("t1"))])
-    pre = State({"agent_task": at, "trustor_trustee_task": EMPTY_SET})
-    binding = {"i": u("u1"), "j": grp("v1"), "t": u("t1")}
-    post = fire_event(tm, "trust", pre, binding, env)
-    trace = replay(tm, env, [("trust", binding)], start=pre)
-    assert trace.final == post
-    bad = {"i": u("u1"), "j": grp("v2"), "t": u("t1")}
-    with pytest.raises(GuardFailed):
-        replay(tm, env, [("trust", bad)], start=pre)
-
-
 # --- instantiation ------------------------------------------------------
 
 
@@ -602,11 +590,25 @@ END
     ("!x . x : S => (#y . y : pow(a) & x /: y)", 1),
     ("!x . x : S => (#y . y : pow(S) & x /: y)", 2),
     ("!y . y : pow(a) => y <: S", 2),
+    # A partition in a body reads only its parts, here S and {x}.
+    ("!x . x : S => partition(S, {x}, S)", 2),
 ])
 def test_symmetry_group_needs_inner_domains_over_constants(claim, size):
     tm = elaborate(parse_file(QUANTIFIED.format(claim=claim))).machine("Quantified")
     [inst] = enumerate_instantiations(tm.context, {"S": 2})
     assert len(symmetry_group(tm, inst.env())) == size
+
+
+def test_symmetry_group_is_trivial_when_a_body_holds_a_malformed_quantifier():
+    # Elaboration refuses a quantifier whose variable no conjunct types, so
+    # one is put into a guard after it: evaluating that body raises.
+    tm = elaborate(parse_file(PINNED)).machine("Pin")
+    inst = enumerate_instantiations(tm.context, {"S": 3})[0]
+    assert len(symmetry_group(tm, inst.env())) == 2
+    info = tm.event("add")
+    guard = parse_predicate("x : S & (!y . y : S => (#z . y : S & z : S))")
+    info.ast = replace(info.ast, guards=(Labeled("grd1", guard),))
+    assert symmetry_group(tm, inst.env()) == ({},)
 
 
 def _permute_state(state, perm):

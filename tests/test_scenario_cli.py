@@ -262,6 +262,73 @@ def test_check_table_simulation_counterexample():
     assert run(argv) == (1, BAD_ACT_REFINEMENT_TABLE, "")
 
 
+BAD_ACT_REFINEMENT_RECORDS = """\
+run machine=M2_bad_act bounds=2,2,1 source=all_invariant_states
+po name=INITIALISATION/inv1/INV machine=M2_bad_act event=INITIALISATION kind=INV verdict=discharged cases=1
+po name=INITIALISATION/inv2/INV machine=M2_bad_act event=INITIALISATION kind=INV verdict=discharged cases=1
+po name=INITIALISATION/inv3/INV machine=M2_bad_act event=INITIALISATION kind=INV verdict=discharged cases=1
+po name=INITIALISATION/inv4/INV machine=M2_bad_act event=INITIALISATION kind=INV verdict=failed cases=1
+ce po=INITIALISATION/inv4/INV part=post var=agent_task value={}
+ce po=INITIALISATION/inv4/INV part=post var=trustor_trustee_task value={}
+ce po=INITIALISATION/inv4/INV part=post var=knowledge value={}
+ce po=INITIALISATION/inv4/INV part=post var=commitments value={}
+po name=trust/inv1/INV machine=M2_bad_act event=trust kind=INV verdict=failed cases=272
+ce po=trust/inv1/INV part=pre var=agent_task value={({v2} |-> t1)}
+ce po=trust/inv1/INV part=pre var=trustor_trustee_task value={(u1 |-> ({v2} |-> t1)), (u2 |-> ({v2} |-> t1))}
+ce po=trust/inv1/INV part=pre var=knowledge value={(u1 |-> v2), (u2 |-> v2)}
+ce po=trust/inv1/INV part=pre var=commitments value={((u1 |-> ({v2} |-> t1)) |-> TRUE), ((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+ce po=trust/inv1/INV part=binding var=i value=u1
+ce po=trust/inv1/INV part=binding var=j value={v2}
+ce po=trust/inv1/INV part=binding var=t value=t1
+ce po=trust/inv1/INV part=post var=agent_task value={({v2} |-> t1)}
+ce po=trust/inv1/INV part=post var=trustor_trustee_task value={(u1 |-> ({v2} |-> t1))}
+ce po=trust/inv1/INV part=post var=knowledge value={(u1 |-> v2), (u2 |-> v2)}
+ce po=trust/inv1/INV part=post var=commitments value={((u1 |-> ({v2} |-> t1)) |-> TRUE), ((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+po name=trust/inv2/INV machine=M2_bad_act event=trust kind=INV verdict=discharged cases=272
+po name=trust/inv3/INV machine=M2_bad_act event=trust kind=INV verdict=discharged cases=272
+po name=trust/inv4/INV machine=M2_bad_act event=trust kind=INV verdict=failed cases=1920
+ce po=trust/inv4/INV part=pre var=agent_task value={({v2} |-> t1)}
+ce po=trust/inv4/INV part=pre var=trustor_trustee_task value={(u2 |-> ({v2} |-> t1))}
+ce po=trust/inv4/INV part=pre var=knowledge value={(u2 |-> v2)}
+ce po=trust/inv4/INV part=pre var=commitments value={((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+ce po=trust/inv4/INV part=binding var=i value=u2
+ce po=trust/inv4/INV part=binding var=j value={v2}
+ce po=trust/inv4/INV part=binding var=t value=t1
+ce po=trust/inv4/INV part=post var=agent_task value={({v2} |-> t1)}
+ce po=trust/inv4/INV part=post var=trustor_trustee_task value={(u2 |-> ({v2} |-> t1))}
+ce po=trust/inv4/INV part=post var=knowledge value={(u2 |-> v2)}
+ce po=trust/inv4/INV part=post var=commitments value={((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+po name=trust/grd1/GRD machine=M2_bad_act event=trust kind=GRD verdict=discharged cases=272
+po name=trust/grd2/GRD machine=M2_bad_act event=trust kind=GRD verdict=discharged cases=272
+po name=trust/grd3/GRD machine=M2_bad_act event=trust kind=GRD verdict=discharged cases=272
+po name=trust/grd4/GRD machine=M2_bad_act event=trust kind=GRD verdict=discharged cases=272
+po name=trust/grd5/GRD machine=M2_bad_act event=trust kind=GRD verdict=discharged cases=272
+po name=trust/grd6/GRD machine=M2_bad_act event=trust kind=GRD verdict=discharged cases=272
+po name=trust/grd7/GRD machine=M2_bad_act event=trust kind=GRD verdict=discharged cases=272
+po name=trust/trustor_trustee_task/SIM machine=M2_bad_act event=trust kind=SIM verdict=failed cases=272
+ce po=trust/trustor_trustee_task/SIM part=pre var=agent_task value={({v2} |-> t1)}
+ce po=trust/trustor_trustee_task/SIM part=pre var=trustor_trustee_task value={(u1 |-> ({v2} |-> t1)), (u2 |-> ({v2} |-> t1))}
+ce po=trust/trustor_trustee_task/SIM part=pre var=knowledge value={(u1 |-> v2), (u2 |-> v2)}
+ce po=trust/trustor_trustee_task/SIM part=pre var=commitments value={((u1 |-> ({v2} |-> t1)) |-> TRUE), ((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+ce po=trust/trustor_trustee_task/SIM part=binding var=i value=u1
+ce po=trust/trustor_trustee_task/SIM part=binding var=j value={v2}
+ce po=trust/trustor_trustee_task/SIM part=binding var=t value=t1
+ce po=trust/trustor_trustee_task/SIM part=post var=agent_task value={({v2} |-> t1)}
+ce po=trust/trustor_trustee_task/SIM part=post var=trustor_trustee_task value={(u1 |-> ({v2} |-> t1))}
+ce po=trust/trustor_trustee_task/SIM part=post var=knowledge value={(u1 |-> v2), (u2 |-> v2)}
+ce po=trust/trustor_trustee_task/SIM part=post var=commitments value={((u1 |-> ({v2} |-> t1)) |-> TRUE), ((u2 |-> ({v2} |-> t1)) |-> TRUE)}
+ce po=trust/trustor_trustee_task/SIM part=expected value={(u1 |-> ({v2} |-> t1)), (u2 |-> ({v2} |-> t1))}
+ce po=trust/trustor_trustee_task/SIM part=actual value={(u1 |-> ({v2} |-> t1))}
+summary pos=16 discharged=12 failed=4 vacuous=0
+"""
+
+
+def test_check_records_simulation_counterexample():
+    argv = ["check", "--variant", "bad_act", "--level", "2", "--bounds", "2,2,1",
+            "--refinement", "--format", "records"]
+    assert run(argv) == (1, BAD_ACT_REFINEMENT_RECORDS, "")
+
+
 def test_readme_check_example_is_the_output():
     import pathlib
 
@@ -360,7 +427,7 @@ def test_model_errors_exit_3(tmp_path):
     assert code == 3 and "bounds" in err
     code, _, err = run(["check", "--level", "0", "--bounds", "1,1,1",
                         "--goal-invariant", "inv77"])
-    assert code == 3
+    assert (code, err) == (3, "error: no invariant labelled 'inv77' in M0_abs\n")
     bad = tmp_path / "broken.ebt"
     bad.write_text("MACHINE ???\n")
     code, _, err = run(["check", str(bad)])
@@ -371,6 +438,25 @@ def test_empty_goal_invariant_is_a_usage_error():
     code, out, err = run(["check", "--level", "0", "--bounds", "1,1,1", "--goal-invariant", ""])
     assert (code, out) == (2, "")
     assert err == "trustb check: error: --goal-invariant needs a label\n"
+
+
+def test_empty_flag_values_are_refused(tmp_path, monkeypatch):
+    # An empty value is given, so it is parsed, and refused as any other
+    # malformed value is; it is never the default.
+    monkeypatch.setenv("TRUSTB_BOUNDS", "1,1,1")
+    bounds = "error: bounds must be three comma-separated sizes, got ''\n"
+    mutation = "error: unknown mutation ''; expected drop:<guard-label>\n"
+    model = tmp_path / "toy.ebt"
+    model.write_text(TOY_MODEL)
+    machine = f"error: {model}: no machine named ''\n"
+    for argv, err in (
+        (["check", "--level", "0", "--bounds="], bounds),
+        (["check", "--level", "0", "--bounds", "1,1,1", "--mutate="], mutation),
+        (["dump-po", "--level", "0", "--mutate="], mutation),
+        (["check", str(model), "--machine="], machine),
+        (["dump-po", str(model), "--machine="], machine),
+    ):
+        assert run(argv) == (3, "", err), argv
 
 
 def test_bad_bounds_is_reported_before_bad_mutation():
