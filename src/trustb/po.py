@@ -50,45 +50,64 @@ reads a variable or overflows the bound), since a quantifier stops at the
 first member that settles it and its members come in an order the atoms'
 names fix.  The reachable states are walked in full.
 
-Prefix caching.  The walk does not decide a predicate again while its
-inputs stay the same.  A variable counts as unchanged only when the state
-holds the very object the previous state held: an identical object is the
-same value, and anything else is evaluated again.  state_orbits varies the
-last variable fastest and hands out memoised candidate values, so
-consecutive states share the objects of their common prefix; the reachable
-states share the objects of every variable an event left alone.
+Deciding once.  The walk does not run a predicate whose answer it already
+knows, by four rules.
 
-* Invariants, binding lists and guards keep a decided depth.  Each runs
-  on a frame that holds only the constants and the parameters it binds;
-  each state variable enters it on its first read, and the run records one
-  past the deepest position (in declaration order) it read.  Its result
-  stands while the walk's first changed position is at or beyond that
-  depth.  An event's binding list is decided by its parameter domains, and
-  the bindings kept after each guard by the list before them and that
-  guard's runs on it, so guards run in guard order, each only where the
-  ones before it held.  A run that stops before reading a late variable, as
-  a quantifier or an implication does when it knows its answer early, is
-  thus not repeated when only that variable changes.  Evaluation order and
-  short-circuiting are those of a plain evaluation, so a predicate that
-  raises does so in the state where it would if it ran in every state.
+* Typing invariants are given.  Elaboration marks each invariant that is a
+  variable's very typing clause `v : E` (TypedMachine.typing_invariants),
+  and the state enumeration lists exactly the values of E: compile_domain's
+  members of a powerset, relation space or set are those the membership
+  code accepts.  So over all typed states such an invariant is true and
+  never runs.  A reachable state or a post-state need not be typed, and
+  there it runs like any other.
+* Decided depth.  A variable counts as unchanged only when the state holds
+  the very object the previous state held: an identical object is the same
+  value, and anything else is evaluated again.  state_orbits varies the
+  last variable fastest and hands out memoised candidate values, so
+  consecutive states share the objects of their common prefix; the
+  reachable states share the objects of every variable an event left
+  alone.  Invariants, binding lists and guards keep a decided depth.  Each
+  runs on a frame that holds only the constants and the parameters it
+  binds; each state variable enters it on its first read, and the run
+  records one past the deepest position (in declaration order) it read.
+  Its result stands while the walk's first changed position is at or
+  beyond that depth.  An event's binding list is decided by its parameter
+  domains, and the bindings kept after each guard by the list before them
+  and that guard's runs on it, so guards run in guard order, each only
+  where the ones before it held.  A run that stops before reading a late
+  variable, as a quantifier or an implication does when it knows its
+  answer early, is thus not repeated when only that variable changes.
+* Memos.  An invariant or guard whose mentioned state variables are not a
+  prefix of the variable order keeps, for one discharge_all call, a memo
+  keyed by the values of those variables (and of the parameters it
+  mentions, for a guard).  It stores each run's truth with the depth the
+  run decided, so a hit leaves the decided depths as exact as a run would.
+  The walk revisits a prefix predicate only on a new prefix, which decided
+  depth already covers, and one that mentions every variable never meets a
+  key twice, so neither keeps a memo.
 * A case reuses what is already decided.  An INV goal none of whose
   variables the event's actions gave a different value is as true after
   the event as before it, which the walk already knows.  A GRD goal that is
   one of the concrete event's own guards holds, since every case passed
   those guards.  A SIM whose abstract expression is the one the concrete
   action assigns to that variable holds.  Each case is still counted.
+
+Evaluation order and short-circuiting are those of a plain evaluation, and
+a run that raises is never stored, so a predicate that raises does so in
+the state where it would if it ran in every state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import NotSuperposition, TrustbError
 from .kernel import Env, eval_expr_frame, eval_pred_frame
 from .runtime import State, bind_params, event_frame, guard_truths, initial_state, post_values
 from .runtime import reachable_states, state_orbits
-from .syntax import INIT_EVENT, Expr, Pred
+from .syntax import INIT_EVENT, Expr, Pred, free_idents_pred
 from .typecheck import EventInfo, TypedMachine
 
 ALL_STATES = "all_invariant_states"
@@ -320,41 +339,67 @@ class _Reader(dict):
         return depth
 
 
+def _memo_key(names: tuple[str, ...], order: tuple[str, ...]):
+    """The function that reads the memo key of a predicate mentioning the
+    state variables `names` (in variable order) off a state's values; None
+    if they are a prefix of `order`, as decided depth already runs such a
+    predicate once per distinct prefix.
+
+    A memo entry packs a run's decided depth and truth into one small int,
+    depth << 1 | truth, which allocates nothing."""
+    return None if names == order[: len(names)] else itemgetter(*names)
+
+
 class _Truths:
     """Invariants' truths in the walk's current state, each decided again
     only when the walk changes a variable it read on its last run (see the
     module docstring).  Until then the run would read, and so decide, the
     same again: every variable before its decided depth is the very object
-    it read."""
+    it read.  Where the walk lists only typed states (`typed`), a typing
+    invariant is given and never runs; an invariant with a memo (see
+    _memo_key) runs once per distinct value of the variables it mentions."""
 
-    __slots__ = ("codes", "reader", "truths", "depths")
+    __slots__ = ("codes", "reader", "truths", "depths", "keys", "memos")
 
-    def __init__(self, codes: list, reader: _Reader):
-        self.codes = codes
+    def __init__(self, tm: TypedMachine, checked: list, reader: _Reader, typed: bool):
+        order = tm.var_order
+        self.codes = [code for _lbl, code in checked]
         self.reader = reader
-        self.truths = [True] * len(codes)
-        self.depths = [0] * len(codes)  # the first state (changed -1) decides all
+        self.truths = [True] * len(checked)
+        given = tm.typing_invariants if typed else ()
+        # The first state (changed -1) decides every invariant not given.
+        self.depths = [-1 if lbl in given else 0 for lbl, _code in checked]
+        self.keys = [_memo_key(tm.invariant_reads[lbl], order) for lbl, _code in checked]
+        self.memos = [None if key is None else {} for key in self.keys]
 
     def at(self, state: State, changed: int) -> list[bool]:
         """The truths in `state`, whose first changed position is `changed`;
         the reader reads `state` from now on."""
-        reader, depths = self.reader, self.depths
-        reader.values = state.values
+        reader, depths, truths = self.reader, self.depths, self.truths
+        values = reader.values = state.values
         for k, depth in enumerate(depths):
             if depth > changed:
-                self.truths[k] = self.codes[k](reader, reader.bound)
-                depths[k] = reader.depth()
-        return self.truths
+                memo = self.memos[k]
+                if memo is None:
+                    truths[k] = self.codes[k](reader, reader.bound)
+                    depths[k] = reader.depth()
+                    continue
+                key = self.keys[k](values)
+                hit = memo.get(key)
+                if hit is None:
+                    ok = self.codes[k](reader, reader.bound)
+                    hit = memo[key] = reader.depth() << 1 | ok
+                truths[k], depths[k] = (hit & 1) == 1, hit >> 1
+        return truths
 
 
-def _holds_on(
-    code, states: Iterable[tuple[State, int]], order: tuple[str, ...], env: Env
-) -> tuple[int, int]:
-    """On how many of the weighted states a compiled invariant holds, and of
-    how many."""
-    truths = _Truths([code], _Reader(order, env))
+def _holds_on(tm: TypedMachine, goal: str, code, source: str, env: Env) -> tuple[int, int]:
+    """On how many of the weighted states of `source` the compiled invariant
+    labelled `goal` holds, and of how many."""
+    order = tm.var_order
+    truths = _Truths(tm, [(goal, code)], _Reader(order, env), source == ALL_STATES)
     holds = total = 0
-    for state, weight, changed in _with_changes(states, order):
+    for state, weight, changed in _with_changes(_state_iter(tm, env, source), order):
         total += weight
         if truths.at(state, changed)[0]:
             holds += weight
@@ -392,15 +437,26 @@ class _Bindings:
     the deepest of its own runs' reads and depths[k - 1], so the depths
     never decrease.  A list stands while the walk's first changed position
     is at or beyond its depth; otherwise it is made again, lazily and from
-    the one before it.
+    the one before it.  A guard with a memo (see _memo_key) runs once per
+    distinct value of the state variables and parameters it mentions: a
+    run on the same values decides the same and reads as deep.
     """
 
-    __slots__ = ("info", "reader", "codes", "lists", "depths", "fresh")
+    __slots__ = ("info", "reader", "codes", "keys", "memos", "lists", "depths", "fresh")
 
     def __init__(self, info: EventInfo, reader: _Reader):
         self.info = info
         self.reader = reader
         self.codes = [code for _label, code in info.guard_code]
+        order, params = tuple(reader.position), info.ast.params
+        self.keys = []
+        for g in info.ast.guards:
+            free = free_idents_pred(g.pred)
+            state_key = _memo_key(tuple(v for v in order if v in free), order)
+            mentioned = [p for p in params if p in free]
+            param_key = itemgetter(*mentioned) if mentioned else lambda binding: None
+            self.keys.append(None if state_key is None else (state_key, param_key))
+        self.memos = [None if key is None else {} for key in self.keys]
         self.lists: list[list[dict]] = [[] for _ in range(len(self.codes) + 1)]
         self.depths = [0] * len(self.lists)
         self.fresh = 0  # lists[:fresh] hold for the current state
@@ -426,12 +482,33 @@ class _Bindings:
                 lists[0] = list(bind_params(self.info, frame, bound))
                 depth = 0
             else:
-                code, kept = self.codes[i - 1], []
-                for binding in lists[i - 1]:
-                    frame.update(binding)
-                    if code(frame, bound):
-                        kept.append(binding)
-                lists[i], depth = kept, depths[i - 1]
+                code, key, kept = self.codes[i - 1], self.keys[i - 1], []
+                depth = depths[i - 1]
+                if key is None:
+                    for binding in lists[i - 1]:
+                        frame.update(binding)
+                        if code(frame, bound):
+                            kept.append(binding)
+                else:
+                    # Parameter values first: they take few values, so each
+                    # entry is one slot keyed by a state key made once here.
+                    state_key, param_key = key
+                    skey = state_key(frame.values)
+                    memo = self.memos[i - 1]
+                    for binding in lists[i - 1]:
+                        seen = memo.get(param_key(binding))
+                        if seen is None:
+                            seen = memo[param_key(binding)] = {}
+                        hit = seen.get(skey)
+                        if hit is None:
+                            frame.update(binding)
+                            ok = code(frame, bound)
+                            hit = seen[skey] = frame.depth() << 1 | ok
+                        if hit & 1:
+                            kept.append(binding)
+                        if hit >> 1 > depth:
+                            depth = hit >> 1
+                lists[i] = kept
             if frame.fetched:
                 depth = max(depth, frame.depth())
             depths[i] = depth
@@ -457,9 +534,11 @@ def discharge_all(
 
     Over all typed states the walk visits one state per symmetry orbit and
     weights what it counts there by the orbit's size (see the module
-    docstring).  Each invariant, binding list and guard is decided again
-    only when the walk changes a variable it read on its last run, and each
-    case reuses the pre-state truths and the guards it already has.  A
+    docstring).  A typing invariant is given on typed states; each other
+    invariant, binding list and guard is decided again only when the walk
+    changes a variable it read on its last run, and then runs only on
+    values it has not met (see the module docstring); and each case reuses
+    the pre-state truths and the guards it already has.  A
     preservation obligation's hypothesis then reduces to
     `the only false invariant other than the goal, if any, is the
     obligation's own` plus the event's guards.  Vacuity looks only at states
@@ -469,7 +548,7 @@ def discharge_all(
     that raises does so in the same state as it would if every predicate
     ran in every state.  The goal count covers every typed state and every
     reachable state, whichever the state source, and reads its truths
-    through the same decided depths.
+    by the same rules.
     """
     codes = dict(tm.invariant_code)
     if goal is not None and goal not in codes:
@@ -520,7 +599,7 @@ def discharge_all(
     ]
     holds = states = 0
     if events or goal is not None:
-        decided = _Truths([code for _lbl, code in checked], reader)
+        decided = _Truths(tm, checked, reader, state_source == ALL_STATES)
         frame = dict(env.bindings)
         for state, weight, changed in _with_changes(_state_iter(tm, env, state_source), order):
             frame.update(state.values)
@@ -577,7 +656,7 @@ def discharge_all(
     goal_rep = None
     if goal is not None:
         other = ALL_STATES if state_source == REACHABLE else REACHABLE
-        counts = _holds_on(codes[goal], _state_iter(tm, env, other), order, env)
+        counts = _holds_on(tm, goal, codes[goal], other, env)
         if state_source == REACHABLE:
             goal_rep = GoalInvariantReport(goal, *counts, holds, states)
         else:

@@ -272,16 +272,21 @@ def _assignments(
     values = candidates(k)
     maps = [images(values, g) for g in eq]
     for i, v in enumerate(values):
-        fixing = []
-        for g, where in zip(eq, maps):
-            j = where[i]
-            if j < i:
-                break
-            if j == i:
-                fixing.append(g)
-        else:
-            frame[name] = v
-            yield from _assignments(names, candidates, frame, k + 1, images, tuple(fixing))
+        fixing = eq
+        if eq:
+            fixing = []
+            for g, where in zip(eq, maps):
+                j = where[i]
+                if j < i:  # g maps v to an earlier candidate
+                    fixing = None
+                    break
+                if j == i:
+                    fixing.append(g)
+            if fixing is None:
+                continue
+            fixing = tuple(fixing)
+        frame[name] = v
+        yield from _assignments(names, candidates, frame, k + 1, images, fixing)
     frame.pop(name, None)
 
 

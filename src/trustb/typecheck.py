@@ -362,6 +362,21 @@ class TypedMachine:
             reads[lbl] = tuple(v for v in self.variables if v in free)
         return reads
 
+    @cached_property
+    def typing_invariants(self) -> frozenset[str]:
+        """The labels of the in-scope invariants that are a variable's very
+        typing clause, the `v : E` its domain_expr came from.  Every state
+        the state enumeration lists satisfies them; a later clause of the
+        same form is not one of them."""
+        labels = set()
+        for lbl, inv, _origin in self.invariant_scope:
+            p = inv.pred
+            if type(p) is Member and type(p.item) is Ident:
+                info = self.variables.get(p.item.name)
+                if info is not None and p.container is info.domain_expr:
+                    labels.add(lbl)
+        return frozenset(labels)
+
     def invariant(self, label: str) -> Labeled:
         for lbl, inv, _origin in self.invariant_scope:
             if lbl == label:

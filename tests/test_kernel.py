@@ -16,6 +16,8 @@ from trustb.kernel import (
     Env,
     apply_function,
     check_function_kind,
+    compile_domain,
+    compile_pred,
     domain_of,
     enumerate_fn_space,
     eval_expr_frame,
@@ -179,6 +181,31 @@ def test_fn_space_deterministic():
     assert enumerate_fn_space("pfun", dom, ran, 12) == enumerate_fn_space(
         "pfun", mkatoms("ba"), mkatoms("yx"), 12
     )
+
+
+# Every value over the atoms a, b, c of the shapes a domain can hold: the
+# atoms, their sets and the relations between them.
+_ABC = mkatoms("abc")
+_CANDIDATES = (
+    *_ABC.sorted_elements(),
+    *powerset_elements(_ABC),
+    *enumerate_fn_space("rel", _ABC, _ABC),
+)
+
+
+@pytest.mark.parametrize("domain", ["pow(S)", "S <-> T", "S +-> T", "S --> T", "S"])
+@given(st.sets(st.sampled_from("abc"), max_size=3), st.sets(st.sampled_from("abc"), max_size=3))
+@settings(max_examples=30)
+def test_domain_lists_exactly_what_membership_accepts(domain, s, t):
+    # The discharge walk takes a variable's typing invariant `v : E` as
+    # true on every state it lists, which holds because the members
+    # compile_domain lists for E are those that `v : E` accepts.
+    frame = Env({"S": mkatoms(s), "T": mkatoms(t)}).bindings
+    listed = compile_domain(parse_expression(domain))(frame, 12)
+    member = compile_pred(parse_predicate(f"v : {domain}"))
+    accepted = {v for v in _CANDIDATES if member({**frame, "v": v}, 12)}
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == accepted
 
 
 # --- expression evaluation ------------------------------------------------------

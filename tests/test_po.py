@@ -7,7 +7,9 @@ from trustb.po import (
     ALL_STATES,
     DISCHARGED,
     FAILED,
+    GoalInvariantReport,
     REACHABLE,
+    STATE_SOURCES,
     VACUOUS,
     check_refinement,
     detect_vacuous_guards,
@@ -598,6 +600,36 @@ def test_quantified_invariant_raises_in_the_first_ill_defined_state(tmp_path):
     assert err.getvalue() == "error: application outside domain: {(s2 |-> s1)} applied to s1\n"
 
 
+@pytest.mark.parametrize("mentions_a", [True, False])
+def test_partial_model_raises_alike_with_given_and_memoised_invariants(tmp_path, mentions_a):
+    # inv1 to inv3 are typing clauses, given on every typed state; inv4
+    # still runs.  Without `x : a` it mentions g and d but not a, so the
+    # walk memoises it, and never stores the run that raises: the check
+    # stops with the same error either way, whatever else it reports on.
+    import io
+
+    from trustb.cli import run_command
+    from trustb.dsl import parse_file
+    from trustb.runtime import enumerate_instantiations
+    from trustb.typecheck import elaborate
+
+    text = PARTIAL if mentions_a else PARTIAL.replace("x : a & ", "")
+    message = "application outside domain: {(s2 |-> s1)} applied to s1"
+    model = tmp_path / "partial.ebt"
+    model.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["check", str(model), "--format", "records"], stdout=out, stderr=err) == 3
+    assert (out.getvalue(), err.getvalue()) == ("", f"error: {message}\n")
+
+    tm = elaborate(parse_file(text, "partial.ebt")).machine("Partial")
+    [inst] = enumerate_instantiations(tm.context, {"S": 2})
+    assert tm.typing_invariants == {"inv1", "inv2", "inv3"}
+    for options in ({}, {"vacuity": True}, {"goal": "inv1"}, {"goal": "inv4"}):
+        with pytest.raises(TrustbError) as raised:
+            discharge_all(tm, inst.env(), **options)
+        assert str(raised.value) == message
+
+
 def test_check_walks_the_state_universe_once(monkeypatch):
     import io
 
@@ -632,14 +664,25 @@ def test_one_walk_matches_separate_walks():
 
 
 def test_each_predicate_runs_once_per_prefix(monkeypatch):
-    # inv3 reads only the first two variables and grd4 only the first, so
-    # neither should run again while the walk varies the later ones.
+    # grd4 reads only agent_task, the first variable, so it should not run
+    # again while the walk varies the later ones; inv3 and grd8 mention
+    # later variables but not the ones before them, so they should run once
+    # per distinct value of what they mention; inv1 is commitments' typing
+    # clause and should not run on a typed state at all.
     tm, inst, env = setup(2, BoundSpec(1, 2, 2))
     reachable = reachable_states(tm, env)
     counts: dict[str, int] = {}
     info = tm.event("trust")
+    met = []
+    grd8 = dict(info.guard_code)["grd8"]
+
+    def keyed(frame, bound):
+        met.append((frame["i"], frame["j"], frame["t"], frame["commitments"]))
+        return grd8(frame, bound)
+
+    guards = tuple((lbl, keyed if lbl == "grd8" else code) for lbl, code in info.guard_code)
     monkeypatch.setattr(tm, "invariant_code", _counted(tm.invariant_code, counts))
-    monkeypatch.setattr(info, "guard_code", _counted(info.guard_code, counts))
+    monkeypatch.setattr(info, "guard_code", _counted(guards, counts))
     pos = generate_pos(tm, include_refinement=True, goal="inv4")
     discharge_all(tm, env, pos, vacuity=True, goal="inv4")
 
@@ -650,12 +693,14 @@ def test_each_predicate_runs_once_per_prefix(monkeypatch):
     prefixes = {(s.values["agent_task"], s.values["trustor_trustee_task"]) for s in states}
     agent_tasks = {s.values["agent_task"] for s in states}
     bindings = list(param_bindings(info, states[0], env))
-    assert tm.var_order[:2] == ("agent_task", "trustor_trustee_task")
-    # inv1 reads commitments, the last variable: it runs once per visited state.
-    assert counts["inv1"] == len(states)
-    # inv3 reads only the first two variables: it runs once per visited
-    # prefix of them, 91 times.
-    assert counts["inv3"] == len(prefixes) == 91
+    assert tm.var_order == ("agent_task", "trustor_trustee_task", "knowledge", "commitments")
+    # inv1 is given on every typed state: it makes no pre-state run.
+    assert tm.typing_invariants == {"inv1", "inv2"}
+    assert "inv1" not in counts and "inv2" not in counts
+    # inv3 mentions only trustor_trustee_task: it runs once per distinct
+    # value of it, fewer times than there are visited prefixes.
+    tasks_of_trustors = {s.values["trustor_trustee_task"] for s in states}
+    assert counts["inv3"] == len(tasks_of_trustors) < len(prefixes) == 91
     # grd4 reads only agent_task: it runs on each of the 8 bindings, all of
     # which pass the typing guards before it, once per visited agent_task;
     # the goal report's search for the reachable states runs it on each
@@ -663,9 +708,108 @@ def test_each_predicate_runs_once_per_prefix(monkeypatch):
     walk, search = len(agent_tasks) * len(bindings), len(reachable) * len(bindings)
     assert (walk, search) == (28 * 8, 1 * 8)
     assert counts["grd4"] == walk + search
+    # grd8 runs once per distinct (i, j, t, commitments) it meets.
+    assert 0 < counts["grd8"] == len(met) == len(set(met))
     # inv4 can read every variable, but a run that finds its first (i, t)
     # without a group for t stops before reading commitments.
     assert 0 < counts["inv4"] < len(states)
+
+
+# grow leaves inv1's typing domain as soon as it adds k.
+OUTSIDE = """CONTEXT c
+SETS S
+CONSTANTS k
+AXIOMS
+  @axm1: k : S
+END
+MACHINE Outside
+SEES c
+VARIABLES d
+INVARIANTS
+  @inv1: d : pow(S \\ {k})
+EVENT INITIALISATION
+THEN
+  @act1: d := {}
+END
+EVENT grow
+ANY x
+WHERE
+  @grd1: x : S
+THEN
+  @act1: d := d \\/ {x}
+END
+END
+"""
+
+
+def test_reachable_states_run_the_typing_invariants(monkeypatch):
+    from trustb.dsl import parse_file
+    from trustb.runtime import enumerate_instantiations
+    from trustb.typecheck import elaborate
+
+    tm = elaborate(parse_file(OUTSIDE, "outside.ebt")).machine("Outside")
+    inst = enumerate_instantiations(tm.context, {"S": 2})[0]
+    env = inst.env()
+    assert tm.typing_invariants == {"inv1"}
+    counts: dict[str, int] = {}
+    monkeypatch.setattr(tm, "invariant_code", _counted(tm.invariant_code, counts))
+    # With k = s1, d is typed in 2 states, and reaches 4: inv1 is given on
+    # the typed ones and run on each reachable one, false in the 2 that
+    # hold k.  Either walk can be the main one.
+    for source in STATE_SOURCES:
+        counts.clear()
+        goal = discharge_all(tm, env, [], source, goal="inv1").goal
+        assert (goal.holds, goal.states, goal.holds_reachable, goal.reachable) == (2, 2, 2, 4)
+        assert counts == {"inv1": 4}
+
+
+def test_typing_goal_holds_on_every_typed_state(monkeypatch):
+    tm, inst, env = setup(2, BoundSpec(1, 2, 2))
+    assert goal_invariant_report(tm, env, "inv1") == GoalInvariantReport("inv1", 2052, 2052, 1, 1)
+    # On the typed states inv1 is given; on the reachable one it runs, so
+    # a code that says false shows there alone.
+    counts: dict[str, int] = {}
+    false = tuple((lbl, lambda f, b: False) for lbl, _code in tm.invariant_code)
+    monkeypatch.setattr(tm, "invariant_code", _counted(false, counts))
+    assert goal_invariant_report(tm, env, "inv1") == GoalInvariantReport("inv1", 2052, 2052, 0, 1)
+    assert counts == {"inv1": 1}
+
+
+TWICE = """CONTEXT c
+SETS S
+END
+MACHINE Twice
+SEES c
+VARIABLES a d
+INVARIANTS
+  @inv1: a : pow(S)
+  @inv2: d : pow(S)
+  @inv3: a : pow(S)
+EVENT INITIALISATION
+THEN
+  @act1: a := {}
+  @act2: d := {}
+END
+END
+"""
+
+
+def test_only_the_first_typing_clause_is_given(monkeypatch):
+    from trustb.dsl import parse_file
+    from trustb.runtime import enumerate_instantiations
+    from trustb.typecheck import elaborate
+
+    tm = elaborate(parse_file(TWICE, "twice.ebt")).machine("Twice")
+    [inst] = enumerate_instantiations(tm.context, {"S": 2})
+    env = inst.env()
+    assert tm.typing_invariants == {"inv1", "inv2"}
+    counts: dict[str, int] = {}
+    monkeypatch.setattr(tm, "invariant_code", _counted(tm.invariant_code, counts))
+    assert discharge_all(tm, env, [], goal="inv3").goal == GoalInvariantReport("inv3", 16, 16, 1, 1)
+    # inv3 reads a, the first variable: it runs once per visited a, and on
+    # the reachable state.
+    visited = {state.values["a"] for state, _size in state_orbits(tm, env)}
+    assert counts == {"inv3": len(visited) + 1}
 
 
 def _post_state_goals(mutate, evaluated):
