@@ -326,10 +326,10 @@ class Parser:
         events: list[EventAST] = []
         seen_events: set[str] = set()
         while self.at("kw", "EVENT"):
+            start = self.peek()
             ev = self.parse_event()
             if ev.name in seen_events:
-                tok = self.peek()
-                raise DuplicateLabel(tok.line, tok.col, ev.name)
+                raise DuplicateLabel(start.line, start.col, ev.name)
             seen_events.add(ev.name)
             events.append(ev)
         self.expect("kw", "END")

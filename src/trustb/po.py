@@ -84,7 +84,9 @@ knows, by four rules.
   run decided, so a hit leaves the decided depths as exact as a run would.
   The walk revisits a prefix predicate only on a new prefix, which decided
   depth already covers, and one that mentions every variable never meets a
-  key twice, so neither keeps a memo.
+  key twice, so neither keeps a memo.  Every invariant and guard the walk
+  decides goes through one step, _Reader.decide, which runs it or, with a
+  memo, looks its key up first.
 * A case reuses what is already decided.  An INV goal none of whose
   variables the event's actions gave a different value is as true after
   the event as before it, which the walk already knows.  A GRD goal that is
@@ -99,6 +101,7 @@ the state where it would if it ran in every state.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -299,7 +302,7 @@ def _judge(
                 if expected == actual:
                     continue
             post_state = state.updated(post)
-        ce = Counterexample(State(dict(state.values)), tuple(sorted(binding.items())), post_state)
+        ce = Counterexample(State(state.values), tuple(sorted(binding.items())), post_state)
         if po.kind == "SIM":
             ce.expected = expected
             ce.actual = actual
@@ -312,19 +315,33 @@ class _Reader(dict):
     depth() is asked, so a run on this frame shows how much of the state
     it read."""
 
-    __slots__ = ("bound", "position", "values", "fetched")
+    __slots__ = ("bound", "order", "position", "values", "fetched")
 
     def __init__(self, order: tuple[str, ...], env: Env):
         super().__init__(env.bindings)
         self.bound = env.powerset_bound
+        self.order = order
         self.position = {v: k + 1 for k, v in enumerate(order)}
-        self.values: dict = {}  # the values of the state being read
+        self.values: dict | None = None  # the values of the state being read
         self.fetched: list[str] = []
 
     def __missing__(self, name: str):
         value = self[name] = self.values[name]
         self.fetched.append(name)
         return value
+
+    def move(self, values: dict) -> int:
+        """Read the state with these values from now on, and return the
+        position of its first variable whose value is not the very object
+        the previous state held: -1 for the first state, len(order) if
+        every object is the same."""
+        prev, self.values = self.values, values
+        if prev is None:
+            return -1
+        for k, name in enumerate(self.order):
+            if values[name] is not prev[name]:
+                return k
+        return len(self.order)
 
     def depth(self) -> int:
         """One past the deepest position read since the last call; the
@@ -338,125 +355,114 @@ class _Reader(dict):
         self.fetched.clear()
         return depth
 
+    def decide(self, code, memo: dict | None, key, binding: dict | tuple = ()) -> int:
+        """The truth of `code` on this frame with `binding` added, and the
+        depth it decided, packed as depth << 1 | truth, which allocates
+        nothing.  Without a memo this is a run; with one it is the value
+        stored under `key`, or a run whose value is stored there.  A run
+        that raises stores nothing."""
+        if memo is not None:
+            packed = memo.get(key)
+            if packed is not None:
+                return packed
+        self.update(binding)
+        truth = code(self, self.bound)
+        packed = self.depth() << 1 | truth
+        if memo is not None:
+            memo[key] = packed
+        return packed
+
 
 def _memo_key(names: tuple[str, ...], order: tuple[str, ...]):
     """The function that reads the memo key of a predicate mentioning the
     state variables `names` (in variable order) off a state's values; None
     if they are a prefix of `order`, as decided depth already runs such a
-    predicate once per distinct prefix.
-
-    A memo entry packs a run's decided depth and truth into one small int,
-    depth << 1 | truth, which allocates nothing."""
+    predicate once per distinct prefix."""
     return None if names == order[: len(names)] else itemgetter(*names)
 
 
+def _unkeyed(_values) -> None:
+    """The key of a predicate without a memo."""
+    return None
+
+
 class _Truths:
-    """Invariants' truths in the walk's current state, each decided again
-    only when the walk changes a variable it read on its last run (see the
-    module docstring).  Until then the run would read, and so decide, the
-    same again: every variable before its decided depth is the very object
-    it read.  Where the walk lists only typed states (`typed`), a typing
-    invariant is given and never runs; an invariant with a memo (see
-    _memo_key) runs once per distinct value of the variables it mentions."""
+    """Invariants' truths in the walk's current state, each decided by the
+    rules of the module docstring: given where the walk lists only typed
+    states (`typed`), and otherwise through the reader's decide."""
 
     __slots__ = ("codes", "reader", "truths", "depths", "keys", "memos")
 
     def __init__(self, tm: TypedMachine, checked: list, reader: _Reader, typed: bool):
-        order = tm.var_order
         self.codes = [code for _lbl, code in checked]
         self.reader = reader
         self.truths = [True] * len(checked)
         given = tm.typing_invariants if typed else ()
         # The first state (changed -1) decides every invariant not given.
         self.depths = [-1 if lbl in given else 0 for lbl, _code in checked]
-        self.keys = [_memo_key(tm.invariant_reads[lbl], order) for lbl, _code in checked]
-        self.memos = [None if key is None else {} for key in self.keys]
+        keys = [_memo_key(tm.invariant_reads[lbl], tm.var_order) for lbl, _code in checked]
+        self.keys = [key or _unkeyed for key in keys]
+        self.memos = [None if key is None else {} for key in keys]
 
-    def at(self, state: State, changed: int) -> list[bool]:
-        """The truths in `state`, whose first changed position is `changed`;
-        the reader reads `state` from now on."""
+    def at(self, changed: int) -> list[bool]:
+        """The truths in the reader's current state, whose first changed
+        position is `changed`."""
         reader, depths, truths = self.reader, self.depths, self.truths
-        values = reader.values = state.values
         for k, depth in enumerate(depths):
             if depth > changed:
-                memo = self.memos[k]
-                if memo is None:
-                    truths[k] = self.codes[k](reader, reader.bound)
-                    depths[k] = reader.depth()
-                    continue
-                key = self.keys[k](values)
-                hit = memo.get(key)
-                if hit is None:
-                    ok = self.codes[k](reader, reader.bound)
-                    hit = memo[key] = reader.depth() << 1 | ok
-                truths[k], depths[k] = (hit & 1) == 1, hit >> 1
+                key = self.keys[k](reader.values)
+                packed = reader.decide(self.codes[k], self.memos[k], key)
+                truths[k], depths[k] = (packed & 1) == 1, packed >> 1
         return truths
 
 
 def _holds_on(tm: TypedMachine, goal: str, code, source: str, env: Env) -> tuple[int, int]:
     """On how many of the weighted states of `source` the compiled invariant
     labelled `goal` holds, and of how many."""
-    order = tm.var_order
-    truths = _Truths(tm, [(goal, code)], _Reader(order, env), source == ALL_STATES)
+    reader = _Reader(tm.var_order, env)
+    truths = _Truths(tm, [(goal, code)], reader, source == ALL_STATES)
     holds = total = 0
-    for state, weight, changed in _with_changes(_state_iter(tm, env, source), order):
+    for state, weight in _state_iter(tm, env, source):
         total += weight
-        if truths.at(state, changed)[0]:
+        if truths.at(reader.move(state.values))[0]:
             holds += weight
     return holds, total
-
-
-def _with_changes(
-    states: Iterable[tuple[State, int]], order: tuple[str, ...]
-) -> Iterator[tuple[State, int, int]]:
-    """Each weighted state with the position of the first variable whose
-    value is not the very object the previous state held: -1 for the first
-    state, len(order) if every object is the same."""
-    prev = None
-    for state, weight in states:
-        cur = [state.values[v] for v in order]
-        if prev is None:
-            changed = -1
-        else:  # a plain loop costs a fraction of a generator expression here
-            changed = len(order)
-            for k, value in enumerate(cur):
-                if value is not prev[k]:
-                    changed = k
-                    break
-        prev = cur
-        yield state, weight, changed
 
 
 class _Bindings:
     """One event's parameter bindings and, after each guard, those that
     pass it and every guard before it, in binding order, read on the
-    reader in its current state.
+    reader in its current state and decided by the rules of the module
+    docstring.
 
     lists[0] holds the bindings; lists[k] holds those of lists[k - 1] on
     which guard k - 1 holds.  depths[k] is the decided depth of lists[k]:
     the deepest of its own runs' reads and depths[k - 1], so the depths
     never decrease.  A list stands while the walk's first changed position
     is at or beyond its depth; otherwise it is made again, lazily and from
-    the one before it.  A guard with a memo (see _memo_key) runs once per
-    distinct value of the state variables and parameters it mentions: a
-    run on the same values decides the same and reads as deep.
+    the one before it.  A guard's memo is keyed by its parameters' values
+    first: they take few values, so each entry is one slot keyed by a
+    state key made once per list.  A guard without a memo has {None: None},
+    which gives every binding no memo.
     """
 
     __slots__ = ("info", "reader", "codes", "keys", "memos", "lists", "depths", "fresh")
 
-    def __init__(self, info: EventInfo, reader: _Reader):
+    def __init__(self, tm: TypedMachine, info: EventInfo, reader: _Reader):
         self.info = info
         self.reader = reader
         self.codes = [code for _label, code in info.guard_code]
-        order, params = tuple(reader.position), info.ast.params
-        self.keys = []
+        self.keys, self.memos = [], []
         for g in info.ast.guards:
+            state_key = _memo_key(tm.reads(g.pred), tm.var_order)
+            if state_key is None:
+                self.keys.append((_unkeyed, _unkeyed))
+                self.memos.append({None: None})
+                continue
             free = free_idents_pred(g.pred)
-            state_key = _memo_key(tuple(v for v in order if v in free), order)
-            mentioned = [p for p in params if p in free]
-            param_key = itemgetter(*mentioned) if mentioned else lambda binding: None
-            self.keys.append(None if state_key is None else (state_key, param_key))
-        self.memos = [None if key is None else {} for key in self.keys]
+            mentioned = [p for p in info.ast.params if p in free]
+            self.keys.append((state_key, itemgetter(*mentioned) if mentioned else _unkeyed))
+            self.memos.append(defaultdict(dict))
         self.lists: list[list[dict]] = [[] for _ in range(len(self.codes) + 1)]
         self.depths = [0] * len(self.lists)
         self.fresh = 0  # lists[:fresh] hold for the current state
@@ -476,42 +482,22 @@ class _Bindings:
 
     def _upto(self, k: int) -> list[dict]:
         lists, depths, frame = self.lists, self.depths, self.reader
-        bound = frame.bound
         for i in range(self.fresh, k + 1):
             if i == 0:
-                lists[0] = list(bind_params(self.info, frame, bound))
-                depth = 0
-            else:
-                code, key, kept = self.codes[i - 1], self.keys[i - 1], []
-                depth = depths[i - 1]
-                if key is None:
-                    for binding in lists[i - 1]:
-                        frame.update(binding)
-                        if code(frame, bound):
-                            kept.append(binding)
-                else:
-                    # Parameter values first: they take few values, so each
-                    # entry is one slot keyed by a state key made once here.
-                    state_key, param_key = key
-                    skey = state_key(frame.values)
-                    memo = self.memos[i - 1]
-                    for binding in lists[i - 1]:
-                        seen = memo.get(param_key(binding))
-                        if seen is None:
-                            seen = memo[param_key(binding)] = {}
-                        hit = seen.get(skey)
-                        if hit is None:
-                            frame.update(binding)
-                            ok = code(frame, bound)
-                            hit = seen[skey] = frame.depth() << 1 | ok
-                        if hit & 1:
-                            kept.append(binding)
-                        if hit >> 1 > depth:
-                            depth = hit >> 1
-                lists[i] = kept
-            if frame.fetched:
-                depth = max(depth, frame.depth())
-            depths[i] = depth
+                lists[0] = list(bind_params(self.info, frame, frame.bound))
+                depths[0] = frame.depth()
+                continue
+            code, memo = self.codes[i - 1], self.memos[i - 1]
+            state_key, param_key = self.keys[i - 1]
+            skey = state_key(frame.values)
+            depth, kept = depths[i - 1], []
+            for binding in lists[i - 1]:
+                packed = frame.decide(code, memo[param_key(binding)], skey, binding)
+                if packed & 1:
+                    kept.append(binding)
+                if packed >> 1 > depth:
+                    depth = packed >> 1
+            lists[i], depths[i] = kept, depth
         if self.fresh <= k:
             for p in self.info.ast.params:
                 frame.pop(p, None)
@@ -533,22 +519,15 @@ def discharge_all(
     goal leaves every hypothesis, as it leaves generate_pos's obligations.
 
     Over all typed states the walk visits one state per symmetry orbit and
-    weights what it counts there by the orbit's size (see the module
-    docstring).  A typing invariant is given on typed states; each other
-    invariant, binding list and guard is decided again only when the walk
-    changes a variable it read on its last run, and then runs only on
-    values it has not met (see the module docstring); and each case reuses
-    the pre-state truths and the guards it already has.  A
-    preservation obligation's hypothesis then reduces to
-    `the only false invariant other than the goal, if any, is the
-    obligation's own` plus the event's guards.  Vacuity looks only at states
-    where every invariant holds, and there each guard is evaluated on every
-    binding for both consumers.  Counterexamples are the first in
-    enumeration order, and case counts are exact.  A guard or an invariant
-    that raises does so in the same state as it would if every predicate
-    ran in every state.  The goal count covers every typed state and every
-    reachable state, whichever the state source, and reads its truths
-    by the same rules.
+    weights what it counts there by the orbit's size, and it runs no
+    predicate whose answer it already knows; the module docstring gives
+    both.  A preservation obligation's hypothesis reduces to `the only
+    false invariant other than the goal, if any, is the obligation's own`
+    plus the event's guards.  Vacuity looks only at states where every
+    invariant holds, and there each guard is evaluated on every binding for
+    both consumers.  Counterexamples are the first in enumeration order,
+    and case counts are exact.  The goal count covers every typed state and
+    every reachable state, whichever the state source.
     """
     codes = dict(tm.invariant_code)
     if goal is not None and goal not in codes:
@@ -590,10 +569,9 @@ def discharge_all(
         for name, info in tm.events.items()
         if vacuity and not info.ast.is_init
     }
-    order = tm.var_order
-    reader = _Reader(order, env)
+    reader = _Reader(tm.var_order, env)
     events = [
-        (name, info, event_pos.get(name, []), vac_reps.get(name), _Bindings(info, reader))
+        (name, info, event_pos.get(name, []), vac_reps.get(name), _Bindings(tm, info, reader))
         for name, info in tm.events.items()
         if name in event_pos or name in vac_reps
     ]
@@ -601,9 +579,10 @@ def discharge_all(
     if events or goal is not None:
         decided = _Truths(tm, checked, reader, state_source == ALL_STATES)
         frame = dict(env.bindings)
-        for state, weight, changed in _with_changes(_state_iter(tm, env, state_source), order):
+        for state, weight in _state_iter(tm, env, state_source):
+            changed = reader.move(state.values)
             frame.update(state.values)
-            truths = decided.at(state, changed)
+            truths = decided.at(changed)
             for *_ev, cache in events:
                 cache.moved(changed)
             false_invs = [lbl for lbl, ok in zip(labels, truths) if not ok]
@@ -636,7 +615,7 @@ def discharge_all(
                             if not ok and rep.witness is None:
                                 rep.vacuous = False
                                 rep.witness = Counterexample(
-                                    State(dict(state.values)),
+                                    State(state.values),
                                     tuple(sorted(binding.items())),
                                     None,
                                 )

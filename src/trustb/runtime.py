@@ -28,7 +28,6 @@ from .errors import (
     AxiomViolation,
     BoundExceeded,
     GuardFailed,
-    NonFiniteQuantifierDomain,
     TrustbError,
 )
 from .kernel import (
@@ -54,7 +53,6 @@ from .syntax import (
     Pow,
     Pred,
     Subset,
-    free_idents_expr,
     subexprs,
 )
 from .typecheck import EventInfo, TypedContext, TypedMachine
@@ -352,11 +350,7 @@ class _VarDomains:
         order = self.order = tm.var_order
         infos = [tm.variables[v] for v in order]
         self.domains = [compile_domain(info.domain_expr) for info in infos]
-        var_set = set(order)
-        self.deps = []
-        for info in infos:
-            free = free_idents_expr(info.domain_expr)
-            self.deps.append(tuple(v for v in order if v in free and v in var_set))
+        self.deps = [tm.reads(info.domain_expr) for info in infos]
         self.memo: list[dict[tuple[Value, ...], tuple[Value, ...]]] = [{} for _ in order]
         self.frame = dict(env.bindings)
         self.bound = env.powerset_bound
@@ -440,7 +434,9 @@ def permute(v: Value, perm: Mapping[Value, Value]) -> Value:
 
 def symmetry_group(tm: TypedMachine, env: Env) -> tuple[dict[Value, Value], ...]:
     """The permutations of the carriers' atoms that map checking tm to
-    itself, the identity first, each as a map of the atoms it moves.
+    itself, the identity first, each as a map of the atoms it moves.  tm is
+    an elaborated machine that no one has edited since, so every quantifier
+    in it is well formed.
 
     These are the permutations within each carrier that fix every
     constant's value.  Atoms that no constant separates, being equal to or
@@ -488,20 +484,17 @@ def _quantifier_bodies_total(tm: TypedMachine, env: Env) -> bool:
 
 def _total_pred(p: Pred, constants: dict, bound: int, inside: bool = False) -> bool:
     """Whether every quantifier body in p is total: it cannot raise on typed
-    values.  A total body has no function application and no malformed
-    quantifier, and each powerset or relation space it enumerates, as a
-    value or as an inner quantifier's domain, reads only `constants` and
-    fits under the bound.  `inside` says p is in a body."""
+    values.  A total body has no function application, and each powerset
+    or relation space it enumerates, as a value or as an inner quantifier's
+    domain, reads only `constants` and fits under the bound.  Elaboration
+    has refused every malformed quantifier.  `inside` says p is in a body."""
     t = type(p)
     if t is And or t is Implies:
         return _total_pred(p.left, constants, bound, inside) and _total_pred(
             p.right, constants, bound, inside
         )
     if t is Forall or t is Exists:
-        try:
-            domains = quantifier_domains(p.vars, p.body, t is Forall)
-        except NonFiniteQuantifierDomain:
-            return False
+        domains = quantifier_domains(p.vars, p.body, t is Forall)
         constants = {n: v for n, v in constants.items() if n not in p.vars}
         # `!x, y . P` runs as `!x . !y . P`: only x's domain is outside a body.
         return all(

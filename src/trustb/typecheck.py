@@ -61,6 +61,7 @@ from .syntax import (
     SetEnum,
     Subset,
     Union,
+    free_idents_expr,
     free_idents_pred,
 )
 
@@ -351,16 +352,17 @@ class TypedMachine:
         """invariant_scope's labels with compiled predicates, built on first use."""
         return tuple((lbl, compile_pred(inv.pred)) for lbl, inv, _origin in self.invariant_scope)
 
+    def reads(self, node: Expr | Pred) -> tuple[str, ...]:
+        """The state variables `node` mentions, in declaration order."""
+        free = free_idents_pred(node) if isinstance(node, Pred) else free_idents_expr(node)
+        return tuple(v for v in self.variables if v in free)
+
     @cached_property
     def invariant_reads(self) -> dict[str, tuple[str, ...]]:
         """Each invariant's label with the state variables it mentions, in
         variable order: its truth in a state depends on nothing else but
         the constants."""
-        reads = {}
-        for lbl, inv, _origin in self.invariant_scope:
-            free = free_idents_pred(inv.pred)
-            reads[lbl] = tuple(v for v in self.variables if v in free)
-        return reads
+        return {lbl: self.reads(inv.pred) for lbl, inv, _origin in self.invariant_scope}
 
     @cached_property
     def typing_invariants(self) -> frozenset[str]:

@@ -22,7 +22,7 @@ class Value:
 class Atom(Value):
     """An uninterpreted element of a carrier set, identified by name."""
 
-    __slots__ = ("name", "_key")
+    __slots__ = ("name", "_key", "_hash")
     _interned: dict[str, "Atom"] = {}
 
     def __new__(cls, name: str):
@@ -32,6 +32,7 @@ class Atom(Value):
         self = super().__new__(cls)
         self.name = name
         self._key = (1, name)
+        self._hash = hash(self._key)
         cls._interned[name] = self
         return self
 
@@ -42,7 +43,7 @@ class Atom(Value):
         return self is other or (type(other) is Atom and other.name == self.name)
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def sort_key(self):
         return self._key

@@ -27,6 +27,7 @@ from trustb.syntax import (
     Pow,
     SetEnum,
     Union,
+    free_idents_pred,
 )
 
 
@@ -124,6 +125,12 @@ def test_unicode_aliases():
     assert parse_predicate("∀x . x : s => x : s") == parse_predicate(
         "!x . x : s => x : s"
     )
+    assert parse_expression("∅") == parse_expression("{}")
+    assert parse_expression("ℙ(s)") == parse_expression("pow(s)")
+
+
+def test_partition_mentions_its_whole_and_parts():
+    assert free_idents_pred(parse_predicate("partition(S, a, b)")) == {"S", "a", "b"}
 
 
 def test_comments_ignored():
@@ -157,6 +164,41 @@ EVENT INITIALISATION THEN @act1: v := {} END
 END"""
     with pytest.raises(DuplicateLabel):
         parse_file(text)
+
+
+def test_duplicate_action_label_rejected():
+    text = """MACHINE m
+VARIABLES v w
+INVARIANTS
+  @inv1: v : s
+EVENT INITIALISATION THEN
+  @act1: v := {}
+  @act1: w := {}
+END
+END"""
+    with pytest.raises(DuplicateLabel) as exc:
+        parse_file(text)
+    assert (exc.value.line, exc.value.col, exc.value.label) == (7, 3, "act1")
+
+
+def test_duplicate_event_is_reported_at_its_event_keyword():
+    text = """MACHINE m
+VARIABLES v
+INVARIANTS
+  @inv1: v : s
+EVENT INITIALISATION THEN @act1: v := {} END
+EVENT e
+THEN
+  @act1: v := {}
+END
+EVENT e
+THEN
+  @act1: v := {}
+END
+END"""
+    with pytest.raises(DuplicateLabel) as exc:
+        parse_file(text)
+    assert (exc.value.line, exc.value.col, exc.value.label) == (10, 1, "e")
 
 
 def test_multiple_assignment_rejected():

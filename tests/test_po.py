@@ -208,6 +208,12 @@ def test_reachable_source_reduces_to_init():
     assert by_name["trust/inv1/INV"].cases == 0
 
 
+def test_unknown_state_source_is_refused():
+    tm, _inst, env = setup(0, BoundSpec(1, 1, 1))
+    with pytest.raises(ValueError, match="unknown state source 'bogus'"):
+        discharge_all(tm, env, state_source="bogus")
+
+
 def test_full_scan_counts_every_hypothesis_case():
     # case counts are exact even when a counterexample shows up early
     tm, inst, env = setup(0, BoundSpec(2, 2, 1))

@@ -1,9 +1,8 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
-from trustb.dsl import parse_file, parse_predicate
+from trustb.dsl import parse_file
 from trustb.errors import AxiomViolation, GuardFailed, ScenarioError
 from trustb.kernel import Env, check_function_kind, eval_pred_frame, powerset_elements
 from trustb.models import BoundSpec, machine_setup, make_instantiation
@@ -25,7 +24,6 @@ from trustb.runtime import (
     state_universe,
     symmetry_group,
 )
-from trustb.syntax import Labeled
 from trustb.typecheck import elaborate
 from trustb.values import EMPTY_SET, TRUE, Atom, PairV, SetV, canon, mkatoms, mkset
 
@@ -597,18 +595,6 @@ def test_symmetry_group_needs_inner_domains_over_constants(claim, size):
     tm = elaborate(parse_file(QUANTIFIED.format(claim=claim))).machine("Quantified")
     [inst] = enumerate_instantiations(tm.context, {"S": 2})
     assert len(symmetry_group(tm, inst.env())) == size
-
-
-def test_symmetry_group_is_trivial_when_a_body_holds_a_malformed_quantifier():
-    # Elaboration refuses a quantifier whose variable no conjunct types, so
-    # one is put into a guard after it: evaluating that body raises.
-    tm = elaborate(parse_file(PINNED)).machine("Pin")
-    inst = enumerate_instantiations(tm.context, {"S": 3})[0]
-    assert len(symmetry_group(tm, inst.env())) == 2
-    info = tm.event("add")
-    guard = parse_predicate("x : S & (!y . y : S => (#z . y : S & z : S))")
-    info.ast = replace(info.ast, guards=(Labeled("grd1", guard),))
-    assert symmetry_group(tm, inst.env()) == ({},)
 
 
 def _permute_state(state, perm):

@@ -414,6 +414,7 @@ def test_usage_errors_exit_2():
         ["frobnicate"],
         ["check", "--format", "yaml"],
         ["check", "--level", "0", "--bounds", "1,1,1", "--powerset-bound", "-1"],
+        ["check", "--level", "0", "--bounds", "1,1,1", "--powerset-bound", "abc"],
     ):
         code, _, err = run(argv)
         assert code == 2, argv
@@ -432,6 +433,16 @@ def test_model_errors_exit_3(tmp_path):
     bad.write_text("MACHINE ???\n")
     code, _, err = run(["check", str(bad)])
     assert code == 3 and "broken.ebt" in err
+    contexts = tmp_path / "contexts.ebt"
+    contexts.write_text(TOY_MODEL[: TOY_MODEL.index("MACHINE")])
+    assert run(["check", str(contexts)]) == (3, "", f"error: {contexts}: no machine to check\n")
+    # No value of bright is both a subset of COLORS and empty and not.
+    clash = tmp_path / "clash.ebt"
+    clash.write_text(TOY_MODEL.replace("  @axm1: bright <: COLORS\n",
+                                       "  @axm1: bright <: COLORS\n  @axm2: bright = {}\n"
+                                       "  @axm3: bright /= {}\n"))
+    expected = f"error: {clash}: no axiom-consistent instantiation at these carrier sizes\n"
+    assert run(["check", "--carrier", "COLORS=2", str(clash)]) == (3, "", expected)
 
 
 def test_empty_goal_invariant_is_a_usage_error():
@@ -624,6 +635,15 @@ def test_query_level_mismatch_is_usage_error(tmp_path):
     code, _, err = run(["query", "--state", str(state_file), "--level", "2", "i", "a", "t"])
     assert code == 2
     assert "level" in err
+
+
+def test_query_with_fewer_than_three_atoms_is_a_usage_error(tmp_path):
+    scn = tmp_path / "empty.scn"
+    scn.write_text("level 1\ntrustors i\ntrustees a\ntasks t\n")
+    state_file = tmp_path / "state.txt"
+    run(["simulate", "--export-state", str(state_file), str(scn)])
+    expected = "trustb query: error: need a trustor, at least one trustee, and a task\n"
+    assert run(["query", "--state", str(state_file), "i", "t"]) == (2, "", expected)
 
 
 def test_undefined_level_is_a_model_error(tmp_path):

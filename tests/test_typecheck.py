@@ -149,6 +149,38 @@ END"""
         make(text)
 
 
+# z comes second among the conjuncts, so none types it by coming first.
+UNTYPED_QUANTIFIER = "!y . y : S => (#z . y : S & z : S)"
+
+
+@pytest.mark.parametrize(
+    "clauses",
+    [
+        f"""INVARIANTS
+  @inv1: v : pow(S)
+  @inv2: {UNTYPED_QUANTIFIER}
+EVENT INITIALISATION THEN @act1: v := {{}} END""",
+        f"""INVARIANTS
+  @inv1: v : pow(S)
+EVENT INITIALISATION THEN @act1: v := {{}} END
+EVENT e WHERE
+  @grd1: {UNTYPED_QUANTIFIER}
+THEN
+  @act1: v := v
+END""",
+    ],
+    ids=["invariant", "guard"],
+)
+def test_quantifier_without_a_leading_typing_conjunct_is_refused(clauses):
+    text = f"MACHINE m SEES c\nVARIABLES v\n{clauses}\nEND"
+    with pytest.raises(TypeMismatch, match="quantified variable 'z'") as exc:
+        make(text)
+    # The position is the inner quantifier's, in the text after CTX.
+    lines = (CTX + text).splitlines()
+    line = next(k for k, row in enumerate(lines, 1) if "#z" in row)
+    assert (exc.value.line, exc.value.col) == (line, lines[line - 1].index("#z") + 1)
+
+
 def test_action_type_must_match_variable():
     text = """MACHINE m SEES c
 VARIABLES v

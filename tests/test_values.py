@@ -121,6 +121,12 @@ def test_value_sorted_is_deterministic_and_stable(vals):
     assert once == again
 
 
+def test_an_atom_hashes_as_its_sort_key():
+    # Atom keeps its hash in a slot; the value is the one the key tuple has.
+    for a in atoms("a", "bb"):
+        assert hash(a) == hash(a.sort_key()) == hash((1, a.name))
+
+
 @given(value_strategy(), value_strategy())
 def test_equal_values_share_key_and_hash(x, y):
     if x == y:
