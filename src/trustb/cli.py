@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import os
 import sys
 
 from . import __version__
@@ -96,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="discharge proof obligations")
     common_model_flags(p_check)
     p_check.add_argument("--bounds", default=None, metavar="A,B,C",
-                         help="trustors,trustees,tasks (default: TRUSTB_BOUNDS or 2,2,2)")
+                         help="trustors,trustees,tasks (default 2,2,2)")
     p_check.add_argument("--state-source", default=ALL_STATES,
                          choices=STATE_SOURCES,
                          help="which pre-states obligations quantify over")
@@ -164,8 +163,7 @@ def _model(args) -> tuple[TypedMachine, BoundSpec | None]:
     if args.file is None:
         bounds = None
         if args.command == "check":
-            default = os.environ.get("TRUSTB_BOUNDS", "2,2,2")
-            bounds = BoundSpec.parse(default if args.bounds is None else args.bounds)
+            bounds = BoundSpec.parse("2,2,2" if args.bounds is None else args.bounds)
         level = 2 if args.level is None else args.level
         mutate = None if args.mutate is None else Mutation.parse(args.mutate)
         return build_model(level, args.variant or "base", mutate)[1], bounds
@@ -186,13 +184,15 @@ def _carrier_sizes(specs: list[str], carriers: tuple[str, ...]) -> dict[str, int
     sizes: dict[str, int] = {}
     for spec in specs:
         name, eq, num = spec.partition("=")
-        if not eq or not num.isdigit() or int(num) < 1:
+        if not eq or not num.isdecimal() or int(num) < 1:
             raise _Usage(f"trustb check: error: bad --carrier '{spec}', expected SET=N")
         if name not in carriers:
             raise _Usage(
                 f"trustb check: error: --carrier {name}: the model has no carrier set "
                 f"of that name; its carrier sets are {', '.join(carriers) or '(none)'}"
             )
+        if name in sizes:
+            raise _Usage(f"trustb check: error: --carrier {name}: given more than once")
         sizes[name] = int(num)
     return sizes
 
@@ -357,17 +357,11 @@ def _cmd_query(args, out) -> int:
 def _hypothesis_lines(tm: TypedMachine, po) -> list[str]:
     axioms = " ".join(lab.label for lab in tm.context.axioms)
     lines = [f"  hypothesis axioms: {axioms}" if axioms else "  hypothesis axioms: (none)"]
-    info = tm.events[po.event]
-    if not info.ast.is_init:
-        if po.kind == "INV":
-            scope = [lbl for lbl, _inv, _o in tm.invariant_scope if lbl != po.label]
-        else:
-            scope = [lbl for lbl, _inv, _o in tm.invariant_scope]
-        if scope:
-            lines.append("  hypothesis invariants: " + " ".join(scope))
-        guards = " ".join(g.label for g in info.ast.guards)
-        if guards:
-            lines.append("  hypothesis guards: " + guards)
+    if po.hypothesis:
+        lines.append("  hypothesis invariants: " + " ".join(po.hypothesis))
+    guards = " ".join(g.label for g in tm.events[po.event].ast.guards)
+    if guards:
+        lines.append("  hypothesis guards: " + guards)
     return lines
 
 

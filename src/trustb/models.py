@@ -499,7 +499,7 @@ def import_state(text: str) -> TrustState:
             raise ScenarioError(f"expected '{key}' line, found '{lines[idx]}'")
         header[key] = parts[1:]
         idx += 1
-    if len(header["level"]) != 1 or not header["level"][0].isdigit():
+    if len(header["level"]) != 1 or not header["level"][0].isdecimal():
         raise ScenarioError("level line must carry a single number")
     ts = TrustState(
         int(header["level"][0]), header["trustors"], header["trustees"], header["tasks"]

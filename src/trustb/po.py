@@ -9,16 +9,18 @@ Obligation kinds and naming:
 * `event/var/SIM`     the concrete event changes an abstract variable
   exactly as the abstract event it refines does.
 
-Hypotheses.  For a preservation obligation the hypothesis is: the
-instantiation's axioms, every invariant in the machine's resolved scope
-EXCEPT the obligation's own invariant, and the event's guards.  Assuming the
-goal in its own pre-state is deliberately avoided: an invariant that is
-monotone in the updated variables can never fail under that assumption,
-and scopes whose invariants are jointly unsatisfiable at the chosen
-bounds would make every obligation pass vacuously.  The establishment
-form used here keeps each obligation falsifiable on exactly the states
-where the remaining invariants hold.  Guard-strengthening and simulation
-obligations keep the full invariant scope in their hypothesis.
+Hypotheses.  An obligation assumes the instantiation's axioms, the
+invariants its ProofObligation.hypothesis lists, and the event's guards (an
+INITIALISATION event has none).  generate_pos alone sets that field, and it
+is the one statement of which invariants an obligation assumes: none for
+establishment, the machine's resolved scope without the obligation's own
+invariant for preservation, and the whole scope for guard strengthening and
+simulation; never the goal invariant.  Assuming a preservation goal in its
+own pre-state is deliberately avoided: an invariant that is monotone in the
+updated variables can never fail under that assumption, and scopes whose
+invariants are jointly unsatisfiable at the chosen bounds would make every
+obligation pass vacuously.  This form keeps each obligation falsifiable on
+exactly the states where the remaining invariants hold.
 
 The goal invariant.  A check may name one invariant as its goal
 (generate_pos's and discharge_all's `goal`, the CLI's --goal-invariant).
@@ -132,6 +134,7 @@ class ProofObligation:
     goal: Pred | None = None
     sim_expr: Expr | None = None  # abstract right-hand side for SIM
     note: str = ""
+    hypothesis: tuple[str, ...] = ()  # labels of the invariants assumed, in scope order
 
 
 @dataclass
@@ -164,8 +167,10 @@ def generate_pos(
 ) -> list[ProofObligation]:
     """All obligations for a machine, in a fixed order: per event in
     machine order, invariants in scope order, then guard strengthening,
-    then simulation.  The goal invariant, if one is named, has none."""
+    then simulation.  The goal invariant, if one is named, has none and
+    is in no hypothesis (see the module docstring)."""
     scope = [(lbl, inv.pred) for lbl, inv, _o in tm.invariant_scope if lbl != goal]
+    labels = tuple(lbl for lbl, _pred in scope)
     pos: list[ProofObligation] = []
     for name, info in tm.events.items():
         goals = [("INV", lbl, pred, None) for lbl, pred in scope]
@@ -175,9 +180,13 @@ def generate_pos(
         for kind, label, pred, expr in goals:
             unread = kind == "INV" and not tm.invariant_reads[label]
             note = "goal references no machine variables" if unread else ""
+            hypothesis = () if info.ast.is_init else labels
+            if kind == "INV":
+                hypothesis = tuple(lbl for lbl in hypothesis if lbl != label)
             pos.append(
                 ProofObligation(
-                    f"{name}/{label}/{kind}", tm.name, name, kind, label, pred, expr, note
+                    f"{name}/{label}/{kind}", tm.name, name, kind, label, pred, expr, note,
+                    hypothesis,
                 )
             )
     return pos
@@ -515,19 +524,19 @@ def discharge_all(
 ) -> CheckResult:
     """Discharge a batch of obligations in one walk over the pre-states; on
     the same walk, report vacuous guards if `vacuity` is set and count the
-    states where the invariant labelled `goal` holds if one is given.  The
-    goal leaves every hypothesis, as it leaves generate_pos's obligations.
+    states where the invariant labelled `goal` holds if one is given.  A
+    case counts for an obligation when every invariant in its hypothesis
+    holds in the pre-state and every guard holds on the binding; the goal
+    counts as holding there even in obligations generated without it.
 
     Over all typed states the walk visits one state per symmetry orbit and
     weights what it counts there by the orbit's size, and it runs no
     predicate whose answer it already knows; the module docstring gives
-    both.  A preservation obligation's hypothesis reduces to `the only
-    false invariant other than the goal, if any, is the obligation's own`
-    plus the event's guards.  Vacuity looks only at states where every
-    invariant holds, and there each guard is evaluated on every binding for
-    both consumers.  Counterexamples are the first in enumeration order,
-    and case counts are exact.  The goal count covers every typed state and
-    every reachable state, whichever the state source.
+    both.  Vacuity looks only at states where every invariant holds, and
+    there each guard is evaluated on every binding for both consumers.
+    Counterexamples are the first in enumeration order, and case counts
+    are exact.  The goal count covers every typed state and every reachable
+    state, whichever the state source.
     """
     codes = dict(tm.invariant_code)
     if goal is not None and goal not in codes:
@@ -578,37 +587,26 @@ def discharge_all(
     holds = states = 0
     if events or goal is not None:
         decided = _Truths(tm, checked, reader, state_source == ALL_STATES)
-        frame = dict(env.bindings)
         for state, weight in _state_iter(tm, env, state_source):
             changed = reader.move(state.values)
-            frame.update(state.values)
             truths = decided.at(changed)
             for *_ev, cache in events:
                 cache.moved(changed)
-            false_invs = [lbl for lbl, ok in zip(labels, truths) if not ok]
+            false_invs = {lbl for lbl, ok in zip(labels, truths) if not ok}
             states += weight
             valid = vacuity and not false_invs
             if goal in false_invs:
                 false_invs.remove(goal)
             else:
                 holds += weight
-            if len(false_invs) > 1:
-                continue
-            sole_false = false_invs[0] if false_invs else None
             for name, info, mine, vreps, cache in events:
-                # With one false invariant, the only obligation whose
-                # hypothesis can hold is the one that excludes it: the
-                # preservation obligation for that very label.
-                if sole_false is None:
-                    targets = mine
-                else:
-                    targets = [
-                        t for t in mine if t[0].po.kind == "INV" and t[0].po.label == sole_false
-                    ]
+                targets = mine
+                if false_invs:
+                    targets = [t for t in mine if false_invs.isdisjoint(t[0].po.hypothesis)]
                 if valid:
                     # Vacuity needs every guard's truth on every binding.
                     for binding in cache.bindings():
-                        frame.update(binding)
+                        frame = event_frame(env, state, binding)
                         oks = [ok for _label, ok in guard_truths(info, frame, bound)]
                         for rep, ok in zip(vreps, oks):
                             rep.cases += weight
@@ -623,10 +621,8 @@ def discharge_all(
                             _judge(targets, info, state, weight, binding, frame, bound, truths)
                 elif targets:
                     for binding in cache.enabled():
-                        frame.update(binding)
+                        frame = event_frame(env, state, binding)
                         _judge(targets, info, state, weight, binding, frame, bound, truths)
-                for p in info.ast.params:
-                    frame.pop(p, None)
 
     for rep in reports:
         failed = rep.counterexample is not None

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ScenarioError, TrustDenied
+from .errors import ScenarioError, TrustbError, TrustDenied
 from .models import TrustDecision, TrustState
 from .runtime import state_lines
 
@@ -118,7 +118,7 @@ def parse_scenario(text: str) -> Scenario:
         if key not in header:
             raise ScenarioError(f"scenario misses the '{key}' directive")
     level_args = header["level"]
-    if len(level_args) != 1 or not level_args[0].isdigit():
+    if len(level_args) != 1 or not level_args[0].isdecimal():
         raise ScenarioError("the 'level' directive takes a single number")
     return Scenario(
         int(level_args[0]),
@@ -167,43 +167,48 @@ def run_scenario(scn: Scenario) -> ScenarioResult:
             out.append(f"warning: invariant {lbl} does not hold")
 
     for cmd in scn.commands:
-        if cmd.kind == "allocate":
-            group, task = cmd.args
-            ts.allocate_task(group, task)
-            gtext = "{" + ", ".join(group) + "}"
-            out.append(f"allocate: {gtext} |-> {task}")
-            warn_invariants()
-        elif cmd.kind == "learn":
-            trustor, trustee = cmd.args
-            ts.learn(trustor, trustee)
-            out.append(f"learn: {trustor} knows {trustee}")
-            warn_invariants()
-        elif cmd.kind == "commit":
-            trustor, group, task, flag = cmd.args
-            ts.commit(trustor, group, task, flag)
-            gtext = "{" + ", ".join(group) + "}"
-            out.append(f"commit: ({trustor}, {gtext}, {task}) := {'TRUE' if flag else 'FALSE'}")
-            warn_invariants()
-        elif cmd.kind == "trust":
-            trustor, group, task = cmd.args
-            try:
-                decision = ts.establish_trust(trustor, group, task)
-                out.extend(decision_lines(decision))
+        try:
+            if cmd.kind == "allocate":
+                group, task = cmd.args
+                ts.allocate_task(group, task)
+                gtext = "{" + ", ".join(group) + "}"
+                out.append(f"allocate: {gtext} |-> {task}")
                 warn_invariants()
-            except TrustDenied as denied:
-                out.extend(decision_lines(denied.decision))
-                ok = False
-        elif cmd.kind == "query":
-            trustor, group, task = cmd.args
-            out.extend(decision_lines(ts.trust_query(trustor, group, task)))
-        else:  # assert-invariant
-            (label,) = cmd.args
-            held = dict(ts.invariants()).get(label)
-            if held is None:
-                raise ScenarioError(f"line {cmd.line}: no invariant labelled '{label}'")
-            out.append(f"assert {label}: {'holds' if held else 'FAILS'}")
-            if not held:
-                ok = False
+            elif cmd.kind == "learn":
+                trustor, trustee = cmd.args
+                ts.learn(trustor, trustee)
+                out.append(f"learn: {trustor} knows {trustee}")
+                warn_invariants()
+            elif cmd.kind == "commit":
+                trustor, group, task, flag = cmd.args
+                ts.commit(trustor, group, task, flag)
+                gtext = "{" + ", ".join(group) + "}"
+                value = "TRUE" if flag else "FALSE"
+                out.append(f"commit: ({trustor}, {gtext}, {task}) := {value}")
+                warn_invariants()
+            elif cmd.kind == "trust":
+                trustor, group, task = cmd.args
+                try:
+                    decision = ts.establish_trust(trustor, group, task)
+                    out.extend(decision_lines(decision))
+                    warn_invariants()
+                except TrustDenied as denied:
+                    out.extend(decision_lines(denied.decision))
+                    ok = False
+            elif cmd.kind == "query":
+                trustor, group, task = cmd.args
+                out.extend(decision_lines(ts.trust_query(trustor, group, task)))
+            else:  # assert-invariant
+                (label,) = cmd.args
+                held = dict(ts.invariants()).get(label)
+                if held is None:
+                    raise ScenarioError(f"no invariant labelled '{label}'")
+                out.append(f"assert {label}: {'holds' if held else 'FAILS'}")
+                if not held:
+                    ok = False
+        except TrustbError as err:
+            # A command that cannot run names its line, as a parse error does.
+            raise ScenarioError(f"line {cmd.line}: {err}") from err
 
     out.append("final state")
     state = ts.embed()

@@ -292,8 +292,9 @@ def test_import_tolerates_comments_and_blanks():
 def test_import_rejects_damage():
     ts = fresh()
     good = export_state(ts)
-    with pytest.raises(ScenarioError):
-        import_state(good.replace("level 2", "level x"))
+    for level in ("x", "\u00b2"):  # "²" is a digit to str.isdigit, not to int()
+        with pytest.raises(ScenarioError, match="level line must carry a single number"):
+            import_state(good.replace("level 2", f"level {level}"))
     with pytest.raises(ScenarioError):
         import_state(good.replace("knowledge", "gossip"))
     with pytest.raises(ScenarioError):

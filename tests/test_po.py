@@ -145,6 +145,34 @@ def test_init_inv4_fails_whenever_trust_is_demanded_from_scratch():
     assert rep.verdict == DISCHARGED
 
 
+def test_generate_pos_states_each_hypothesis():
+    tm, _inst, _env = setup(1, BoundSpec(1, 1, 1))
+    every = ("inv1", "inv2", "inv3", "inv4")
+    hyps = {po.name: po.hypothesis for po in generate_pos(tm, True)}
+    assert hyps["INITIALISATION/inv1/INV"] == ()
+    assert hyps["trust/inv2/INV"] == ("inv1", "inv3", "inv4")
+    assert hyps["trust/grd1/GRD"] == hyps["trust/trustor_trustee_task/SIM"] == every
+    hyps = {po.name: po.hypothesis for po in generate_pos(tm, True, "inv3")}
+    assert "trust/inv3/INV" not in hyps
+    assert hyps["trust/inv2/INV"] == ("inv1", "inv4")
+    assert hyps["trust/grd1/GRD"] == ("inv1", "inv2", "inv4")
+
+
+def test_goal_holds_in_hypotheses_of_obligations_generated_without_it():
+    # inv4 is false in some pre-states at 2,2,1; naming it the goal of the
+    # walk takes it out of every hypothesis, even one that lists it.
+    tm, _inst, env = setup(2, BoundSpec(2, 2, 1))
+    without = discharge_all(tm, env, generate_pos(tm, True), goal="inv4")
+    with_goal = discharge_all(tm, env, generate_pos(tm, True, "inv4"), goal="inv4")
+
+    def outcomes(reports):
+        return {r.po.name: (r.verdict, r.cases, r.counterexample) for r in reports}
+
+    kept = [r for r in without.reports if r.po.label != "inv4"]
+    assert outcomes(kept) == outcomes(with_goal.reports)
+    assert without.goal == with_goal.goal
+
+
 def test_goal_hypothesis_excludes_goal_only():
     # at (2,2,2) the refined inv4 cannot hold, so every obligation that
     # assumes it is vacuous; the inv4 obligation itself is not

@@ -10,6 +10,7 @@ the other must raise the same error.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trustb.dsl import parse_file
 from trustb.errors import ScenarioError, TrustbError
@@ -251,3 +252,112 @@ def test_pair_has_a_state_with_two_false_invariants_and_an_evaluated_guard_goal(
     assert all(po.goal != g.pred for g in info.ast.guards)
     [rep] = discharge_all(tm, env, [po]).reports
     assert (rep.verdict, rep.cases) == (DISCHARGED, 4)
+
+
+# --- random file models -------------------------------------------------------
+
+VAR_TYPES = {"pow": "pow(S)", "rel": "S <-> {}", "pfun": "S +-> {}", "tfun": "S --> {}"}
+
+
+@st.composite
+def file_models(draw):
+    """A small well-typed model file, the name of the machine to check and
+    its carrier sizes: carriers S and maybe T, maybe a constant k that pins
+    an atom of S, one or two variables, and one event `ev` with parameters
+    x : S and maybe y : T; half of them refine a machine that has only the
+    first variable.  Guards and invariants come from a small pool."""
+    sizes = {"S": draw(st.integers(1, 2))}
+    if draw(st.booleans()):
+        sizes["T"] = draw(st.integers(1, 2))
+    carrier_t = "T" if "T" in sizes else "S"
+    pinned = ["k"] if draw(st.booleans()) else []
+    kinds = draw(st.lists(st.sampled_from(sorted(VAR_TYPES)), min_size=1, max_size=2))
+    names = [f"v{n}" for n in range(len(kinds))]
+    params = ["x", "y"] if draw(st.booleans()) else ["x"]
+    refines = draw(st.booleans())
+
+    def atom(n: int, s: list[str], t: list[str]) -> str:
+        """A predicate on variable n reading elements s of S and t of T."""
+        v, a, b = names[n], draw(st.sampled_from(s)), draw(st.sampled_from(t))
+        peers = [w for w in names[: n + 1] if w != v]
+        if kinds[n] == "pow":
+            forms = [f"{a} : {v}", f"{{{a}}} <: {v}", f"{v} <: {{{a}}}"]
+            forms += [f"{v} <: {w}" for w in peers if kinds[names.index(w)] == "pow"]
+        else:
+            forms = [f"{a} : dom({v})", f"{b} : {v}[{{{a}}}]", f"{{{a} |-> {b}}} <: {v}",
+                     f"{v}({a}) = {b}", f"({a} : dom({v}) => {v}({a}) = {b})"]
+            forms += [f"{v} <: {w}" for w in peers if kinds[names.index(w)] != "pow"]
+            forms += [f"dom({v}) <: {w}" for w in peers if kinds[names.index(w)] == "pow"]
+        return draw(st.sampled_from(forms))
+
+    def pred(last: int, s: list[str], t: list[str]) -> str:
+        """A predicate on variables 0..last: an atom, an implication whose
+        right side reads a variable at or after its left side's, or a
+        quantifier over z : S and w : T around either."""
+        form = draw(st.sampled_from(["atom", "implies", "forall", "exists"]))
+        if form in ("forall", "exists") or not (s and t):
+            s, t = s + ["z"], t + ["w"]
+        first = draw(st.integers(0, last))
+        body = atom(first, s, t)
+        if form == "implies" or draw(st.booleans()):
+            body = f"({body} => {atom(draw(st.integers(first, last)), s, t)})"
+        if "z" not in s:
+            return body
+        if form == "exists":
+            return f"(#z, w . z : S & w : {carrier_t} & {body})"
+        return f"(!z, w . z : S & w : {carrier_t} => {body})"
+
+    def action(n: int, s: list[str], t: list[str]) -> str:
+        """A right-hand side for variable n reading elements s of S and t of T."""
+        if kinds[n] != "pow" and not t:
+            return "{}"
+        v, a = names[n], draw(st.sampled_from(s))
+        item = a if kinds[n] == "pow" else f"{a} |-> {draw(st.sampled_from(t))}"
+        return draw(st.sampled_from([f"{v} \\/ {{{item}}}", f"{v} \\ {{{item}}}",
+                                     f"{{{item}}}", "{}"]))
+
+    def machine(name: str, count: int, abstract: str | None, inv_from: int) -> str:
+        s, t = pinned, pinned if carrier_t == "S" else []
+        invs = [f"{v} : {VAR_TYPES[kind].format(carrier_t)}" for v, kind in zip(names, kinds)]
+        invs = invs[:count]
+        if abstract is not None:
+            invs = invs[1:]
+        invs += [pred(count - 1, s, t) for _ in range(draw(st.integers(1, 2)))]
+        s = ["x"] + pinned
+        t = ["y"] if "y" in params else s if carrier_t == "S" else []
+        guards = ["x : S"] + ([f"y : {carrier_t}"] if "y" in params else [])
+        guards += [pred(count - 1, s, t) for _ in range(draw(st.integers(0, 2)))]
+        # An event assigns the first variable and maybe the others.
+        acts = [f"{v} := {action(n, s, t)}" for n, v in enumerate(names[:count])
+                if n == 0 or draw(st.booleans())]
+        lines = [f"MACHINE {name}"] + ([f"REFINES {abstract}"] if abstract else [])
+        lines += ["SEES ctx", "VARIABLES " + " ".join(names[:count]), "INVARIANTS"]
+        lines += [f"  @inv{inv_from + n}: {inv}" for n, inv in enumerate(invs)]
+        lines += ["EVENT INITIALISATION", "THEN"]
+        lines += [f"  @act{n + 1}: {v} := {{}}" for n, v in enumerate(names[:count])]
+        lines += ["END", "EVENT ev", "ANY " + " ".join(params), "WHERE"]
+        lines += [f"  @grd{n + 1}: {g}" for n, g in enumerate(guards)]
+        lines += ["THEN"] + [f"  @act{n + 1}: {act}" for n, act in enumerate(acts)]
+        return "\n".join(lines + ["END", "END", ""])
+
+    context = ["CONTEXT ctx", "SETS " + " ".join(sizes)]
+    if pinned:
+        context += ["CONSTANTS k", "AXIOMS", "  @axm1: k : S"]
+    text = "\n".join(context + ["END", ""])
+    if refines:
+        text += machine("A", 1, None, 1) + machine("M", len(names), "A", 10)
+    else:
+        text += machine("M", len(names), None, 1)
+    return text, "M", sizes
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(file_models())
+def test_random_file_models_match_the_reference(model):
+    text, machine, sizes = model
+    tm = elaborate(parse_file(text)).machine(machine)
+    goal = tm.invariant_scope[-1][0]
+    for inst in enumerate_instantiations(tm.context, sizes):
+        _agree(tm, inst.env(), ALL_STATES)
+        _agree(tm, inst.env(), ALL_STATES, goal)
+        _agree(tm, inst.env(), REACHABLE, goal)

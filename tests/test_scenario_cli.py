@@ -55,6 +55,7 @@ def test_parse_scenario_error_lines():
         ("level 2\nlevel 2\ntrustors i\ntrustees a\ntasks t\n", "duplicate"),
         ("level 2\ntrustors i\ntrustees a\ntasks t\nallocate {a} t\nlevel 2\n", "precede"),
         ("level x\ntrustors i\ntrustees a\ntasks t\n", "level"),
+        ("level \u00b2\ntrustors i\ntrustees a\ntasks t\n", "level"),
         ("level 2\ntrustors i\ntrustees a\ntasks t\nallocate {} t\n", "empty"),
         ("level 2\ntrustors i\ntrustees a\ntasks t\nallocate a t\n", "group"),
         ("level 2\ntrustors i\ntrustees a\ntasks t\ncommit i {a} t yes\n", "TRUE"),
@@ -112,6 +113,33 @@ def test_assert_invariant_command():
         run_scenario_text(
             "level 0\ntrustors i\ntrustees a\ntasks t\nassert-invariant inv99\n"
         )
+
+
+HEADER = "level {}\ntrustors i\ntrustees a b\ntasks t u\n"
+
+
+@pytest.mark.parametrize(
+    "level,commands,message",
+    [
+        (2, "learn i a\nallocate {zz} t\n",
+         "line 6: atom 'zz' is not declared by the scenario instantiation"),
+        (0, "allocate {a} t\n\nallocate {a} u\n", "line 7: group {a} is already allocated task t"),
+        (0, "learn i a\n", "line 5: knowledge only exists from level 1 upwards"),
+        (1, "# level 1 has no commitments\ncommit i {a} t TRUE\n",
+         "line 6: commitments only exist at level 2"),
+        (0, "assert-invariant inv99\n", "line 5: no invariant labelled 'inv99'"),
+    ],
+)
+def test_command_errors_name_their_line(tmp_path, level, commands, message):
+    script = HEADER.format(level) + commands
+    with pytest.raises(ScenarioError) as err:
+        run_scenario_text(script)
+    assert str(err.value).startswith(message)
+    scn = tmp_path / "bad.scn"
+    scn.write_text(script)
+    code, out, stderr = run(["simulate", str(scn)])
+    assert (code, out) == (3, "")
+    assert stderr.startswith(f"error: {message}")
 
 
 def test_query_does_not_change_state_or_outcome():
@@ -381,10 +409,12 @@ def test_readme_state_sources_parse():
         assert args.state_source == value
 
 
-def test_check_bounds_env_default(monkeypatch):
+def test_check_bounds_ignore_the_environment(monkeypatch):
+    # --bounds is the one way to set the bounds; an inherited variable of
+    # the old name changes nothing.
     monkeypatch.setenv("TRUSTB_BOUNDS", "1,1,1")
     code, out, _ = run(["check", "--level", "0", "--format", "records"])
-    assert "bounds=1,1,1" in out
+    assert out.startswith("run machine=M0_abs bounds=2,2,2 ")
 
 
 def test_repeated_commands_leave_no_reference_cycles():
@@ -451,10 +481,9 @@ def test_empty_goal_invariant_is_a_usage_error():
     assert err == "trustb check: error: --goal-invariant needs a label\n"
 
 
-def test_empty_flag_values_are_refused(tmp_path, monkeypatch):
+def test_empty_flag_values_are_refused(tmp_path):
     # An empty value is given, so it is parsed, and refused as any other
     # malformed value is; it is never the default.
-    monkeypatch.setenv("TRUSTB_BOUNDS", "1,1,1")
     bounds = "error: bounds must be three comma-separated sizes, got ''\n"
     mutation = "error: unknown mutation ''; expected drop:<guard-label>\n"
     model = tmp_path / "toy.ebt"
@@ -560,10 +589,18 @@ def test_file_mode_rejects_unknown_carrier(tmp_path):
 def test_malformed_carrier_is_a_check_usage_error(tmp_path):
     model = tmp_path / "toy.ebt"
     model.write_text(TOY_MODEL)
-    for spec in ("COLORS", "COLORS=0", "COLORS=x"):
+    for spec in ("COLORS", "COLORS=0", "COLORS=x", "COLORS=\u00b2"):
         code, out, err = run(["check", "--carrier", spec, str(model)])
         assert (code, out) == (2, ""), spec
         assert err == f"trustb check: error: bad --carrier '{spec}', expected SET=N\n"
+
+
+def test_repeated_carrier_is_a_check_usage_error(tmp_path):
+    model = tmp_path / "toy.ebt"
+    model.write_text(TOY_MODEL)
+    code, out, err = run(["check", "--carrier", "COLORS=1", "--carrier", "COLORS=3", str(model)])
+    assert (code, out) == (2, "")
+    assert err == "trustb check: error: --carrier COLORS: given more than once\n"
 
 
 def test_file_mode_checks_all_instantiations(tmp_path):
@@ -590,8 +627,8 @@ def test_simulate_builtin_demo_matches_direct_run(tmp_path):
 def test_simulate_denied_trust_exits_1(tmp_path):
     scn = tmp_path / "fail.scn"
     scn.write_text("level 2\ntrustors i\ntrustees a\ntasks t\ntrust i {a} t\n")
-    code, out, _ = run(["simulate", str(scn)])
-    assert code == 1
+    code, out, err = run(["simulate", str(scn)])
+    assert (code, err) == (1, "")  # a refused trust is no command error
     assert "denied" in out
 
 
@@ -680,6 +717,25 @@ def test_dump_po_shows_hypothesis_without_goal():
     assert invs.split(":", 1)[1].split() == ["inv1", "inv3", "inv4"]
     assert "hypothesis guards: grd1 grd2 grd3 grd4 grd5 grd6" in inv2
     assert "goal after trust: inv2:" in inv2
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_dump_po_hypothesis_lines_by_kind(level):
+    # Guard strengthening and simulation assume every invariant in scope;
+    # establishment assumes the axioms only.
+    code, out, _ = run(["dump-po", "--level", str(level)])
+    assert code == 0
+    blocks = {b.split("\n", 1)[0]: b for b in ("\n" + out).split("\npo ")[1:]}
+    init = blocks["INITIALISATION/inv1/INV"]
+    assert "hypothesis axioms: axm1 axm2 axm3" in init
+    assert "hypothesis invariants" not in init and "hypothesis guards" not in init
+    refining = [name for name in blocks if name.endswith(("/GRD", "/SIM"))]
+    assert bool(refining) == (level > 0)
+    if level:
+        assert {name.rsplit("/", 1)[1] for name in refining} == {"GRD", "SIM"}
+    for name in refining:
+        assert "  hypothesis invariants: inv1 inv2 inv3 inv4\n" in blocks[name], name
+        assert "  hypothesis guards: grd1 " in blocks[name], name
 
 
 def test_dump_po_records_format():
