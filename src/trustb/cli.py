@@ -342,7 +342,10 @@ def _cmd_query(args, out) -> int:
         )
     with open(args.state, encoding="utf-8") as fh:
         text = fh.read()
-    ts = import_state(text)
+    try:
+        ts = import_state(text)
+    except ParseError as err:
+        raise err.in_file(args.state) from None
     if args.level is not None and int(ts.level) != args.level:
         raise _Usage(
             f"trustb query: error: state file is level {int(ts.level)}, not {args.level}"

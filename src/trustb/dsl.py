@@ -29,6 +29,14 @@ Expressions:  x   {}   {a, b}   e |-> f   e \/ f   e \ f   pow(e)   dom(e)
 
 Comments run from // to end of line.  `pretty_print` renders parsed trees
 back to this ASCII form; parsing that output yields an equal tree.
+
+Nesting is limited to MAX_NESTING (200) levels, so that no tree is too deep
+for the recursions over it.  A predicate, an atomic predicate, an expression
+and a primary each count a level, and so does each link of an &, \/, \ or
+|-> chain and each r[e] or f(e) applied: brackets, pow(, dom(, {, f( and r[
+nest at most 98 deep, and an &, => or |-> chain has at most 196 links.
+Deeper input is refused with a positioned ParseError, "expression nesting
+too deep".
 """
 
 from __future__ import annotations
@@ -120,6 +128,9 @@ _OPERATORS = [
 # the FnSpace kind for relation spaces); the printer reads them inverted.
 _RELATIONS = {":": Member, "/:": NotMember, "<:": Subset, "=": Equal, "/=": NotEqual}
 _SET_OPERATORS = {"\\/": Union, "\\": Difference}
+_CONJUNCTION = {"&": And}
+_MAPLET = {"|->": Maplet}
+_POSTFIX = {"[": (Image, "]"), "(": (FunApp, ")")}
 _RELATION_SPACES = {"<->": "rel", "+->": "pfun", "-->": "tfun"}
 _QUANTIFIERS = {"!": Forall, "#": Exists}
 _SPELLING = {
@@ -213,6 +224,24 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+class _Nesting:
+    """`with _Nesting(parser):` parses one nesting level deeper and puts the
+    parser's depth back as it was when the block ends, on a parse error too,
+    so a failed attempt leaves no depth behind."""
+
+    __slots__ = ("parser", "depth")
+
+    def __init__(self, parser: Parser):
+        self.parser = parser
+        self.depth = parser.depth
+
+    def __enter__(self) -> None:
+        self.parser.deeper()
+
+    def __exit__(self, *exc) -> None:
+        self.parser.depth = self.depth
+
+
 class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -222,8 +251,9 @@ class Parser:
     # -- token helpers
 
     def peek(self, ahead: int = 0) -> Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+        """The token `ahead` places on; never look past eof, where the
+        parser stops."""
+        return self.tokens[self.i + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
@@ -245,22 +275,24 @@ class Parser:
             )
         return self.next()
 
-    def expect_ident(self, what: str = "identifier") -> Token:
+    def expect_ident(self, what: str) -> str:
         tok = self.peek()
         if tok.kind != "ident":
             raise ParseError(
                 tok.line, tok.col, f"expected {what}, found {tok.text or 'end of input'!r}",
                 expected=what,
             )
-        return self.next()
+        return self.next().text
 
-    def _enter(self, tok: Token) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+    def deeper(self) -> None:
+        """Count one more level of nesting at the next token.  Each rule
+        that recurses counts one (see _Nesting) and so does each link of a
+        chain, up to the end of the chain, so the count bounds the depth of
+        the tree being built and of every recursion over it."""
+        if self.depth >= MAX_NESTING:
+            tok = self.peek()
             raise ParseError(tok.line, tok.col, "expression nesting too deep")
-
-    def _leave(self) -> None:
-        self.depth -= 1
+        self.depth += 1
 
     # -- top level
 
@@ -282,47 +314,31 @@ class Parser:
             raise ParseError(tok.line, tok.col, "empty input")
         return units
 
+    def clause(self, keyword: str, read, *args, absent=()):
+        """What read(*args) reads after `keyword`, or `absent` when the
+        optional clause is not there."""
+        if not self.at("kw", keyword):
+            return absent
+        self.next()
+        return read(*args)
+
     def parse_context(self) -> ContextAST:
         self.expect("kw", "CONTEXT")
-        name = self.expect_ident("context name").text
-        extends: list[str] = []
-        sets: list[str] = []
-        constants: list[str] = []
-        axioms: list[Labeled] = []
-        if self.at("kw", "EXTENDS"):
-            self.next()
-            extends = self.ident_list("context name")
-        if self.at("kw", "SETS"):
-            self.next()
-            sets = self.ident_list("carrier set name")
-        if self.at("kw", "CONSTANTS"):
-            self.next()
-            constants = self.ident_list("constant name")
-        if self.at("kw", "AXIOMS"):
-            self.next()
-            axioms = self.labeled_predicates()
+        name = self.expect_ident("context name")
+        extends = self.clause("EXTENDS", self.ident_list, "context name")
+        sets = self.clause("SETS", self.ident_list, "carrier set name")
+        constants = self.clause("CONSTANTS", self.ident_list, "constant name")
+        axioms = self.clause("AXIOMS", self.labeled_predicates)
         self.expect("kw", "END")
-        return ContextAST(name, tuple(extends), tuple(sets), tuple(constants), tuple(axioms))
+        return ContextAST(name, extends, sets, constants, axioms)
 
     def parse_machine(self) -> MachineAST:
         self.expect("kw", "MACHINE")
-        name = self.expect_ident("machine name").text
-        refines = None
-        if self.at("kw", "REFINES"):
-            self.next()
-            refines = self.expect_ident("machine name").text
-        sees: list[str] = []
-        if self.at("kw", "SEES"):
-            self.next()
-            sees = self.ident_list("context name")
-        variables: list[str] = []
-        if self.at("kw", "VARIABLES"):
-            self.next()
-            variables = self.ident_list("variable name")
-        invariants: list[Labeled] = []
-        if self.at("kw", "INVARIANTS"):
-            self.next()
-            invariants = self.labeled_predicates()
+        name = self.expect_ident("machine name")
+        refines = self.clause("REFINES", self.expect_ident, "machine name", absent=None)
+        sees = self.clause("SEES", self.ident_list, "context name")
+        variables = self.clause("VARIABLES", self.ident_list, "variable name")
+        invariants = self.clause("INVARIANTS", self.labeled_predicates)
         events: list[EventAST] = []
         seen_events: set[str] = set()
         while self.at("kw", "EVENT"):
@@ -333,125 +349,108 @@ class Parser:
             seen_events.add(ev.name)
             events.append(ev)
         self.expect("kw", "END")
-        return MachineAST(
-            name, tuple(sees), refines, tuple(variables), tuple(invariants), tuple(events)
-        )
+        return MachineAST(name, sees, refines, variables, invariants, tuple(events))
 
     def parse_event(self) -> EventAST:
         self.expect("kw", "EVENT")
-        name = self.expect_ident("event name").text
-        refines_event = None
-        if self.at("kw", "REFINES"):
-            self.next()
-            refines_event = self.expect_ident("event name").text
-        params: list[str] = []
-        if self.at("kw", "ANY"):
-            self.next()
-            params = self.ident_list("parameter name")
-        guards: list[Labeled] = []
-        if self.at("kw", "WHERE"):
-            self.next()
-            guards = self.labeled_predicates()
+        name = self.expect_ident("event name")
+        refines_event = self.clause("REFINES", self.expect_ident, "event name", absent=None)
+        params = self.clause("ANY", self.ident_list, "parameter name")
+        guards = self.clause("WHERE", self.labeled_predicates)
         self.expect("kw", "THEN")
         actions = self.labeled_actions()
         self.expect("kw", "END")
-        return EventAST(name, tuple(params), tuple(guards), tuple(actions), refines_event)
+        return EventAST(name, params, guards, actions, refines_event)
 
-    def ident_list(self, what: str) -> list[str]:
-        names = [self.expect_ident(what).text]
+    def ident_list(self, what: str) -> tuple[str, ...]:
+        names = [self.expect_ident(what)]
         while self.at("ident"):
             names.append(self.next().text)
-        return names
+        return tuple(names)
 
-    def labeled_predicates(self) -> list[Labeled]:
-        out: list[Labeled] = []
+    def comma_list(self, read, *args) -> tuple:
+        """read(*args), then again after each ','."""
+        items = [read(*args)]
+        while self.at(","):
+            self.next()
+            items.append(read(*args))
+        return tuple(items)
+
+    def labeled(self, what: str, read) -> tuple:
+        """One or more `@label: ...` clauses, their labels distinct;
+        read(label, pos) reads the rest of each, pos being its '@'."""
+        out = []
         seen: set[str] = set()
         while self.at("@"):
             at = self.next()
-            label = self.expect_ident("label").text
+            label = self.expect_ident("label")
             if label in seen:
                 raise DuplicateLabel(at.line, at.col, label)
             seen.add(label)
             self.expect(":")
-            out.append(Labeled(label, self.parse_pred(), pos=(at.line, at.col)))
+            out.append(read(label, (at.line, at.col)))
         if not out:
             tok = self.peek()
-            raise ParseError(tok.line, tok.col, "expected at least one @label: clause")
-        return out
+            raise ParseError(tok.line, tok.col, f"expected at least one @label: {what}")
+        return tuple(out)
 
-    def labeled_actions(self) -> list[Action]:
-        out: list[Action] = []
-        seen_labels: set[str] = set()
+    def labeled_predicates(self) -> tuple[Labeled, ...]:
+        return self.labeled("clause", lambda lbl, pos: Labeled(lbl, self.parse_pred(), pos=pos))
+
+    def labeled_actions(self) -> tuple[Action, ...]:
         assigned: set[str] = set()
-        while self.at("@"):
-            at = self.next()
-            label = self.expect_ident("label").text
-            if label in seen_labels:
-                raise DuplicateLabel(at.line, at.col, label)
-            seen_labels.add(label)
-            self.expect(":")
-            var = self.expect_ident("variable name").text
+
+        def action(label: str, pos: tuple[int, int]) -> Action:
+            var = self.expect_ident("variable name")
             self.expect(":=")
             if var in assigned:
-                raise MultipleAssignment(at.line, at.col, var)
+                raise MultipleAssignment(*pos, var)
             assigned.add(var)
-            out.append(Action(label, var, self.parse_expr(), pos=(at.line, at.col)))
-        if not out:
-            tok = self.peek()
-            raise ParseError(tok.line, tok.col, "expected at least one @label: action")
-        return out
+            return Action(label, var, self.parse_expr(), pos=pos)
+
+        return self.labeled("action", action)
+
+    def chain(self, operand, nodes: dict) -> Pred | Expr:
+        """An operand, then `op operand` while the next token is an operator
+        in `nodes`, each link building its node over all before it: a & b & c
+        is (a & b) & c.  Each link nests one level deeper, until the chain
+        ends."""
+        depth = self.depth
+        left = operand()
+        while self.peek().kind in nodes:
+            tok = self.next()
+            self.deeper()
+            left = nodes[tok.kind](left, operand(), pos=(tok.line, tok.col))
+        self.depth = depth
+        return left
 
     # -- predicates
 
     def parse_pred(self) -> Pred:
-        tok = self.peek()
-        self._enter(tok)
-        try:
-            return self.implication()
-        finally:
-            self._leave()
-
-    def implication(self) -> Pred:
-        left = self.conjunction()
-        if self.at("=>"):
+        with _Nesting(self):
+            left = self.chain(self.atom_pred, _CONJUNCTION)
+            if not self.at("=>"):
+                return left
             tok = self.next()
-            right = self.parse_pred()
-            return Implies(left, right, pos=(tok.line, tok.col))
-        return left
-
-    def conjunction(self) -> Pred:
-        left = self.atom_pred()
-        while self.at("&"):
-            tok = self.next()
-            right = self.atom_pred()
-            left = And(left, right, pos=(tok.line, tok.col))
-        return left
+            return Implies(left, self.parse_pred(), pos=(tok.line, tok.col))
 
     def atom_pred(self) -> Pred:
         tok = self.peek()
-        self._enter(tok)
-        try:
+        with _Nesting(self):
             if tok.kind in _QUANTIFIERS:
                 self.next()
-                vars = self.quantvar_list()
+                names = self.comma_list(self.expect_ident, "quantified variable")
                 self.expect(".")
-                node = _QUANTIFIERS[tok.kind]
-                return node(tuple(vars), self.parse_pred(), pos=(tok.line, tok.col))
+                return _QUANTIFIERS[tok.kind](names, self.parse_pred(), pos=(tok.line, tok.col))
             if tok.kind == "ident" and tok.text == "partition" and self.peek(1).kind == "(":
                 self.next()
                 self.next()
-                whole = self.parse_expr()
-                parts: list[Expr] = []
-                while self.at(","):
-                    self.next()
-                    parts.append(self.parse_expr())
+                whole, *parts = self.comma_list(self.parse_expr)
                 self.expect(")")
                 return Partition(whole, tuple(parts), pos=(tok.line, tok.col))
             if tok.kind == "(":
                 return self.paren_or_relational()
             return self.relational()
-        finally:
-            self._leave()
 
     def paren_or_relational(self) -> Pred:
         """A '(' may open a grouped predicate or a parenthesised expression.
@@ -476,13 +475,6 @@ class Parser:
                     raise grp_err from None
                 raise rel_err from None
 
-    def quantvar_list(self) -> list[str]:
-        names = [self.expect_ident("quantified variable").text]
-        while self.at(","):
-            self.next()
-            names.append(self.expect_ident("quantified variable").text)
-        return names
-
     def relational(self) -> Pred:
         left = self.parse_expr()
         tok = self.peek()
@@ -497,81 +489,53 @@ class Parser:
     # -- expressions
 
     def parse_expr(self) -> Expr:
-        tok = self.peek()
-        self._enter(tok)
-        try:
-            return self.fnspace()
-        finally:
-            self._leave()
-
-    def fnspace(self) -> Expr:
-        left = self.maplet()
-        tok = self.peek()
-        if tok.kind in _RELATION_SPACES:
-            self.next()
-            right = self.maplet()
-            return FnSpace(_RELATION_SPACES[tok.kind], left, right, pos=(tok.line, tok.col))
-        return left
-
-    def maplet(self) -> Expr:
-        left = self.set_term()
-        while self.at("|->"):
-            tok = self.next()
-            right = self.set_term()
-            left = Maplet(left, right, pos=(tok.line, tok.col))
-        return left
-
-    def set_term(self) -> Expr:
-        left = self.postfix()
-        while True:
+        with _Nesting(self):
+            left = self.chain(self.set_term, _MAPLET)
             tok = self.peek()
-            if tok.kind not in _SET_OPERATORS:
+            if tok.kind not in _RELATION_SPACES:
                 return left
             self.next()
-            left = _SET_OPERATORS[tok.kind](left, self.postfix(), pos=(tok.line, tok.col))
+            right = self.chain(self.set_term, _MAPLET)
+            return FnSpace(_RELATION_SPACES[tok.kind], left, right, pos=(tok.line, tok.col))
+
+    def set_term(self) -> Expr:
+        return self.chain(self.postfix, _SET_OPERATORS)
 
     def postfix(self) -> Expr:
+        """A primary, then any number of r[e] images and f(e) applications;
+        like a chain link, each nests one level."""
+        depth = self.depth
         e = self.primary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "[":
-                self.next()
-                arg = self.parse_expr()
-                self.expect("]")
-                e = Image(e, arg, pos=(tok.line, tok.col))
-            elif tok.kind == "(":
-                self.next()
-                arg = self.parse_expr()
-                self.expect(")")
-                e = FunApp(e, arg, pos=(tok.line, tok.col))
-            else:
-                return e
+        while self.peek().kind in _POSTFIX:
+            tok = self.next()
+            node, close = _POSTFIX[tok.kind]
+            self.deeper()
+            arg = self.parse_expr()
+            self.expect(close)
+            e = node(e, arg, pos=(tok.line, tok.col))
+        self.depth = depth
+        return e
 
     def primary(self) -> Expr:
         tok = self.peek()
-        self._enter(tok)
-        try:
+        with _Nesting(self):
             if tok.kind == "ident":
-                if tok.text in ("pow", "dom"):
-                    self.next()
-                    self.expect("(")
-                    inner = self.parse_expr()
-                    self.expect(")")
-                    node = Pow if tok.text == "pow" else Dom
-                    return node(inner, pos=(tok.line, tok.col))
                 self.next()
-                return Ident(tok.text, pos=(tok.line, tok.col))
+                if tok.text not in ("pow", "dom"):
+                    return Ident(tok.text, pos=(tok.line, tok.col))
+                self.expect("(")
+                inner = self.parse_expr()
+                self.expect(")")
+                node = Pow if tok.text == "pow" else Dom
+                return node(inner, pos=(tok.line, tok.col))
             if tok.kind == "{":
                 self.next()
                 if self.at("}"):
                     self.next()
                     return EmptySetLit(pos=(tok.line, tok.col))
-                items = [self.parse_expr()]
-                while self.at(","):
-                    self.next()
-                    items.append(self.parse_expr())
+                items = self.comma_list(self.parse_expr)
                 self.expect("}")
-                return SetEnum(tuple(items), pos=(tok.line, tok.col))
+                return SetEnum(items, pos=(tok.line, tok.col))
             if tok.kind == "(":
                 self.next()
                 inner = self.parse_expr()
@@ -581,8 +545,6 @@ class Parser:
                 tok.line, tok.col,
                 f"expected an expression, found {tok.text or 'end of input'!r}",
             )
-        finally:
-            self._leave()
 
 
 # --- entry points ------------------------------------------------------
@@ -591,14 +553,11 @@ class Parser:
 def parse_file(text: str, filename: str | None = None) -> list[ContextAST | MachineAST]:
     """Parse source text into contexts and machines, in order of appearance."""
     try:
-        parser = Parser(tokenize(text))
-        units = parser.parse_file()
+        return Parser(tokenize(text)).parse_file()
     except ParseError as err:
         if filename is not None:
-            err.filename = filename
-            err.args = (err.with_file(filename),)
+            err.in_file(filename)
         raise
-    return units
 
 
 def parse_predicate(text: str) -> Pred:

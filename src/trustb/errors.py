@@ -37,8 +37,8 @@ class NotFunctional(TrustbError):
 
 class BoundExceeded(TrustbError):
     """An enumeration would list `size` members, more than 2**bound; when
-    the enumeration was the domain of a state variable or of a constant,
-    `variable` names it and `kind` says which."""
+    the enumeration was the domain of a state variable, a constant or an
+    event parameter, `variable` names it and `kind` says which."""
 
     def __init__(self, what: str, size: int, bound: int, variable: str | None = None,
                  kind: str = "variable"):
@@ -70,8 +70,10 @@ class ParseError(TrustbError):
         self.message = message
         super().__init__(f"{line}:{col}: {message}")
 
-    def with_file(self, filename: str) -> str:
-        return f"{filename}:{self.line}:{self.col}: {self.message}"
+    def in_file(self, filename: str) -> ParseError:
+        """This error, its text now led by the name of the file it is in."""
+        self.args = (f"{filename}:{self.line}:{self.col}: {self.message}",)
+        return self
 
 
 class DuplicateLabel(ParseError):

@@ -31,6 +31,7 @@ from importlib import resources
 from .dsl import parse_expression, parse_file
 from .errors import (
     FunctionalityViolation,
+    ParseError,
     ScenarioError,
     TrustDenied,
     UndeclaredAtom,
@@ -486,19 +487,22 @@ def export_state(ts: TrustState) -> str:
 
 
 def import_state(text: str) -> TrustState:
-    """Rebuild a TrustState from export_state's format."""
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+    """Rebuild a TrustState from export_state's format.  A '#' starts a
+    comment that runs to the end of its line, as in a scenario script; a
+    malformed value is reported at its line and column."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.split("#", 1)[0].rstrip()
+        if ln:
+            lines.append((lineno, ln))
     header: dict[str, list[str]] = {}
-    idx = 0
-    for key in ("level", "trustors", "trustees", "tasks"):
+    for idx, key in enumerate(("level", "trustors", "trustees", "tasks")):
         if idx >= len(lines):
             raise ScenarioError(f"state file ends before '{key}' line")
-        parts = lines[idx].split()
+        parts = lines[idx][1].split()
         if parts[0] != key:
-            raise ScenarioError(f"expected '{key}' line, found '{lines[idx]}'")
+            raise ScenarioError(f"expected '{key}' line, found '{lines[idx][1]}'")
         header[key] = parts[1:]
-        idx += 1
     if len(header["level"]) != 1 or not header["level"][0].isdecimal():
         raise ScenarioError("level line must carry a single number")
     ts = TrustState(
@@ -511,7 +515,7 @@ def import_state(text: str) -> TrustState:
     current: str | None = None
     collected: list[Value] = []
     expected_vars = set(ts.variables())
-    for ln in lines[idx:]:
+    for lineno, ln in lines[len(header):]:
         if ln == "end":
             break
         if not ln.startswith(" "):
@@ -526,7 +530,10 @@ def import_state(text: str) -> TrustState:
             continue
         if current is None:
             raise ScenarioError(f"value line outside a section: '{ln.strip()}'")
-        expr = parse_expression(ln.strip())
+        try:
+            expr = parse_expression(ln)
+        except ParseError as err:
+            raise ParseError(lineno, err.col, err.message, err.expected) from None
         collected.append(eval_expr_frame(expr, frame, ts._env.powerset_bound))
     if current is not None:
         values[current] = mkset(collected)

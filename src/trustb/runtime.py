@@ -306,7 +306,14 @@ def bind_params(info: EventInfo, frame: dict, bound: int) -> Iterator[dict[str, 
     """
     params = info.ast.params
     domains = [compile_domain(info.param_domains[name]) for name in params]
-    for _ in _assignments(params, lambda k: domains[k](frame, bound), frame):
+
+    def candidates(k: int) -> tuple[Value, ...]:
+        try:
+            return domains[k](frame, bound)
+        except BoundExceeded as err:
+            raise BoundExceeded(err.what, err.size, err.bound, params[k], "parameter") from None
+
+    for _ in _assignments(params, candidates, frame):
         yield {name: frame[name] for name in params}
 
 

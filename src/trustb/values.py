@@ -190,9 +190,5 @@ def value_sorted(values: Iterable[Value]) -> list[Value]:
 
 
 def canon(v: Value) -> str:
-    """Canonical text form of a value; inverse of the value reader."""
-    if type(v) is SetV:
-        return "{" + ", ".join(canon(e) for e in v.sorted_elements()) + "}"
-    if type(v) is PairV:
-        return f"({canon(v.left)} |-> {canon(v.right)})"
+    """Canonical text form of a value, its repr; inverse of the value reader."""
     return repr(v)

@@ -1,7 +1,11 @@
+import io
+
 import pytest
 
+from trustb.cli import run_command
 from trustb.errors import (
     FunctionalityViolation,
+    ParseError,
     ScenarioError,
     TrustDenied,
     UndeclaredAtom,
@@ -287,6 +291,34 @@ def test_import_tolerates_comments_and_blanks():
     noisy = "\n".join(["# written by hand", "", lines[0], "  # indented note"] + lines[1:])
     back = import_state(noisy)
     assert back.embed() == ts.embed()
+
+
+def test_import_drops_comments_from_every_line():
+    text = (
+        "level 0  # strategic\n"
+        "trustors i # the trustor\n"
+        "trustees b\n"
+        "tasks t\n"
+        "agent_task # allocations\n"
+        "  ({b} |-> t) # allocated\n"
+        "trustor_trustee_task\n"
+        "end # of state\n"
+    )
+    ts = import_state(text)
+    assert ts.trustors == ("i",)
+    assert canon(ts.embed().values["agent_task"]) == "{({b} |-> t)}"
+
+
+def test_import_reports_a_malformed_value_at_its_place(tmp_path):
+    text = "level 0\ntrustors i\ntrustees b\ntasks t\nagent_task\n  ({b} |-> t) )\nend\n"
+    with pytest.raises(ParseError) as err:
+        import_state(text)
+    assert str(err.value) == "6:15: expected 'eof', found ')'"
+    state = tmp_path / "bad.state"
+    state.write_text(text)
+    out, errs = io.StringIO(), io.StringIO()
+    assert run_command(["query", "--state", str(state), "i", "b", "t"], stdout=out, stderr=errs) == 3
+    assert errs.getvalue() == f"{state}:6:15: expected 'eof', found ')'\n"
 
 
 def test_import_rejects_damage():

@@ -396,6 +396,44 @@ def test_oversized_constant_domain_names_its_constant(tmp_path):
     )
 
 
+PARAM_DOMAIN = """CONTEXT c
+SETS S T
+END
+MACHINE m
+SEES c
+VARIABLES a
+INVARIANTS
+  @inv1: a : pow(S)
+EVENT INITIALISATION THEN
+  @act1: a := {}
+END
+EVENT e
+ANY x
+WHERE
+  @grd1: x : pow(T)
+THEN
+  @act1: a := a
+END
+END
+"""
+
+
+def test_oversized_parameter_domain_names_its_parameter(tmp_path):
+    import io
+
+    from trustb.cli import run_command
+
+    model = tmp_path / "param.ebt"
+    model.write_text(PARAM_DOMAIN)
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["check", str(model), "--carrier", "S=1", "--carrier", "T=3", "--powerset-bound", "2"]
+    assert run_command(argv, stdout=out, stderr=err) == 3
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        "error: domain of parameter 'x': powerset has 8 members, more than the 2**2 bound\n"
+    )
+
+
 # --- instantiation ------------------------------------------------------
 
 

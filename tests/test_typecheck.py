@@ -427,3 +427,68 @@ def test_event_lookup_and_abstract_links():
     assert m2.refines.name == "M1_knwl"
     assert m2.refines.refines.name == "M0_abs"
     assert m2.refines.refines.refines is None
+
+
+# --- refusals, each with its exact message and position -----------------------------
+
+REFUSAL_CTX = """CONTEXT c
+SETS S T
+CONSTANTS k e t f
+AXIOMS
+  @axm1: k <: S
+  @axm2: e : S
+  @axm3: t : T
+  @axm4: f : S --> T
+END
+"""
+PLAIN_INIT = "EVENT INITIALISATION THEN\n  @act1: v := {}\nEND\n"
+
+
+def refusal_machine(inv="v = v", init=PLAIN_INIT, head="MACHINE m\nSEES c\n"):
+    """A machine whose second invariant (line 15) is `inv`."""
+    return (REFUSAL_CTX + head + "VARIABLES v\nINVARIANTS\n  @inv1: v : pow(S)\n"
+            f"  @inv2: {inv}\n" + init + "END\n")
+
+
+REFUSALS = [
+    (refusal_machine(init="EVENT e THEN\n  @act1: v := {}\nEND\n"),
+     TypeMismatch, "machine 'm' has no INITIALISATION event"),
+    (refusal_machine(init="EVENT INITIALISATION ANY x WHERE\n  @grd1: x : S\nTHEN\n"
+                          "  @act1: v := {}\nEND\n"),
+     TypeMismatch, "INITIALISATION of 'm' must have no parameters or guards"),
+    (REFUSAL_CTX + "MACHINE a REFINES b SEES c END\nMACHINE b REFINES a SEES c END\n",
+     TypeMismatch, "machine 'a' refines itself through a cycle"),
+    (refusal_machine(head="MACHINE m\nREFINES zz\nSEES c\n"),
+     UnresolvedReference, "unresolved machine reference 'zz'"),
+    (refusal_machine(head="MACHINE m\nSEES zz\n"),
+     UnresolvedReference, "unresolved context reference 'zz'"),
+    (REFUSAL_CTX.replace("t f\n", "t f j\n").replace("END\n", "  @axm5: j <: e\nEND\n"),
+     TypeMismatch, "9:12: typing axiom for 'j' needs a set bound"),
+    (refusal_machine("{k, {k}} = {}"), TypeMismatch, "15:10: set enumeration mixes element types"),
+    (refusal_machine("e \\/ k = k"), TypeMismatch, "15:12: set operation on non-set operands"),
+    (refusal_machine("k \\/ {t} = k"),
+     TypeMismatch, "15:12: set operands disagree: pow(S) versus pow(T)"),
+    (refusal_machine("e <: k"), TypeMismatch, "15:12: subset needs set operands"),
+    (refusal_machine("k <: {t}"),
+     TypeMismatch, "15:12: subset operands disagree: pow(S) versus pow(T)"),
+    (refusal_machine("dom(k) = k"), TypeMismatch, "15:10: dom needs a relation, got set of S"),
+    (refusal_machine("k[{e}] = k"), TypeMismatch, "15:11: image needs a relation, got set of S"),
+    (refusal_machine("k(e) = e"),
+     TypeMismatch, "15:11: application needs a function, got set of S"),
+    (refusal_machine("f(t) = t"), TypeMismatch, "15:11: function argument must be S, got T"),
+    (refusal_machine("e = t"), TypeMismatch, "15:12: comparison operands disagree: S versus T"),
+    (refusal_machine("e : {t}"),
+     TypeMismatch, "15:12: member type S does not fit container of T"),
+    (refusal_machine("partition(k, {t})"),
+     TypeMismatch, "15:10: partition part pow(T) does not fit pow(S)"),
+    (refusal_machine(init="EVENT INITIALISATION THEN\n  @act1: v := {}\n  @act2: w := {}\nEND\n"),
+     TypeMismatch, "18:3: event 'INITIALISATION' assigns unknown variable 'w'"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", REFUSALS)
+def test_elaboration_refusals_name_their_cause(text, error, message):
+    with pytest.raises(error) as exc:
+        elaborate(parse_file(text))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
