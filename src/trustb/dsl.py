@@ -41,6 +41,7 @@ too deep".
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 from .errors import DuplicateLabel, MultipleAssignment, ParseError
@@ -95,34 +96,13 @@ _KEYWORDS = {
     "END",
 }
 
-# Multi-character operators, longest first so prefixes never win early.
+# The operators; the tokenizer takes the longest one that matches, so that
+# a prefix such as \ never wins over \/.
 _OPERATORS = [
-    ":=",
-    "|->",
-    "<->",
-    "+->",
-    "-->",
-    "<:",
-    "/:",
-    "/=",
-    "=>",
-    "\\/",
-    "\\",
-    ":",
-    "=",
-    "&",
-    "!",
-    "#",
-    ".",
-    ",",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-    "@",
+    ":=", "|->", "<->", "+->", "-->", "<:", "/:", "/=", "=>", "\\/", "\\",
+    ":", "=", "&", "!", "#", ".", ",", "(", ")", "{", "}", "[", "]", "@",
 ]
+_OPERATOR = re.compile("|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True)))
 
 # One table per operator family, from its token to the node it builds (to
 # the FnSpace kind for relation spaces); the printer reads them inverted.
@@ -212,14 +192,13 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(kind, word, line, col))
             col += i - start
             continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(op, op, line, col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
+        match = _OPERATOR.match(text, i)
+        if match is None:
             raise ParseError(line, col, f"unexpected character {ch!r}")
+        op = match.group()
+        tokens.append(Token(op, op, line, col))
+        i += len(op)
+        col += len(op)
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -247,6 +226,7 @@ class Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0
+        self.failed: dict[tuple[int, int], tuple[ParseError, int]] = {}  # see parse_expr
 
     # -- token helpers
 
@@ -489,14 +469,27 @@ class Parser:
     # -- expressions
 
     def parse_expr(self) -> Expr:
-        with _Nesting(self):
-            left = self.chain(self.set_term, _MAPLET)
-            tok = self.peek()
-            if tok.kind not in _RELATION_SPACES:
-                return left
-            self.next()
-            right = self.chain(self.set_term, _MAPLET)
-            return FnSpace(_RELATION_SPACES[tok.kind], left, right, pos=(tok.line, tok.col))
+        """An expression.  What it reads depends only on the position and
+        the depth it starts at, so a failure is kept and replayed (the error
+        and the position it stopped at): paren_or_relational's second
+        reading of a bracket meets every failed expression inside it again."""
+        start = (self.i, self.depth)
+        failed = self.failed.get(start)
+        if failed is not None:
+            err, self.i = failed
+            raise err
+        try:
+            with _Nesting(self):
+                left = self.chain(self.set_term, _MAPLET)
+                tok = self.peek()
+                if tok.kind not in _RELATION_SPACES:
+                    return left
+                self.next()
+                right = self.chain(self.set_term, _MAPLET)
+                return FnSpace(_RELATION_SPACES[tok.kind], left, right, pos=(tok.line, tok.col))
+        except ParseError as err:
+            self.failed[start] = (err, self.i)
+            raise
 
     def set_term(self) -> Expr:
         return self.chain(self.postfix, _SET_OPERATORS)
@@ -610,12 +603,14 @@ def pp_expr(e: Expr, ctx: int = 0) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def pp_pred(p: Pred, ctx: int = 0) -> str:
-    """Render a predicate; ctx 0 is open position, 1 inside =>, 2 inside &."""
+def pp_pred(p: Pred, ctx: int = 0, tail: bool = False) -> str:
+    """Render a predicate; ctx 0 is open position, 1 inside =>, 2 inside &,
+    and tail says that text follows.  A quantifier's body runs as far as it
+    can, so a quantifier is bracketed only where text follows it."""
     t = type(p)
     if t is Forall or t is Exists:
-        s = f"{_SPELLING[t]}{', '.join(p.vars)} . {pp_pred(p.body, 0)}"
-        return f"({s})" if ctx > 0 else s
+        s = f"{_SPELLING[t]}{', '.join(p.vars)} . {pp_pred(p.body)}"
+        return f"({s})" if tail else s
     if t in _RELATIONS.values():  # its operands are its first two fields
         left, right = (getattr(p, f.name) for f in fields(p)[:2])
         return f"{pp_expr(left)} {_SPELLING[t]} {pp_expr(right)}"
@@ -623,11 +618,13 @@ def pp_pred(p: Pred, ctx: int = 0) -> str:
         inner = ", ".join([pp_expr(p.whole)] + [pp_expr(q) for q in p.parts])
         return f"partition({inner})"
     if t is And:
-        s = f"{pp_pred(p.left, 1)} & {pp_pred(p.right, 2)}"
-        return f"({s})" if ctx > 1 else s
+        wrap = ctx > 1
+        s = f"{pp_pred(p.left, 1, True)} & {pp_pred(p.right, 2, tail and not wrap)}"
+        return f"({s})" if wrap else s
     if t is Implies:
-        s = f"{pp_pred(p.left, 1)} => {pp_pred(p.right, 0)}"
-        return f"({s})" if ctx > 0 else s
+        wrap = ctx > 0
+        s = f"{pp_pred(p.left, 1, True)} => {pp_pred(p.right, 0, tail and not wrap)}"
+        return f"({s})" if wrap else s
     raise TypeError(f"not a predicate node: {p!r}")
 
 

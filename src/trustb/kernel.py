@@ -1,16 +1,21 @@
 """Evaluator for the closed expression language over finite set values.
 
 Evaluation is pure: the same expression under the same environment always
-yields the same value.  A quantifier binds its variables in the caller's
-frame while it runs and leaves the frame as it found it.  Each syntax node
-is compiled once, on first evaluation, into a closure that is kept on the
-node; there is no second, tree-walking path.  Conjunction and implication
-evaluate left to right and stop as soon as the answer is known, so a right
-operand that is only well defined when the left one holds is never
-evaluated otherwise.  Quantifiers expand by enumerating their declared
-domains, one variable at a time, which must be given syntactically as the
-leading membership conjuncts of the quantifier body (for a universal whose
-body is an implication, the leading conjuncts of its left-hand side).
+yields the same value.  Each syntax node is compiled once, on first
+evaluation, into one Python function generated from source that inlines
+its whole subtree, and the function is kept on the node; there is no
+second, tree-walking path.  The frame is only ever read: a quantified
+variable is a local of the generated code, never a frame entry.
+Conjunction and implication evaluate left to right and stop as soon as the
+answer is known, so a right operand that is only well defined when the
+left one holds is never evaluated otherwise.  Quantifiers expand by
+enumerating their declared domains, one variable at a time, which must be
+given syntactically as the leading membership conjuncts of the quantifier
+body (for a universal whose body is an implication, the leading conjuncts
+of its left-hand side).  Such a typing conjunct is not evaluated again
+inside the loop that enumerated its domain, since every member listed
+satisfies it, unless a later variable of the quantifier rebinds a name it
+reads.
 
 There is one domain enumerator, compile_domain, and the runtime's state
 and parameter enumeration uses it too.  It lists pow(S) by bitmask over
@@ -26,7 +31,7 @@ environment.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .errors import (
     ApplicationOutsideDomain,
@@ -61,6 +66,7 @@ from .syntax import (
     Subset,
     Union,
     conjuncts,
+    free_idents_expr,
 )
 from .values import (
     BOOL_SET,
@@ -129,17 +135,6 @@ def _non_pair(op: str, r: SetV) -> NotARelation:
     canonically least non-pair, so the message does not depend on hash order."""
     least = value_sorted(e for e in r.elements if type(e) is not PairV)[0]
     return NotARelation(f"{op} over a set containing non-pair {least!r}")
-
-
-def _image_list(r: SetV, lefts) -> list[Value]:
-    """Right components of the pairs of r whose left is in lefts."""
-    out = []
-    for p in r.elements:
-        if type(p) is not PairV:
-            raise _non_pair("image", r)
-        if p.left in lefts:
-            out.append(p.right)
-    return out
 
 
 def domain_of(r: SetV) -> SetV:
@@ -243,13 +238,13 @@ def enumerate_fn_space(
 
 # --- compiled evaluation ------------------------------------------------------
 #
-# Every node compiles, on first use, into a closure `code(frame, bound)`
-# that evaluates it against a bindings dict (Feeley & Lapalme, "Using
-# closures for code generation", 1987).  The closure is memoised on the
-# node, so it lives exactly as long as the syntax tree that owns it, and
-# dispatch on node type happens once per node instead of once per call.
-# A frame may be a dict subclass whose __missing__ supplies identifiers it
-# lacks; a KeyError from it means the identifier is unbound.
+# Every node that compile_expr, compile_pred or compile_domain is asked for
+# becomes one Python function `code(frame, bound)`, built with compile() from
+# source that inlines the node's whole subtree (the source is emit_source's).
+# The function is memoised on the node, so it lives exactly as long as the
+# syntax tree that owns it.  A frame may be a dict subclass whose
+# __missing__ supplies identifiers it lacks; a KeyError from it means the
+# identifier is unbound.
 
 ExprCode = Callable[[dict, int], Value]
 PredCode = Callable[[dict, int], bool]
@@ -265,263 +260,319 @@ def eval_pred_frame(p: Pred, frame: dict, bound: int = DEFAULT_POWERSET_BOUND) -
 
 
 def compile_expr(e: Expr) -> ExprCode:
-    """The closure that evaluates expression e (built once per node)."""
+    """The function that evaluates expression e (built once per node)."""
     try:
         return e._value_code
     except AttributeError:
-        if not isinstance(e, Expr):
-            raise TypeError(f"not an expression node: {e!r}") from None
-    code = _expr_code(e)
-    object.__setattr__(e, "_value_code", code)
-    return code
+        pass
+    return _compiled(e, "expr")
 
 
 def compile_pred(p: Pred) -> PredCode:
-    """The closure that decides predicate p (built once per node)."""
+    """The function that decides predicate p (built once per node)."""
     try:
         return p._truth_code
     except AttributeError:
-        if not isinstance(p, Pred):
-            raise TypeError(f"not a predicate node: {p!r}") from None
-    code = _pred_code(p)
-    object.__setattr__(p, "_truth_code", code)
-    return code
+        pass
+    return _compiled(p, "pred")
 
 
 def compile_domain(e: Expr) -> Callable[[dict, int], tuple[Value, ...]]:
-    """The closure that lists the members of domain e in the order the
-    module docstring gives: the one enumerator behind quantifiers, state
-    variables, event parameters and the pow and relation-space expressions."""
-    t = type(e)
-    if t is Pow:
-        base = compile_expr(e.base)
-        return lambda f, b: powerset_elements(_as_set(base(f, b), "powerset"), b)
-    if t is FnSpace:
-        dom, ran, kind = compile_expr(e.dom), compile_expr(e.ran), e.kind
-
-        def space(f, b):
-            dom_set = _as_set(dom(f, b), "relation space")
-            ran_set = _as_set(ran(f, b), "relation space")
-            return enumerate_fn_space(kind, dom_set, ran_set, b)
-
-        return space
-    whole = compile_expr(e)
-
-    def members(f, b):
-        v = whole(f, b)
-        if type(v) is not SetV:
-            raise NonFiniteQuantifierDomain(f"domain is not a set: {v!r}")
-        return v.sorted_elements()
-
-    return members
+    """The function that lists the members of domain e in the order the
+    module docstring gives (built once per node): the one enumerator behind
+    quantifiers, state variables, event parameters and the pow and
+    relation-space expressions."""
+    try:
+        return e._domain_code
+    except AttributeError:
+        pass
+    return _compiled(e, "domain")
 
 
-def _as_set(v: Value, op: str) -> SetV:
-    if type(v) is not SetV:
-        raise NotARelation(f"{op} needs a set, got {v!r}")
-    return v
+def emit_source(node: Expr | Pred, kind: str) -> str:
+    """The Python source of the function that compile_expr ("expr"),
+    compile_pred ("pred") or compile_domain ("domain") builds for node."""
+    return _emit(node, kind)[0]
 
 
-def _expr_code(e: Expr) -> ExprCode:
-    t = type(e)
-    if t is Ident:
-        name = e.name
-
-        def ident(f, b):
-            try:
-                return f[name]
-            except KeyError:
-                raise UnboundIdentifier(name) from None
-
-        return ident
-    if t is EmptySetLit:
-        return lambda f, b: EMPTY_SET
-    if t is SetEnum or t is Image:
-        members = _members_code(e)
-        return lambda f, b: SetV(members(f, b))
-    if t is Maplet:
-        left, right = compile_expr(e.left), compile_expr(e.right)
-        return lambda f, b: PairV(left(f, b), right(f, b))
-    if t is Union or t is Difference:
-        left, right = compile_expr(e.left), compile_expr(e.right)
-        op, what = (frozenset.union, "union") if t is Union else (frozenset.difference, "difference")
-
-        def combine(f, b):
-            lv = _as_set(left(f, b), what)
-            return SetV(op(lv.elements, _as_set(right(f, b), what).elements))
-
-        return combine
-    if t is Dom:
-        rel = compile_expr(e.rel)
-        return lambda f, b: domain_of(rel(f, b))
-    if t is Pow or t is FnSpace:
-        members = compile_domain(e)
-        return lambda f, b: SetV(members(f, b))
-    if t is FunApp:
-        fn, arg = compile_expr(e.fn), compile_expr(e.arg)
-        return lambda f, b: apply_function(fn(f, b), arg(f, b))
-    raise TypeError(f"not an expression node: {e!r}")
+# Per kind, the node class and the node's slot that keeps its function.
+_SLOTS = {
+    "expr": (Expr, "_value_code"),
+    "pred": (Pred, "_truth_code"),
+    "domain": (Expr, "_domain_code"),
+}
 
 
-def _compile_all(exprs: Iterable[Expr]) -> tuple[ExprCode, ...]:
-    return tuple(compile_expr(x) for x in exprs)
+def _compiled(node: Expr | Pred, kind: str) -> Callable:
+    cls, slot = _SLOTS[kind]
+    if not isinstance(node, cls):
+        what = "a predicate" if cls is Pred else "an expression"
+        raise TypeError(f"not {what} node: {node!r}")
+    source, names = _emit(node, kind)
+    namespace = dict(_RUNTIME, **names)
+    exec(compile(source, f"<trustb {kind}>", "exec"), namespace)
+    code = namespace["code"]
+    object.__setattr__(node, slot, code)
+    return code
 
 
-def _members_code(e: Expr) -> Callable[[dict, int], list[Value]] | None:
-    """For an enumeration or an image, the members of its set as a list,
-    without building the set; None for any other expression.
+def _emit(node: Expr | Pred, kind: str) -> tuple[str, dict[str, object]]:
+    em = _Emitter()
+    code, _depth = getattr(em, kind)(node, {})
+    if em.free:
+        # Only the frame is subscripted, so a KeyError for a name this
+        # function reads is that name being unbound.
+        names = "{" + ", ".join(repr(n) for n in sorted(em.free)) + "}"
+        body = (
+            f"    try:\n        return {code}\n"
+            "    except KeyError as err:\n"
+            f"        if err.args and err.args[0] in {names}:\n"
+            "            raise UnboundIdentifier(err.args[0]) from None\n"
+            "        raise\n"
+        )
+    else:
+        body = f"    return {code}\n"
+    return "".join(em.defs) + "def code(f, b):\n" + body, em.names
 
-    An enumerated image argument, such as the {j} of agent_task[{j}], is
-    not built either.
+
+# The deepest bracket nesting kept in one generated function.  Python
+# refuses source nested past 200 brackets, and the parser accepts trees that
+# would emit deeper, so a deeper subtree becomes a function of its own.
+_CUT = 48
+
+
+def _form(template: str, *parts: tuple[str, int]) -> tuple[str, int]:
+    """Fill the {} holes of template with code parts, each a (source,
+    bracket depth) pair; the result is such a pair too."""
+    pieces = template.split("{}")
+    out = []
+    level = depth = 0
+    for k, piece in enumerate(pieces):
+        for ch in piece:
+            if ch in "([{":
+                level += 1
+                depth = max(depth, level)
+            elif ch in ")]}":
+                level -= 1
+        out.append(piece)
+        if k < len(parts):
+            code, d = parts[k]
+            out.append(code)
+            depth = max(depth, level + d)
+    return "".join(out), depth
+
+
+def _holes(n: int, item: str = "{}", sep: str = ", ") -> str:
+    return sep.join([item] * n)
+
+
+# A relation space's two operands, each checked to be a set.
+_SPACE_OPERANDS = "_as_set({}, 'relation space'), _as_set({}, 'relation space')"
+
+
+class _Emitter:
+    """Python source for one node's function.
+
+    Each template fixes the order of its operands (a membership reads its
+    container before its item) and checks each operand right after
+    evaluating it, so the error raised, its message and the state it is
+    raised in follow from the tree alone.  A free identifier reads the
+    frame as f["name"]; a quantified variable is a local of the generated
+    code (scope maps each name in reach to its local), so the frame is only
+    ever read.
     """
-    t = type(e)
-    if t is SetEnum:
-        items = _compile_all(e.items)
-        return lambda f, b: [item(f, b) for item in items]
-    if t is not Image:
-        return None
-    rel = compile_expr(e.rel)
-    if type(e.arg) is SetEnum:
-        lefts = _members_code(e.arg)
 
-        def members(f, b):
-            r = rel(f, b)
-            s = lefts(f, b)
-            if type(r) is not SetV:
-                raise NotARelation(f"image needs a relation, got {r!r}")
-            return _image_list(r, s)
+    def __init__(self):
+        self.defs: list[str] = []  # the subtrees cut into functions of their own
+        self.names: dict[str, object] = {}  # objects the source refers to
+        self.free: set[str] = set()  # identifiers read from the frame
+        self.count = 0
 
-        return members
-    arg = compile_expr(e.arg)
+    def fresh(self, stem: str) -> str:
+        self.count += 1
+        return f"{stem}{self.count}"
 
-    def members(f, b):
-        r, s = rel(f, b), arg(f, b)
-        if type(r) is not SetV:
-            raise NotARelation(f"image needs a relation, got {r!r}")
-        if type(s) is not SetV:
-            raise NotARelation(f"image argument must be a set, got {s!r}")
-        return _image_list(r, s.elements)
+    def cut(self, part: tuple[str, int], scope: dict) -> tuple[str, int]:
+        """part, or a call to a new function returning it when it nests too
+        deep; the locals in scope are passed on as arguments."""
+        code, depth = part
+        if depth <= _CUT:
+            return part
+        name = self.fresh("_part")
+        params = "".join(", " + local for local in sorted(scope.values()))
+        self.defs.append(f"def {name}(f, b{params}):\n    return {code}\n\n")
+        return f"{name}(f, b{params})", 1
 
-    return members
+    # -- expressions
 
+    def expr(self, e: Expr, scope: dict) -> tuple[str, int]:
+        return self.cut(self._expr(e, scope), scope)
 
-def _pred_code(p: Pred) -> PredCode:
-    t = type(p)
-    if t is Member or t is NotMember:
-        member = _member_code(p.item, p.container)
-        return member if t is Member else lambda f, b: not member(f, b)
-    if t is Equal or t is NotEqual:
-        equal = _equal_code(p.left, p.right)
-        return equal if t is Equal else lambda f, b: not equal(f, b)
-    if t is And:
-        left, right = compile_pred(p.left), compile_pred(p.right)
-        return lambda f, b: left(f, b) and right(f, b)
-    if t is Implies:
-        left, right = compile_pred(p.left), compile_pred(p.right)
-        return lambda f, b: (not left(f, b)) or right(f, b)
-    if t is Subset:
-        left = compile_expr(p.left)
-        image = _members_code(p.right) if type(p.right) is Image else None
-        if image is not None:
-            return lambda f, b: _as_set(left(f, b), "subset").elements.issubset(image(f, b))
-        right = compile_expr(p.right)
+    def _expr(self, e: Expr, scope: dict) -> tuple[str, int]:
+        t = type(e)
+        if t is Ident:
+            local = scope.get(e.name)
+            if local is not None:
+                return local, 0
+            self.free.add(e.name)
+            return f"f[{e.name!r}]", 1
+        if t is EmptySetLit:
+            return "EMPTY_SET", 0
+        if t is SetEnum or t is Image:
+            return _form("SetV({})", self.members(e, scope))
+        if t is Maplet:
+            return _form("PairV({}, {})", self.expr(e.left, scope), self.expr(e.right, scope))
+        if t is Union or t is Difference:
+            what, op = ("'union'", "|") if t is Union else ("'difference'", "-")
+            template = f"SetV(_as_set({{}}, {what}).elements {op} _as_set({{}}, {what}).elements)"
+            return _form(template, self.expr(e.left, scope), self.expr(e.right, scope))
+        if t is Dom:
+            return _form("domain_of({})", self.expr(e.rel, scope))
+        if t is Pow or t is FnSpace:
+            return _form("SetV({})", self.domain(e, scope))
+        if t is FunApp:
+            return _form("apply_function({}, {})", self.expr(e.fn, scope), self.expr(e.arg, scope))
+        raise TypeError(f"not an expression node: {e!r}")
 
-        def subset(f, b):
-            lv = _as_set(left(f, b), "subset")
-            return lv.elements <= _as_set(right(f, b), "subset").elements
+    def members(self, e: SetEnum | Image, scope: dict) -> tuple[str, int]:
+        """The members of an enumeration or an image as a list, without
+        building the set; nor is an enumerated image argument built, such
+        as the {j} of agent_task[{j}]."""
+        if type(e) is SetEnum:
+            parts = [self.expr(item, scope) for item in e.items]
+            return self.cut(_form("[" + _holes(len(parts)) + "]", *parts), scope)
+        rel = self.expr(e.rel, scope)
+        arg = self.members(e.arg, scope) if type(e.arg) is SetEnum else self.expr(e.arg, scope)
+        return self.cut(_form("_image_list({}, {})", rel, arg), scope)
 
-        return subset
-    if t is Partition:
-        whole, parts = compile_expr(p.whole), _compile_all(p.parts)
+    def domain(self, e: Expr, scope: dict) -> tuple[str, int]:
+        t = type(e)
+        if t is Pow:
+            part = _form("powerset_elements(_as_set({}, 'powerset'), b)", self.expr(e.base, scope))
+        elif t is FnSpace:
+            template = f"enumerate_fn_space({e.kind!r}, {_SPACE_OPERANDS}, b)"
+            part = _form(template, self.expr(e.dom, scope), self.expr(e.ran, scope))
+        else:
+            part = _form("_members({})", self.expr(e, scope))
+        return self.cut(part, scope)
 
-        def partition(f, b):
-            wv = _as_set(whole(f, b), "partition")
-            union: set = set()
-            total = 0
-            for part in parts:
-                elements = _as_set(part(f, b), "partition").elements
-                union |= elements
-                total += len(elements)
-            return union == wv.elements and total == len(union)
+    # -- predicates
 
-        return partition
-    if t is Forall or t is Exists:
-        return _quantifier(p, is_forall=t is Forall)
-    raise TypeError(f"not a predicate node: {p!r}")
+    def pred(self, p: Pred, scope: dict) -> tuple[str, int]:
+        return self.cut(self._pred(p, scope), scope)
 
+    def _pred(self, p: Pred, scope: dict) -> tuple[str, int]:
+        t = type(p)
+        if t is Member or t is NotMember:
+            part = self.member(p.item, p.container, scope)
+            return part if t is Member else _form("not {}", part)
+        if t is Equal or t is NotEqual:
+            if type(p.left) in (SetEnum, Image) and type(p.right) in (SetEnum, Image):
+                # Both sides are sets by construction: compare their members.
+                template = "set({}) == set({})"
+                parts = self.members(p.left, scope), self.members(p.right, scope)
+            else:
+                template = "{} == {}"
+                parts = self.expr(p.left, scope), self.expr(p.right, scope)
+            return _form(template if t is Equal else "not " + template, *parts)
+        if t is And:
+            return self.join("and", [self.pred(c, scope) for c in conjuncts(p)])
+        if t is Implies:
+            # a => (b => c) runs as `not a or not b or c`.
+            parts = []
+            while type(p) is Implies:
+                parts.append(_form("not {}", self.pred(p.left, scope)))
+                p = p.right
+            return self.join("or", [*parts, self.pred(p, scope)])
+        if t is Subset:
+            left = self.expr(p.left, scope)
+            if type(p.right) is Image:
+                image = self.members(p.right, scope)
+                return _form("_as_set({}, 'subset').elements.issubset({})", left, image)
+            template = "_as_set({}, 'subset').elements <= _as_set({}, 'subset').elements"
+            return _form(template, left, self.expr(p.right, scope))
+        if t is Partition:
+            parts = [self.expr(x, scope) for x in (p.whole, *p.parts)]
+            operands = _holes(len(parts), "_as_set({}, 'partition')")
+            return _form(f"_partition({operands})", *parts)
+        if t is Forall or t is Exists:
+            return self.quantifier(p, scope)
+        raise TypeError(f"not a predicate node: {p!r}")
 
-def _equal_code(left_expr: Expr, right_expr: Expr) -> PredCode:
-    left, right = _members_code(left_expr), _members_code(right_expr)
-    if left is not None and right is not None:
-        # Both sides are sets by construction: compare their members.
-        return lambda f, b: set(left(f, b)) == set(right(f, b))
-    left, right = compile_expr(left_expr), compile_expr(right_expr)
-    return lambda f, b: left(f, b) == right(f, b)
+    def join(self, op: str, parts: list[tuple[str, int]]) -> tuple[str, int]:
+        if len(parts) == 1:
+            return parts[0]
+        return _form("(" + _holes(len(parts), sep=f" {op} ") + ")", *parts)
 
+    def member(self, item: Expr, container: Expr, scope: dict) -> tuple[str, int]:
+        tc = type(container)
+        if tc is Pow:
+            # x : pow(S) is a subset test; the powerset itself is never built.
+            base = self.expr(container.base, scope)
+            return _form("_in_pow(_as_set({}, 'powerset'), {})", base, self.expr(item, scope))
+        if tc is FnSpace:
+            template = f"_in_space({container.kind!r}, {_SPACE_OPERANDS}, {{}})"
+            dom, ran = self.expr(container.dom, scope), self.expr(container.ran, scope)
+            return _form(template, dom, ran, self.expr(item, scope))
+        if tc is Image:
+            # x : r[s] scans r for a pair (y |-> x) with y in s.
+            image = self.members(container, scope)
+            return _form("{}.__contains__({})", image, self.expr(item, scope))
+        if tc is Dom:
+            # dom(r) raises on a non-pair anywhere in r before x is read.
+            rel = self.expr(container.rel, scope)
+            return _form("domain_of({}).elements.__contains__({})", rel, self.expr(item, scope))
+        cont = self.expr(container, scope)
+        return _form("_elements({}).__contains__({})", cont, self.expr(item, scope))
 
-def _member_code(item_expr: Expr, container: Expr) -> PredCode:
-    item = compile_expr(item_expr)
-    tc = type(container)
-    if tc is Pow:
-        # x : pow(S) is a subset test; the powerset itself is never built.
-        base = compile_expr(container.base)
-
-        def subset(f, b):
-            bv = _as_set(base(f, b), "powerset")
-            v = item(f, b)
-            return type(v) is SetV and v.elements <= bv.elements
-
-        return subset
-    if tc is FnSpace:
-        dom, ran, kind = compile_expr(container.dom), compile_expr(container.ran), container.kind
-
-        def of_kind(f, b):
-            dom_set = _as_set(dom(f, b), "relation space")
-            ran_set = _as_set(ran(f, b), "relation space")
-            return check_function_kind(item(f, b), dom_set, ran_set, kind)
-
-        return of_kind
-    if tc is Image:
-        # x : r[s] scans r for a pair (y |-> x) with y in s.
-        image = _members_code(container)
-
-        def in_image(f, b):
-            members = image(f, b)
-            return item(f, b) in members
-
-        return in_image
-    if tc is Dom:
-        # x : dom(r) scans r for a pair (x |-> y); dom(r) is never built, but
-        # a non-pair anywhere in r raises as domain_of would, before x is read.
-        rel = compile_expr(container.rel)
-
-        def in_domain(f, b):
-            r = rel(f, b)
-            if type(r) is not SetV:
-                raise NotARelation(f"dom needs a relation, got {r!r}")
-            pairs = r.elements
-            for p in pairs:
-                if type(p) is not PairV:
-                    raise _non_pair("dom", r)
-            x = item(f, b)
-            for p in pairs:
-                if p.left == x:
-                    return True
-            return False
-
-        return in_domain
-    cont = compile_expr(container)
-
-    def member(f, b):
-        cv = cont(f, b)
-        if type(cv) is not SetV:
-            raise NotARelation(f"membership container is not a set: {cv!r}")
-        return item(f, b) in cv.elements
-
-    return member
+    def quantifier(self, p: Forall | Exists, scope: dict) -> tuple[str, int]:
+        """`!x, y . P` runs as all(P for x in X for y in Y), with Y read
+        while x is bound; the typing conjuncts the loops already satisfy
+        are left out (see _typing_given)."""
+        is_forall = type(p) is Forall
+        try:
+            domains = quantifier_domains(p.vars, p.body, is_forall)
+        except NonFiniteQuantifierDomain:
+            # Reported when evaluated, as a quantifier on an untaken branch
+            # is never evaluated.
+            node = self.fresh("_node")
+            self.names[node] = p
+            return f"_undeclared({node})", 1
+        inner = dict(scope)
+        loops, fors = [], []
+        for name, domain in zip(p.vars, domains):
+            loops.append(self.domain(domain, inner))
+            local = inner[name] = self.fresh("x")
+            fors.append(f"for {local} in {{}}")
+        implication = is_forall and type(p.body) is Implies
+        chain = conjuncts(p.body.left if implication else p.body)
+        kept = [
+            self.pred(c, inner)
+            for k, c in enumerate(chain)
+            if k >= len(domains) or not _typing_given(p.vars, k, domains[k])
+        ]
+        if implication:
+            claim = self.pred(p.body.right, inner)
+            element = claim
+            if kept:
+                element = self.join("or", [_form("not {}", self.join("and", kept)), claim])
+        else:
+            element = self.join("and", kept) if kept else ("True", 0)
+        template = ("all(" if is_forall else "any(") + "{} " + " ".join(fors) + ")"
+        return _form(template, element, *loops)
 
 
 # -- quantifiers
+
+
+def _typing_given(vars: tuple[str, ...], k: int, domain: Expr) -> bool:
+    """Whether the k-th typing conjunct `vars[k] : domain` holds for every
+    member the k-th loop binds, so that it need not run.  compile_domain's
+    members of a domain are exactly what the membership code accepts; the
+    conjunct runs after the loops, though, so it is given only when it
+    still reads vars[k] and domain as the loop did: no later variable of
+    the quantifier rebinds vars[k] or a name the domain mentions."""
+    return vars[k] not in vars[k + 1:] and not free_idents_expr(domain) & set(vars[k:])
 
 
 def quantifier_domains(vars: tuple[str, ...], body: Pred, is_forall: bool) -> list[Expr]:
@@ -550,42 +601,78 @@ def quantifier_domains(vars: tuple[str, ...], body: Pred, is_forall: bool) -> li
     return domains
 
 
-def _quantifier(p: Forall | Exists, is_forall: bool) -> PredCode:
-    vars, body = p.vars, p.body
-    try:
-        domains = tuple(compile_domain(d) for d in quantifier_domains(vars, body, is_forall))
-    except NonFiniteQuantifierDomain:
-        # Reported when evaluated, as a quantifier on an untaken branch
-        # is never evaluated.
-        def undeclared(f, b):
-            quantifier_domains(vars, body, is_forall)
-
-        return undeclared
-    # One variable at a time: `!x, y . P` runs as `!x . !y . P`.
-    code = compile_pred(body)
-    for name, domain in reversed(tuple(zip(vars, domains))):
-        code = _each(name, domain, code, is_forall)
-    return code
+# -- what the generated code calls
 
 
-def _each(name: str, domain, holds: PredCode, is_forall: bool) -> PredCode:
-    """Decide `holds` for each member of the domain in turn, binding the
-    variable in the caller's frame, so that what the frame's __missing__
-    puts there stays seen, and restoring the frame afterwards."""
+def _as_set(v: Value, op: str) -> SetV:
+    if type(v) is not SetV:
+        raise NotARelation(f"{op} needs a set, got {v!r}")
+    return v
 
-    def each(f, b):
-        shadowed = f.get(name)
-        try:
-            for v in domain(f, b):
-                f[name] = v
-                result = holds(f, b)
-                if result != is_forall:
-                    return result
-            return is_forall
-        finally:
-            if shadowed is None:
-                f.pop(name, None)
-            else:
-                f[name] = shadowed
 
-    return each
+def _elements(v: Value) -> frozenset:
+    if type(v) is not SetV:
+        raise NotARelation(f"membership container is not a set: {v!r}")
+    return v.elements
+
+
+def _members(v: Value) -> tuple[Value, ...]:
+    if type(v) is not SetV:
+        raise NonFiniteQuantifierDomain(f"domain is not a set: {v!r}")
+    return v.sorted_elements()
+
+
+def _image_list(r: Value, lefts) -> list[Value]:
+    """Right components of the pairs of r whose left is in lefts: a list of
+    values, or a set value."""
+    if type(r) is not SetV:
+        raise NotARelation(f"image needs a relation, got {r!r}")
+    if type(lefts) is not list:
+        if type(lefts) is not SetV:
+            raise NotARelation(f"image argument must be a set, got {lefts!r}")
+        lefts = lefts.elements
+    out = []
+    for p in r.elements:
+        if type(p) is not PairV:
+            raise _non_pair("image", r)
+        if p.left in lefts:
+            out.append(p.right)
+    return out
+
+
+def _in_pow(base: SetV, v: Value) -> bool:
+    return type(v) is SetV and v.elements <= base.elements
+
+
+def _in_space(kind: str, dom_set: SetV, ran_set: SetV, v: Value) -> bool:
+    return check_function_kind(v, dom_set, ran_set, kind)
+
+
+def _partition(whole: SetV, *parts: SetV) -> bool:
+    union: set = set()
+    total = 0
+    for part in parts:
+        union |= part.elements
+        total += len(part.elements)
+    return union == whole.elements and total == len(union)
+
+
+def _undeclared(p: Forall | Exists) -> None:
+    """Raise the error quantifier_domains gives for p's domains."""
+    quantifier_domains(p.vars, p.body, type(p) is Forall)
+
+
+# The globals of every generated function.
+_RUNTIME = {
+    "SetV": SetV,
+    "PairV": PairV,
+    "EMPTY_SET": EMPTY_SET,
+    "UnboundIdentifier": UnboundIdentifier,
+    "powerset_elements": powerset_elements,
+    "enumerate_fn_space": enumerate_fn_space,
+    "domain_of": domain_of,
+    "apply_function": apply_function,
+    **{f.__name__: f for f in (
+        _as_set, _elements, _members, _image_list, _in_pow, _in_space, _partition, _undeclared,
+    )},
+}

@@ -53,7 +53,7 @@ first member that settles it and its members come in an order the atoms'
 names fix.  The reachable states are walked in full.
 
 Deciding once.  The walk does not run a predicate whose answer it already
-knows, by four rules.
+knows, by five rules.
 
 * Typing invariants are given.  Elaboration marks each invariant that is a
   variable's very typing clause `v : E` (TypedMachine.typing_invariants),
@@ -62,6 +62,12 @@ knows, by four rules.
   code accepts.  So over all typed states such an invariant is true and
   never runs.  A reachable state or a post-state need not be typed, and
   there it runs like any other.
+* Quantifier typing is given, by the same rule.  Each quantified variable
+  runs over compile_domain's members of its typing conjunct's domain D, so
+  the kernel leaves the conjunct `x : D` out of the quantifier's body.  It
+  is kept where a later variable of the same quantifier rebinds x or a
+  name D mentions, since it then reads other values than the loop did.
+  Leaving it out reads nothing less: the loop read D's identifiers first.
 * Decided depth.  A variable counts as unchanged only when the state holds
   the very object the previous state held: an identical object is the same
   value, and anything else is evaluated again.  state_orbits varies the

@@ -26,11 +26,11 @@ def _pos_field():
 
 
 class Expr:
-    __slots__ = ("_value_code",)  # the kernel's compiled closure for the node
+    __slots__ = ("_value_code", "_domain_code")  # the kernel's compiled functions for the node
 
 
 class Pred:
-    __slots__ = ("_truth_code",)  # the kernel's compiled closure for the node
+    __slots__ = ("_truth_code",)  # the kernel's compiled function for the node
 
 
 # --- expressions -----------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from trustb.cli import run_command
 from trustb.dsl import (
+    Parser,
     parse_expression,
     parse_file,
     parse_predicate,
@@ -388,6 +389,10 @@ PRED_SAMPLES = [
     "s \\ t <: u & f : s --> t",
     "x /: s \\ (t \\/ u) \\ v & a |-> (s <-> t) : r",
     "(s <-> t) |-> a : (s +-> t) <-> u",
+    "a = b & #x . x : S & x = a",
+    "(a = b & #x . x : S) & c = d",
+    "(a = b => #x . x : S) & c = d",
+    "(a = b & #x . x : S) => c = d",
 ]
 
 
@@ -397,6 +402,37 @@ def test_predicate_print_parse_fixpoint(text):
     printed = pp_pred(ast)
     assert parse_predicate(printed) == ast
     assert pp_pred(parse_predicate(printed)) == printed
+
+
+@pytest.mark.parametrize("depth", [1, 2, 40, NESTED_SHAPES["existential"][1]])
+def test_quantifier_chain_round_trips_up_to_the_parser_limit(depth):
+    """A quantifier is bracketed only where text follows it, so printing a
+    `#x . x : S & ...` chain adds no nesting the parser would refuse."""
+    ast = parse_predicate(NESTED_SHAPES["existential"][0](depth))
+    printed = pp_pred(ast)
+    assert parse_predicate(printed) == ast
+    assert pp_pred(parse_predicate(printed)) == printed
+    assert "(" not in printed
+
+
+def test_bracket_parsing_is_linear_in_depth(monkeypatch):
+    """A bracketed predicate is read as an expression first; the failed
+    expressions inside it are not read again, so the parser enters
+    parse_expr about twice per bracket, not once per pair of brackets."""
+    entries = []
+    real = Parser.parse_expr
+
+    def counting(self):
+        entries[-1] += 1
+        return real(self)
+
+    monkeypatch.setattr(Parser, "parse_expr", counting)
+    for depth in (49, 98):
+        entries.append(0)
+        parse_predicate("(" * depth + "a = b" + ")" * depth)
+    shallow, deep = entries
+    assert shallow <= 2 * 49 + 4
+    assert deep - shallow <= shallow
 
 
 def test_parser_fuzz_only_parse_errors():

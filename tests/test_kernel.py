@@ -530,6 +530,114 @@ def test_member_of_dom_raises_as_domain_of():
     assert eval_pred_frame(member, {"x": b, "r": SetV([PairV(a, b), PairV(b, a)])})
 
 
+# --- generated functions ------------------------------------------------------
+
+
+def test_unbound_identifier_is_named_from_inside_a_quantifier_body():
+    with pytest.raises(UnboundIdentifier) as exc:
+        holds("!x . x : S => x : T", S=mkatoms("ab"))
+    assert exc.value.name == "T"
+    with pytest.raises(UnboundIdentifier) as exc:
+        holds("#x, y . x : S & y : pow(x) & y /= U", S=mkset([mkatoms("a")]))
+    assert exc.value.name == "U"
+    assert holds("!x . x : S => x : T", S=EMPTY_SET)  # the body never runs
+
+
+def test_unbound_identifier_is_named_from_a_guard_on_a_po_reader():
+    from trustb.models import machine_setup
+    from trustb.po import _Reader
+
+    tm, _inst, env = machine_setup(0)
+    grd4 = dict(tm.event("trust").guard_code)["grd4"]  # t : agent_task[{j}]
+    j = mkset([Atom("trustee1")])
+
+    def reader_on(values):
+        reader = _Reader(tm.var_order, env)
+        reader.move(values)
+        reader.update(j=j, t=Atom("task1"))
+        return reader
+
+    with pytest.raises(UnboundIdentifier) as exc:
+        grd4(reader_on({}), env.powerset_bound)  # a state that lacks agent_task
+    assert exc.value.name == "agent_task"
+    state = {name: EMPTY_SET for name in tm.var_order}
+    reader = reader_on(dict(state, agent_task=mkset([PairV(j, Atom("task1"))])))
+    assert grd4(reader, env.powerset_bound)
+    assert reader.depth() == 1 + tm.var_order.index("agent_task")
+
+
+def test_a_quantified_variable_reads_its_binding_and_leaves_the_frame_alone():
+    frame = Env({"x": A, "i": B, "S": mkatoms("bc"), "a": A, "b": B, "c": C}).bindings
+    before = dict(frame)
+    for text, want in [
+        ("#x . x : S & x = b", True),  # x shadows a constant bound to a
+        ("!x . x : S => x /= a", True),
+        ("#i . i : S & i = c", True),  # i shadows a parameter bound to b
+        ("!i . i : S => i = b", False),
+        ("#y . y : S & (#x . x : {y} & x = c)", True),
+    ]:
+        assert eval_pred_frame(parse_predicate(text), frame) == want, text
+        assert frame == before and frame["x"] is A and frame["i"] is B
+    assert "y" not in frame
+
+
+def test_a_quantified_variable_is_never_read_from_a_po_reader():
+    from trustb.models import machine_setup
+    from trustb.po import _Reader
+
+    tm, _inst, env = machine_setup(0)
+    reader = _Reader(tm.var_order, env)
+    reader.move({name: EMPTY_SET for name in tm.var_order})
+    pred = parse_predicate("#agent_task . agent_task : trustors & agent_task = agent_task")
+    assert eval_pred_frame(pred, reader, env.powerset_bound)
+    assert reader.depth() == 0
+
+
+def test_a_typing_conjunct_that_mentions_a_later_variable_still_runs():
+    # x is drawn from the frame's y, but its typing conjunct x : y reads the
+    # bound y: the only x, a, is in no member of S.
+    S = mkset([mkatoms("b")])
+    assert not holds("#x, y . x : y & y : S", y=mkatoms("a"), S=S)
+    assert holds("#x, y . x : y & y : S", y=mkatoms("b"), S=S)
+    assert holds("!x, y . x : y & y : S => x /= x", y=mkatoms("a"), S=S)
+    # A later variable of the same name rebinds x before the conjunct runs.
+    assert not holds("#x, x . x : S & x : T", S=mkatoms("a"), T=mkatoms("b"))
+    # The conjunct x : x reads the bound x, not the frame's.
+    assert not holds("#x . x : x", x=mkset([mkatoms("a")]))
+
+
+# The deepest nesting the parser takes for each operator family (as in
+# tests/test_dsl.py), with the value the predicate has under _DEEP_FRAME or
+# the error it raises.
+_DEEPEST = {
+    "brackets around an expression": ("a = " + "(" * 98 + "b" + ")" * 98, False),
+    "brackets around a predicate": ("(" * 98 + "a = a" + ")" * 98, True),
+    "application": ("a = " + "f(" * 98 + "a" + ")" * 98, True),
+    "image": ("r[" * 97 + "{a}" + "]" * 97 + " <: {a}", True),
+    "powerset": ("{} : " + "pow(" * 98 + "S" + ")" * 98, BoundExceeded),  # 2**16 at pow^4(S)
+    "set enumeration": ("{" * 98 + "a" + "}" * 98 + " = " + "{" * 98 + "b" + "}" * 98, False),
+    "existential": ("#x . x : S & " * 65 + "a = a", True),
+    "universal": ("!x . x : S => " * 65 + "x = a", True),
+    "implication": ("a = b => " * 196 + "a = b", True),
+    "conjunction": ("a = a" + " & a = a" * 196, True),
+    "union": ("{a} = {a}" + " \\/ {b}" * 194, False),
+    "difference": ("{a} = {a, b}" + " \\ {b}" * 194, True),
+    "maplet": ("a" + " |-> a" * 196 + " = a" + " |-> a" * 196, True),
+}
+_DEEP_FRAME = {"a": A, "b": B, "S": mkatoms("a"), "f": rel((A, A)), "r": rel((A, A))}
+
+
+@pytest.mark.parametrize("family", _DEEPEST)
+def test_the_deepest_nesting_evaluates_through_the_frame_api(family):
+    text, want = _DEEPEST[family]
+    pred = parse_predicate(text)
+    if want is BoundExceeded:
+        with pytest.raises(BoundExceeded):
+            eval_pred_frame(pred, dict(_DEEP_FRAME))
+    else:
+        assert eval_pred_frame(pred, dict(_DEEP_FRAME)) is want
+
+
 _HASH_PROBE = """
 from trustb.dsl import parse_expression
 from trustb.errors import NotARelation
