@@ -42,7 +42,8 @@ too deep".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from typing import NamedTuple
 
 from .errors import DuplicateLabel, MultipleAssignment, ParseError
 from .syntax import (
@@ -102,7 +103,7 @@ _OPERATORS = [
     ":=", "|->", "<->", "+->", "-->", "<:", "/:", "/=", "=>", "\\/", "\\",
     ":", "=", "&", "!", "#", ".", ",", "(", ")", "{", "}", "[", "]", "@",
 ]
-_OPERATOR = re.compile("|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True)))
+_OPERATOR = "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True))
 
 # One table per operator family, from its token to the node it builds (to
 # the FnSpace kind for relation spaces); the printer reads them inverted.
@@ -142,37 +143,49 @@ _UNICODE_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "kw", "eof", or the normalised operator text
     text: str
     line: int
     col: int
 
 
+# One scan covers every token and the space between tokens; the first
+# alternative that matches wins, so an alias such as the letter ℙ is never
+# read as an identifier.  A word's first character must also be a letter or
+# an underscore, which tokenize checks, as \w also holds digits such as ².
+_SCAN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)"
+    f"|(?P<alias>[{''.join(map(re.escape, _UNICODE_ALIASES))}])"
+    r"|(?P<word>[^\W\d]\w*)"
+    f"|(?P<op>{_OPERATOR})"
+)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line_start = pos = 0
+    rest = 0  # where the eof token goes: a comment does not move it
+    for match in _SCAN.finditer(text):
+        start, end = match.span()
+        if start != pos:
+            break
+        kind = match.lastgroup
+        col = start - line_start + 1
+        if kind == "word":
+            word = match.group()
+            if not (word[0].isalpha() or word[0] == "_"):
+                break
+            tokens.append(Token("kw" if word in _KEYWORDS else "ident", word, line, col))
+        elif kind == "op":
+            op = match.group()
+            tokens.append(Token(op, op, line, col))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _UNICODE_ALIASES:
-            alias = _UNICODE_ALIASES[ch]
+            line_start = end
+        elif kind == "alias":
+            alias = _UNICODE_ALIASES[match.group()]
             if alias == "EMPTYSET":
                 tokens.append(Token("{", "{", line, col))
                 tokens.append(Token("}", "}", line, col))
@@ -180,26 +193,11 @@ def tokenize(text: str) -> list[Token]:
                 tokens.append(Token("ident", "pow", line, col))
             else:
                 tokens.append(Token(alias, alias, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            kind = "kw" if word in _KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += i - start
-            continue
-        match = _OPERATOR.match(text, i)
-        if match is None:
-            raise ParseError(line, col, f"unexpected character {ch!r}")
-        op = match.group()
-        tokens.append(Token(op, op, line, col))
-        i += len(op)
-        col += len(op)
-    tokens.append(Token("eof", "", line, col))
+        pos = end
+        rest = start if kind == "comment" else end
+    if pos < len(text):
+        raise ParseError(line, pos - line_start + 1, f"unexpected character {text[pos]!r}")
+    tokens.append(Token("eof", "", line, rest - line_start + 1))
     return tokens
 
 

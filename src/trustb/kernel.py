@@ -105,6 +105,9 @@ class Env:
 
 
 # --- core set operations ------------------------------------------------------
+#
+# A set value is a frozenset of its members and a pair p is the tuple
+# (2, left, right), so the helpers read p[1] and p[2] (see values).
 
 _pow_cache: dict[tuple[SetV, int], tuple[SetV, ...]] = {}
 
@@ -133,7 +136,7 @@ def powerset_elements(s: SetV, bound: int = DEFAULT_POWERSET_BOUND) -> tuple[Set
 def _non_pair(op: str, r: SetV) -> NotARelation:
     """The error for a relation operand holding a non-pair.  It names the
     canonically least non-pair, so the message does not depend on hash order."""
-    least = value_sorted(e for e in r.elements if type(e) is not PairV)[0]
+    least = value_sorted(e for e in r if type(e) is not PairV)[0]
     return NotARelation(f"{op} over a set containing non-pair {least!r}")
 
 
@@ -141,10 +144,10 @@ def domain_of(r: SetV) -> SetV:
     if type(r) is not SetV:
         raise NotARelation(f"dom needs a relation, got {r!r}")
     out = []
-    for p in r.elements:
+    for p in r:
         if type(p) is not PairV:
             raise _non_pair("dom", r)
-        out.append(p.left)
+        out.append(p[1])
     return SetV(out)
 
 
@@ -154,14 +157,14 @@ def apply_function(f: SetV, x: Value) -> Value:
         raise NotARelation(f"application needs a relation, got {f!r}")
     found = None
     count = 0
-    for p in f.elements:
+    for p in f:
         if type(p) is not PairV:
             raise _non_pair("application", f)
-        if p.left == x:
+        if p[1] == x:
             count += 1
             if count > 1:
                 raise NotFunctional(f"{f!r} maps {x!r} to more than one value")
-            found = p.right
+            found = p[2]
     if count == 0:
         raise ApplicationOutsideDomain(repr(f), repr(x))
     return found
@@ -175,18 +178,17 @@ def check_function_kind(r: Value, dom_set: SetV, ran_set: SetV, kind: str) -> bo
     """
     if type(r) is not SetV:
         return False
-    dom_members = dom_set.elements
-    ran_members = ran_set.elements
     seen_lefts: set[Value] = set()
     functional = True
-    for p in r.elements:
+    for p in r:
         if type(p) is not PairV:
             return False
-        if p.left not in dom_members or p.right not in ran_members:
+        left, right = p[1], p[2]
+        if left not in dom_set or right not in ran_set:
             return False
-        if p.left in seen_lefts:
+        if left in seen_lefts:
             functional = False
-        seen_lefts.add(p.left)
+        seen_lefts.add(left)
     if kind == "rel":
         return True
     if not functional:
@@ -194,7 +196,7 @@ def check_function_kind(r: Value, dom_set: SetV, ran_set: SetV, kind: str) -> bo
     if kind == "pfun":
         return True
     if kind == "tfun":
-        return seen_lefts == set(dom_members)
+        return seen_lefts == dom_set
     raise ValueError(f"unknown function kind {kind!r}")
 
 
@@ -268,13 +270,16 @@ def compile_expr(e: Expr) -> ExprCode:
     return _compiled(e, "expr")
 
 
-def compile_pred(p: Pred) -> PredCode:
-    """The function that decides predicate p (built once per node)."""
+def compile_pred(p: Pred, name: str | None = None) -> PredCode:
+    """The function that decides predicate p (built once per node).  A
+    function built here is compiled under the file name `<trustb NAME>`,
+    such as `<trustb M2_int/inv4>`, so that profiles and tracebacks name
+    it; without a name, under the node's kind and a counter."""
     try:
         return p._truth_code
     except AttributeError:
         pass
-    return _compiled(p, "pred")
+    return _compiled(p, "pred", name)
 
 
 def compile_domain(e: Expr) -> Callable[[dict, int], tuple[Value, ...]]:
@@ -303,14 +308,19 @@ _SLOTS = {
 }
 
 
-def _compiled(node: Expr | Pred, kind: str) -> Callable:
+# Numbers the functions compiled without a name.
+_unnamed = itertools.count(1)
+
+
+def _compiled(node: Expr | Pred, kind: str, name: str | None = None) -> Callable:
     cls, slot = _SLOTS[kind]
     if not isinstance(node, cls):
         what = "a predicate" if cls is Pred else "an expression"
         raise TypeError(f"not {what} node: {node!r}")
     source, names = _emit(node, kind)
     namespace = dict(_RUNTIME, **names)
-    exec(compile(source, f"<trustb {kind}>", "exec"), namespace)
+    filename = f"<trustb {name or f'{kind} {next(_unnamed)}'}>"
+    exec(compile(source, filename, "exec"), namespace)
     code = namespace["code"]
     object.__setattr__(node, slot, code)
     return code
@@ -424,7 +434,7 @@ class _Emitter:
             return _form("PairV({}, {})", self.expr(e.left, scope), self.expr(e.right, scope))
         if t is Union or t is Difference:
             what, op = ("'union'", "|") if t is Union else ("'difference'", "-")
-            template = f"SetV(_as_set({{}}, {what}).elements {op} _as_set({{}}, {what}).elements)"
+            template = f"SetV(_as_set({{}}, {what}) {op} _as_set({{}}, {what}))"
             return _form(template, self.expr(e.left, scope), self.expr(e.right, scope))
         if t is Dom:
             return _form("domain_of({})", self.expr(e.rel, scope))
@@ -488,8 +498,8 @@ class _Emitter:
             left = self.expr(p.left, scope)
             if type(p.right) is Image:
                 image = self.members(p.right, scope)
-                return _form("_as_set({}, 'subset').elements.issubset({})", left, image)
-            template = "_as_set({}, 'subset').elements <= _as_set({}, 'subset').elements"
+                return _form("_as_set({}, 'subset').issubset({})", left, image)
+            template = "_as_set({}, 'subset') <= _as_set({}, 'subset')"
             return _form(template, left, self.expr(p.right, scope))
         if t is Partition:
             parts = [self.expr(x, scope) for x in (p.whole, *p.parts)]
@@ -521,7 +531,7 @@ class _Emitter:
         if tc is Dom:
             # dom(r) raises on a non-pair anywhere in r before x is read.
             rel = self.expr(container.rel, scope)
-            return _form("domain_of({}).elements.__contains__({})", rel, self.expr(item, scope))
+            return _form("domain_of({}).__contains__({})", rel, self.expr(item, scope))
         cont = self.expr(container, scope)
         return _form("_elements({}).__contains__({})", cont, self.expr(item, scope))
 
@@ -610,10 +620,10 @@ def _as_set(v: Value, op: str) -> SetV:
     return v
 
 
-def _elements(v: Value) -> frozenset:
+def _elements(v: Value) -> SetV:
     if type(v) is not SetV:
         raise NotARelation(f"membership container is not a set: {v!r}")
-    return v.elements
+    return v
 
 
 def _members(v: Value) -> tuple[Value, ...]:
@@ -630,18 +640,17 @@ def _image_list(r: Value, lefts) -> list[Value]:
     if type(lefts) is not list:
         if type(lefts) is not SetV:
             raise NotARelation(f"image argument must be a set, got {lefts!r}")
-        lefts = lefts.elements
     out = []
-    for p in r.elements:
+    for p in r:
         if type(p) is not PairV:
             raise _non_pair("image", r)
-        if p.left in lefts:
-            out.append(p.right)
+        if p[1] in lefts:
+            out.append(p[2])
     return out
 
 
 def _in_pow(base: SetV, v: Value) -> bool:
-    return type(v) is SetV and v.elements <= base.elements
+    return type(v) is SetV and v <= base
 
 
 def _in_space(kind: str, dom_set: SetV, ran_set: SetV, v: Value) -> bool:
@@ -652,9 +661,9 @@ def _partition(whole: SetV, *parts: SetV) -> bool:
     union: set = set()
     total = 0
     for part in parts:
-        union |= part.elements
-        total += len(part.elements)
-    return union == whole.elements and total == len(union)
+        union |= part
+        total += len(part)
+    return union == whole and total == len(union)
 
 
 def _undeclared(p: Forall | Exists) -> None:

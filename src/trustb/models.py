@@ -18,7 +18,8 @@ when the commitments run ahead of the trust record.
 build_model parses and elaborates each built-in model once per process,
 and every caller shares it, so callers treat the returned TypedModel and
 TypedMachine as read-only.  A TrustState decides an invariant again only
-when a write changed a variable the invariant mentions.
+when a write changed a variable the invariant mentions, and decides a
+trust guard that reads no state variable once per query binding.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     FunctionalityViolation,
     ParseError,
     ScenarioError,
+    TrustbError,
     TrustDenied,
     UndeclaredAtom,
     UnresolvedReference,
@@ -43,12 +45,11 @@ from .runtime import (
     State,
     event_frame,
     fire_event,
-    guard_truths,
     initial_state,
 )
-from .syntax import ContextAST, MachineAST
+from .syntax import ContextAST, Expr, MachineAST, SetEnum
 from .typecheck import TypedMachine, TypedModel, elaborate
-from .values import FALSE, TRUE, Atom, PairV, SetV, Value, canon, mkset, value_sorted
+from .values import EMPTY_SET, FALSE, TRUE, Atom, PairV, SetV, Value, canon, mkset
 
 TRUST_EVENT = "trust"
 
@@ -242,7 +243,7 @@ def make_instantiation(
     trustee_set = mkset(Atom(n) for n in trustees)
     return Instantiation(
         {
-            "AGENTS": SetV(trustor_set.elements | trustee_set.elements),
+            "AGENTS": SetV(trustor_set | trustee_set),
             "TASKS": mkset(Atom(n) for n in tasks),
             "trustors": trustor_set,
             "trustees": trustee_set,
@@ -317,7 +318,9 @@ class TrustState:
 
         self._state = initial_state(self._tm, self._env)
         self._frame: dict[str, Value] | None = None  # the trust-event frame of _state
-        self._bindings: dict[tuple, dict[str, Value]] = {}  # checked query bindings
+        self._trust = self._tm.event(TRUST_EVENT)
+        # Per checked query binding: the binding and what _decide_once gives.
+        self._bindings: dict[tuple, tuple[dict[str, Value], list, tuple]] = {}
         # Per invariant label: the values of the variables it mentions at
         # its last run, and the truth it gave there.
         self._decided: dict[str, tuple[tuple[Value, ...], bool]] = {}
@@ -358,7 +361,7 @@ class TrustState:
         """Record that a trustee group can perform a task (at most one)."""
         group = self._trustee_group(trustees)
         t = self._task(task)
-        allocated = self._state.values["agent_task"].elements
+        allocated = self._state.values["agent_task"]
         for pair in allocated:
             if pair.left == group and pair.right != t:
                 raise FunctionalityViolation(
@@ -372,14 +375,14 @@ class TrustState:
         i = self._trustor(trustor)
         if trustee not in self.trustees:
             raise UndeclaredAtom(trustee)
-        known = self._state.values["knowledge"].elements
+        known = self._state.values["knowledge"]
         self._set("knowledge", known | {PairV(i, Atom(trustee))})
 
     def commit(self, trustor: str, trustees, task: str, flag: bool) -> None:
         if self.level < TrustLevel.COMMITMENT:
             raise ScenarioError("commitments only exist at level 2")
         triple = self._triple(trustor, trustees, task)
-        kept = [p for p in self._state.values["commitments"].elements if p.left != triple]
+        kept = [p for p in self._state.values["commitments"] if p.left != triple]
         self._set("commitments", [*kept, PairV(triple, TRUE if flag else FALSE)])
 
     def committed(self, trustor: str, trustees, task: str) -> bool:
@@ -424,28 +427,64 @@ class TrustState:
 
     # -- queries and the trust step
 
-    def _guard_truths(self, binding: dict[str, Value]) -> tuple[tuple[str, bool], ...]:
+    def _guard_truths(
+        self, binding: dict[str, Value], decided: list, pending: tuple
+    ) -> tuple[tuple[str, bool], ...]:
+        """Every trust guard's label and truth in the held state, in guard
+        order: `decided`, with each guard of `pending` (see _decide_once)
+        run on the state's frame in its place."""
         frame = self._frame
         if frame is None:
             frame = self._frame = event_frame(self._env, self._state)
         # The binding names the same parameters on every query, so it may
         # overwrite the previous query's values in place.
         frame.update(binding)
-        return guard_truths(self._tm.event(TRUST_EVENT), frame, self._env.powerset_bound)
+        bound = self._env.powerset_bound
+        truths = decided.copy()
+        for k, label, code in pending:
+            truths[k] = (label, code(frame, bound))
+        return tuple(truths)
 
-    def _binding(self, trustor: str, trustees, task: str) -> dict[str, Value]:
+    def _binding(self, trustor: str, trustees, task: str) -> tuple[dict[str, Value], list, tuple]:
+        """The query's binding, with what _decide_once gives for it."""
         key = (trustor, tuple(trustees), task)
-        binding = self._bindings.get(key)
-        if binding is None:
-            binding = self._bindings[key] = {
+        entry = self._bindings.get(key)
+        if entry is None:
+            binding = {
                 "i": self._trustor(trustor),
                 "j": self._trustee_group(trustees),
                 "t": self._task(task),
             }
-        return binding
+            entry = self._bindings[key] = (binding, *self._decide_once(binding))
+        return entry
+
+    def _decide_once(self, binding: dict[str, Value]) -> tuple[list, tuple]:
+        """The trust guards decided under `binding` alone, and the others.
+        The first is a list that holds, per guard in guard order, its label
+        and truth if it reads no state variable, and None if it does; such
+        a guard reads only the parameters and the constants, which never
+        change here.  The second holds each guard left None, with its
+        position: (position, label, function).  If a guard that reads no
+        state variable raises, none is decided, so each query runs every
+        guard in order and the error surfaces where it would without this
+        step."""
+        guards = self._trust.guard_code
+        frame = {**self._env.bindings, **binding}
+        bound = self._env.powerset_bound
+        try:
+            decided = [
+                None if reads else (label, code(frame, bound))
+                for (label, code), reads in zip(guards, self._tm.guard_reads[TRUST_EVENT])
+            ]
+        except TrustbError:
+            decided = [None] * len(guards)
+        pending = tuple(
+            (k, label, code) for k, (label, code) in enumerate(guards) if decided[k] is None
+        )
+        return decided, pending
 
     def trust_query(self, trustor: str, trustees, task: str) -> TrustDecision:
-        truths = self._guard_truths(self._binding(trustor, trustees, task))
+        truths = self._guard_truths(*self._binding(trustor, trustees, task))
         granted = all([ok for _lbl, ok in truths])
         return TrustDecision(trustor, tuple(trustees), task, self.level, granted, truths)
 
@@ -455,7 +494,7 @@ class TrustState:
         if not decision.granted:
             raise TrustDenied(decision)
         # trust_query has just evaluated every guard on this state.
-        binding = self._binding(trustor, trustees, task)
+        binding = self._binding(trustor, trustees, task)[0]
         self._state = fire_event(
             self._tm, TRUST_EVENT, self._state, binding, self._env, check_guards=False
         )
@@ -480,7 +519,7 @@ def export_state(ts: TrustState) -> str:
     ]
     for var in ts.variables():
         lines.append(var)
-        for v in value_sorted(state.values[var].elements):
+        for v in state.values[var].sorted_elements():
             lines.append(f"  {canon(v)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -511,32 +550,33 @@ def import_state(text: str) -> TrustState:
     frame = dict(ts._env.bindings)
     frame.update((name, Atom(name)) for name in (*ts.trustors, *ts.trustees, *ts.tasks))
 
+    bound = ts._env.powerset_bound
     values: dict[str, Value] = {}
     current: str | None = None
-    collected: list[Value] = []
+    items: list[Expr] = []
     expected_vars = set(ts.variables())
     for lineno, ln in lines[len(header):]:
         if ln == "end":
             break
         if not ln.startswith(" "):
             if current is not None:
-                values[current] = mkset(collected)
+                values[current] = _section_value(items, frame, bound)
             if ln not in expected_vars:
                 raise ScenarioError(f"unknown state section '{ln}'")
             if ln in values:
                 raise ScenarioError(f"state section '{ln}' appears twice")
             current = ln
-            collected = []
+            items = []
             continue
         if current is None:
             raise ScenarioError(f"value line outside a section: '{ln.strip()}'")
         try:
-            expr = parse_expression(ln)
+            items.append(parse_expression(ln))
         except ParseError as err:
+            _section_value(items, frame, bound)  # an error on an earlier line comes first
             raise ParseError(lineno, err.col, err.message, err.expected) from None
-        collected.append(eval_expr_frame(expr, frame, ts._env.powerset_bound))
     if current is not None:
-        values[current] = mkset(collected)
+        values[current] = _section_value(items, frame, bound)
     missing = expected_vars - set(values)
     if missing:
         raise ScenarioError(f"state file misses sections: {', '.join(sorted(missing))}")
@@ -547,11 +587,17 @@ def import_state(text: str) -> TrustState:
     return ts
 
 
+def _section_value(items: list[Expr], frame: dict, bound: int) -> SetV:
+    """The set of a state-file section's values, evaluated in line order as
+    one set enumeration, so that a section costs one compile."""
+    return eval_expr_frame(SetEnum(tuple(items)), frame, bound) if items else EMPTY_SET
+
+
 def _check_functional(var: str, relation: SetV) -> None:
     """Reject a state-file section that maps one value to two (naming the
     least such value), as TrustState's verbs never would."""
     seen: dict[Value, Value] = {}
-    for pair in value_sorted(relation.elements):
+    for pair in relation.sorted_elements():
         if type(pair) is not PairV:
             raise ScenarioError(f"state section '{var}' holds {canon(pair)}, not a pair")
         first = seen.setdefault(pair.left, pair.right)

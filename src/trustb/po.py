@@ -468,8 +468,8 @@ class _Bindings:
         self.reader = reader
         self.codes = [code for _label, code in info.guard_code]
         self.keys, self.memos = [], []
-        for g in info.ast.guards:
-            state_key = _memo_key(tm.reads(g.pred), tm.var_order)
+        for g, reads in zip(info.ast.guards, tm.guard_reads[info.name]):
+            state_key = _memo_key(reads, tm.var_order)
             if state_key is None:
                 self.keys.append((_unkeyed, _unkeyed))
                 self.memos.append({None: None})

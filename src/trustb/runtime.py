@@ -433,9 +433,9 @@ def permute(v: Value, perm: Mapping[Value, Value]) -> Value:
     """v with every atom a replaced by perm.get(a, a)."""
     t = type(v)
     if t is SetV:
-        return SetV([permute(e, perm) for e in v.elements])
+        return SetV([permute(e, perm) for e in v])
     if t is PairV:
-        return PairV(permute(v.left, perm), permute(v.right, perm))
+        return PairV(permute(v[1], perm), permute(v[2], perm))
     return perm.get(v, v)
 
 
@@ -461,10 +461,10 @@ def symmetry_group(tm: TypedMachine, env: Env) -> tuple[dict[Value, Value], ...]
     """
     bound = env.powerset_bound
     constants = list(env.bindings.values())
-    atoms = {a for name in tm.context.carriers for a in env.bindings[name].elements}
+    atoms = {a for name in tm.context.carriers for a in env.bindings[name]}
     classes: dict[tuple[bool, ...], list[Value]] = {}
     for atom in value_sorted(atoms):
-        profile = tuple(atom == c or (type(c) is SetV and atom in c.elements) for c in constants)
+        profile = tuple(atom == c or (type(c) is SetV and atom in c) for c in constants)
         classes.setdefault(profile, []).append(atom)
     members = list(classes.values())
     size = math.prod(math.factorial(len(c)) for c in members)

@@ -317,6 +317,7 @@ class EventInfo:
     ast: EventAST
     param_types: dict[str, Type]
     param_domains: dict[str, Expr]
+    machine: str
     abstract: EventAST | None = None
 
     @property
@@ -326,8 +327,12 @@ class EventInfo:
     @cached_property
     def guard_code(self) -> tuple[tuple[str, PredCode], ...]:
         """Each guard's label and compiled predicate, in guard order;
-        compiled on first use, so elaboration never pays for it."""
-        return tuple((g.label, compile_pred(g.pred)) for g in self.ast.guards)
+        compiled on first use, so elaboration never pays for it.  A guard
+        compiles under its machine, event and label, as M2_int/trust/grd8."""
+        where = f"{self.machine}/{self.name}"
+        return tuple(
+            (g.label, compile_pred(g.pred, f"{where}/{g.label}")) for g in self.ast.guards
+        )
 
 
 @dataclass
@@ -349,8 +354,13 @@ class TypedMachine:
 
     @cached_property
     def invariant_code(self) -> tuple[tuple[str, PredCode], ...]:
-        """invariant_scope's labels with compiled predicates, built on first use."""
-        return tuple((lbl, compile_pred(inv.pred)) for lbl, inv, _origin in self.invariant_scope)
+        """invariant_scope's labels with compiled predicates, built on first
+        use; an invariant compiles under the machine that states it and its
+        label, as M2_int/inv4."""
+        return tuple(
+            (lbl, compile_pred(inv.pred, f"{origin}/{lbl}"))
+            for lbl, inv, origin in self.invariant_scope
+        )
 
     def reads(self, node: Expr | Pred) -> tuple[str, ...]:
         """The state variables `node` mentions, in declaration order."""
@@ -363,6 +373,16 @@ class TypedMachine:
         variable order: its truth in a state depends on nothing else but
         the constants."""
         return {lbl: self.reads(inv.pred) for lbl, inv, _origin in self.invariant_scope}
+
+    @cached_property
+    def guard_reads(self) -> dict[str, tuple[tuple[str, ...], ...]]:
+        """Per event, the state variables each guard mentions, in guard
+        order and each in variable order: a guard's truth depends on
+        nothing else but them, the parameters and the constants."""
+        return {
+            name: tuple(self.reads(g.pred) for g in info.ast.guards)
+            for name, info in self.events.items()
+        }
 
     @cached_property
     def typing_invariants(self) -> frozenset[str]:
@@ -626,7 +646,7 @@ def _elaborate_events(
                     act.pos,
                 )
 
-        info = EventInfo(ev, param_types, param_domains)
+        info = EventInfo(ev, param_types, param_domains, ast.name)
         if abstract is not None and not ev.is_init:
             target = ev.refines_event or (ev.name if ev.name in abstract.events else None)
             if ev.refines_event is not None and ev.refines_event not in abstract.events:

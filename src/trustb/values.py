@@ -5,11 +5,20 @@ immutable and hashable;  sets are duplicate-free and compare structurally
 regardless of construction order.  A canonical total order over the whole
 universe (`sort_key`) makes every enumeration and printout deterministic,
 independent of hash randomisation.
+
+Each value is a built-in container, so hashing, equality and membership
+run in C: an atom is the tuple (1, name), a boolean (0, flag), a pair
+(2, left, right), and a set is a frozenset of its members.  The leading
+tag keeps the kinds apart, so values of different kinds never compare
+equal.  A value hashes as the plain tuple or frozenset of the same items,
+the hash keys the values had before they were containers, so no hash and
+no set's iteration order changed with the representation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable
 
 
 class Value:
@@ -19,151 +28,110 @@ class Value:
         raise NotImplementedError
 
 
-class Atom(Value):
+class Atom(tuple, Value):
     """An uninterpreted element of a carrier set, identified by name."""
 
-    __slots__ = ("name", "_key", "_hash")
+    __slots__ = ()
     _interned: dict[str, "Atom"] = {}
 
     def __new__(cls, name: str):
-        cached = cls._interned.get(name)
-        if cached is not None:
-            return cached
-        self = super().__new__(cls)
-        self.name = name
-        self._key = (1, name)
-        self._hash = hash(self._key)
-        cls._interned[name] = self
-        return self
+        atom = cls._interned.get(name)
+        if atom is None:
+            atom = cls._interned[name] = tuple.__new__(cls, (1, name))
+        return atom
+
+    name = property(itemgetter(1))
+
+    def __getnewargs__(self):  # what copy and pickle pass to __new__
+        return (self[1],)
 
     def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Atom and other.name == self.name)
-
-    def __hash__(self):
-        return self._hash
+        return self[1]
 
     def sort_key(self):
-        return self._key
+        return self
 
 
-class BoolV(Value):
+class BoolV(tuple, Value):
     """A boolean constant, distinct from any atom."""
 
-    __slots__ = ("value", "_key")
+    __slots__ = ()
 
     def __new__(cls, value: bool):
         return TRUE if value else FALSE
 
-    def __repr__(self):
-        return "TRUE" if self.value else "FALSE"
+    value = property(itemgetter(1))
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def sort_key(self):
-        return self._key
-
-
-def _make_bool(value: bool) -> BoolV:
-    b = object.__new__(BoolV)
-    b.value = value
-    b._key = (0, value)
-    return b
-
-
-FALSE = _make_bool(False)
-TRUE = _make_bool(True)
-
-
-# A pair's hash mixes in this constant, not the class object, whose hash is
-# its address and so would change from run to run.
-_PAIR_TAG = 2
-
-
-class PairV(Value):
-    """An ordered pair, written left |-> right."""
-
-    __slots__ = ("left", "right", "_hash", "_key")
-
-    def __init__(self, left: Value, right: Value):
-        self.left = left
-        self.right = right
-        self._hash = hash((_PAIR_TAG, left, right))
-        self._key = None
+    def __getnewargs__(self):
+        return (self[1],)
 
     def __repr__(self):
-        return f"({self.left!r} |-> {self.right!r})"
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is PairV
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return self._hash
+        return "TRUE" if self[1] else "FALSE"
 
     def sort_key(self):
-        key = self._key
-        if key is None:
-            key = (2, self.left.sort_key(), self.right.sort_key())
-            self._key = key
+        return self
+
+
+FALSE = tuple.__new__(BoolV, (0, False))
+TRUE = tuple.__new__(BoolV, (0, True))
+
+
+class PairV(tuple, Value):
+    """An ordered pair, written left |-> right.
+
+    It declares no __slots__, as a tuple's subclass can hold none: a pair
+    keeps its sort key, once made, in its __dict__.
+    """
+
+    def __new__(cls, left: Value, right: Value):
+        return tuple.__new__(cls, (2, left, right))
+
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return (self[1], self[2])
+
+    def __repr__(self):
+        return f"({self[1]!r} |-> {self[2]!r})"
+
+    def sort_key(self):
+        try:
+            return self._key
+        except AttributeError:
+            pass
+        key = self._key = (2, self[1].sort_key(), self[2].sort_key())
         return key
 
 
-class SetV(Value):
-    """A finite set of values.  Duplicates collapse; order never matters."""
+class SetV(frozenset, Value):
+    """A finite set of values.  Duplicates collapse; order never matters.
+    Its canonical order and sort key are made once, on first use."""
 
-    __slots__ = ("elements", "_hash", "_key")
-
-    def __init__(self, elements: Iterable[Value] = ()):
-        self.elements = frozenset(elements)
-        self._hash = hash(self.elements)
-        self._key = None
+    __slots__ = ("_sorted", "_key")
 
     def __repr__(self):
-        inner = ", ".join(repr(v) for v in self.sorted_elements())
-        return "{" + inner + "}"
+        return "{" + ", ".join([repr(v) for v in self.sorted_elements()]) + "}"
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is SetV
-            and self._hash == other._hash
-            and self.elements == other.elements
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, value: Value):
-        return value in self.elements
-
-    def __iter__(self) -> Iterator[Value]:
-        return iter(self.elements)
+    @property
+    def elements(self) -> frozenset:
+        """The set itself, as a frozenset."""
+        return self
 
     def sorted_elements(self) -> tuple[Value, ...]:
-        return tuple(sorted(self.elements, key=_key_of))
+        try:
+            return self._sorted
+        except AttributeError:
+            pass
+        ordered = self._sorted = tuple(sorted(self, key=_key_of))
+        return ordered
 
     def sort_key(self):
-        key = self._key
-        if key is None:
-            key = (3, tuple(v.sort_key() for v in self.sorted_elements()))
-            self._key = key
+        try:
+            return self._key
+        except AttributeError:
+            pass
+        key = self._key = (3, tuple([v.sort_key() for v in self.sorted_elements()]))
         return key
 
 

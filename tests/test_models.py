@@ -1,13 +1,17 @@
 import io
+import itertools
 
 import pytest
 
+from trustb import kernel
 from trustb.cli import run_command
 from trustb.errors import (
     FunctionalityViolation,
+    NotARelation,
     ParseError,
     ScenarioError,
     TrustDenied,
+    UnboundIdentifier,
     UndeclaredAtom,
     UnresolvedReference,
 )
@@ -25,6 +29,7 @@ from trustb.models import (
     machine_name,
     machine_setup,
 )
+from trustb.runtime import event_enabled, state_universe
 from trustb.values import FALSE, TRUE, Atom, PairV, canon, mkset
 
 
@@ -594,3 +599,92 @@ def test_learn_decides_again_only_the_invariants_that_mention_knowledge(monkeypa
     ran.clear()
     ts.invariants()
     assert ran == []
+
+
+# --- deciding once per binding ------------------------------------------
+
+
+_L2_QUERIES = [
+    (i, group, t)
+    for i in ("u1", "u2")
+    for group in ((), ("v1",), ("v2",), ("v1", "v2"))
+    for t in ("t1", "t2")
+]
+
+
+def _counted_guards(monkeypatch, info, raising=None):
+    """Wrap an event's guard functions so each run is counted per label;
+    `raising` maps a label to the error its guard raises instead."""
+    runs = dict.fromkeys([label for label, _code in info.guard_code], 0)
+    raising = raising or {}
+
+    def counted(label, code):
+        def run(frame, bound):
+            runs[label] += 1
+            if label in raising:
+                raise raising[label]
+            return code(frame, bound)
+
+        return label, run
+
+    monkeypatch.setattr(info, "guard_code", tuple(counted(*g) for g in info.guard_code))
+    return runs
+
+
+def test_a_guard_that_reads_no_state_runs_once_per_binding(monkeypatch):
+    tm, _inst, env = machine_setup(2, DEFAULT_BOUNDS)
+    states = list(itertools.islice(
+        (st for st in state_universe(tm, env) if st.values["agent_task"]), 2
+    ))
+    expected = [
+        event_enabled(tm, "trust", state, {"i": Atom(i), "j": mkset(map(Atom, j)), "t": Atom(t)}, env)
+        for state in states
+        for i, j, t in _L2_QUERIES
+    ]
+    runs = _counted_guards(monkeypatch, tm.event("trust"))
+    ts = TrustState(2, ("u1", "u2"), ("v1", "v2"), ("t1", "t2"))
+    granted = []
+    for state in states:
+        ts.adopt(state)
+        granted += [ts.trust_query(*query).granted for query in _L2_QUERIES]
+    assert granted == expected
+    assert runs == {
+        **dict.fromkeys(["grd1", "grd2", "grd3", "grd5", "grd6"], 16),
+        **dict.fromkeys(["grd4", "grd7", "grd8"], 32),
+    }
+
+
+def test_a_guard_error_surfaces_in_guard_order(monkeypatch):
+    # grd5 reads no state and would be decided when its binding is built;
+    # grd4 comes first and reads the state, so its error is the one raised.
+    info = build_model(2)[1].event("trust")
+    _counted_guards(monkeypatch, info, {"grd4": UnboundIdentifier("x"), "grd5": NotARelation("y")})
+    with pytest.raises(UnboundIdentifier):
+        fresh().trust_query("alice", ["bob"], "deliver")
+    monkeypatch.undo()
+    _counted_guards(monkeypatch, info, {"grd5": NotARelation("y")})
+    ts = fresh()
+    for _ in range(2):
+        with pytest.raises(NotARelation):
+            ts.trust_query("alice", ["bob"], "deliver")
+
+
+def test_import_compiles_once_per_section(monkeypatch):
+    ts = TrustState(2, ("u1", "u2"), ("v1", "v2"), ("t1", "t2"))
+    for group, task in ((["v1"], "t1"), (["v2"], "t2"), (["v1", "v2"], "t1")):
+        ts.allocate_task(group, task)
+    for i in ("u1", "u2"):
+        for j in ("v1", "v2"):
+            ts.learn(i, j)
+        ts.commit(i, ["v1"], "t1", True)
+        ts.commit(i, ["v2"], "t2", i == "u1")
+        ts.commit(i, ["v1", "v2"], "t1", False)
+        ts.establish_trust(i, ["v1"], "t1")
+    text = export_state(ts)
+    assert len([ln for ln in text.splitlines() if ln.startswith("  ")]) == 15
+    import_state(text)  # builds what the model compiles once
+    built = []
+    compiled = kernel._compiled
+    monkeypatch.setattr(kernel, "_compiled", lambda *args: built.append(args) or compiled(*args))
+    assert export_state(import_state(text)) == text
+    assert len(built) <= len(ts.variables()) == 4

@@ -492,3 +492,15 @@ def test_elaboration_refusals_name_their_cause(text, error, message):
         elaborate(parse_file(text))
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_each_guard_and_invariant_compiles_under_its_own_name():
+    # A fresh elaboration, so that no other test compiled these nodes first.
+    tm = elaborate(builtin_units("base")).machine("M2_int")
+    names = [code.__code__.co_filename for _label, code in tm.event("trust").guard_code]
+    assert len(set(names)) == 8
+    assert names == [f"<trustb M2_int/trust/grd{k}>" for k in range(1, 9)]
+    invariants = {code.__code__.co_filename for _label, code in tm.invariant_code}
+    assert invariants == {
+        "<trustb M2_int/inv1>", "<trustb M0_abs/inv2>", "<trustb M0_abs/inv3>", "<trustb M2_int/inv4>"
+    }

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 from hypothesis import given, strategies as st
 
@@ -134,3 +136,43 @@ def test_equal_values_share_key_and_hash(x, y):
         assert x.sort_key() == y.sort_key()
     else:
         assert x.sort_key() != y.sort_key()
+
+
+# --- the representation: tagged tuples and frozensets, with today's hashes
+
+
+def test_a_pair_hashes_as_its_tagged_tuple():
+    a, b = atoms("a", "b")
+    assert hash(PairV(a, b)) == hash((2, a, b))
+    assert hash(PairV(a, PairV(b, a))) == hash((2, a, (2, b, a)))
+
+
+def test_a_set_hashes_as_the_frozenset_of_its_members():
+    a, b = atoms("a", "b")
+    for xs in ([], [a], [a, b, PairV(a, b)], [mkset([a]), EMPTY_SET]):
+        assert hash(SetV(xs)) == hash(frozenset(xs))
+
+
+def test_a_boolean_hashes_as_its_tagged_tuple():
+    assert hash(TRUE) == hash((0, True))
+    assert hash(FALSE) == hash((0, False))
+
+
+@given(value_strategy(), value_strategy())
+def test_values_of_different_kinds_never_compare_equal(x, y):
+    if type(x) is not type(y):
+        assert x != y
+        assert not x == y
+
+
+@given(value_strategy())
+def test_a_set_is_its_own_elements(v):
+    s = mkset([v, v]) if type(v) is not SetV else v
+    assert s.elements == frozenset(s)
+    assert s.sorted_elements() == tuple(value_sorted(frozenset(s)))
+
+
+@given(value_strategy())
+def test_a_value_copies_and_pickles_to_an_equal_value(v):
+    for twin in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert type(twin) is type(v) and twin == v and canon(twin) == canon(v)
