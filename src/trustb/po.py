@@ -74,7 +74,10 @@ knows, by five rules.
   last variable fastest and hands out memoised candidate values, so
   consecutive states share the objects of their common prefix; the
   reachable states share the objects of every variable an event left
-  alone.  Invariants, binding lists and guards keep a decided depth.  Each
+  alone.  The orbit walk knows the first position it bound anew since the
+  state before, and hands it over (state_orbits's `changed`): it is the
+  position an identity scan would find, so only the reachable states are
+  scanned.  Invariants, binding lists and guards keep a decided depth.  Each
   runs on a frame that holds only the constants and the parameters it
   binds; each state variable enters it on its first read, and the run
   records one past the deepest position (in declaration order) it read.
@@ -86,21 +89,33 @@ knows, by five rules.
   variable, as a quantifier or an implication does when it knows its
   answer early, is thus not repeated when only that variable changes.
 * Memos.  An invariant or guard whose mentioned state variables are not a
-  prefix of the variable order keeps, for one discharge_all call, a memo
-  keyed by the values of those variables (and of the parameters it
-  mentions, for a guard).  It stores each run's truth with the depth the
-  run decided, so a hit leaves the decided depths as exact as a run would.
-  The walk revisits a prefix predicate only on a new prefix, which decided
-  depth already covers, and one that mentions every variable never meets a
-  key twice, so neither keeps a memo.  Every invariant and guard the walk
-  decides goes through one step, _Reader.decide, which runs it or, with a
-  memo, looks its key up first.
+  nonempty prefix of the variable order keeps, for one discharge_all call,
+  a memo keyed by the values of those variables.  It stores each run's
+  truth with the depth the run decided, so a hit leaves the decided depths
+  as exact as a run would.  The walk revisits a prefix predicate only on a
+  new prefix, which decided depth already covers, and one that mentions
+  every variable never meets a key twice, so neither keeps a memo.  A
+  guard's memo is split by the values of the parameters it mentions, and a
+  binding takes its guards' parts, its slots, once, when it enters the
+  binding list: a guard stage then looks each binding's slot up under one
+  state key.  A guard that mentions no state variable has one key, so it
+  runs at most once per binding in the whole walk, however often the list
+  before it is made again.  A lookup that misses, and only that, runs the
+  predicate through _Reader.decide, which stores the run in the memo.
 * A case reuses what is already decided.  An INV goal none of whose
   variables the event's actions gave a different value is as true after
   the event as before it, which the walk already knows.  A GRD goal that is
   one of the concrete event's own guards holds, since every case passed
   those guards.  A SIM whose abstract expression is the one the concrete
   action assigns to that variable holds.  Each case is still counted.
+
+The walk's bookkeeping follows what changed as well.  Which of an event's
+obligations a state's cases count for depends only on the invariants'
+truths there, and few truth vectors occur: each event's target list is
+made once per truth vector and looked up in every state with that vector.
+The case frame, the constants and the state's values, is made once per
+state with a case, and each binding is put into it in place: an event's
+bindings all name the same parameters, and no event reads another's.
 
 Evaluation order and short-circuiting are those of a plain evaluation, and
 a run that raises is never stored, so a predicate that raises does so in
@@ -109,10 +124,9 @@ the state where it would if it ran in every state.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NotSuperposition, TrustbError
 from .kernel import Env, eval_expr_frame, eval_pred_frame
@@ -258,8 +272,9 @@ def _given(po: ProofObligation, info: EventInfo) -> bool:
     return False
 
 
-def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterator[tuple[State, int]]:
-    """The pre-states with the number of states each stands for."""
+def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterable[tuple[State, int]]:
+    """The pre-states with the number of states each stands for; over all
+    typed states, the orbit walk, whose `changed` the caller reads."""
     if state_source == ALL_STATES:
         return state_orbits(tm, env)
     if state_source == REACHABLE:
@@ -289,7 +304,7 @@ def _judge(
     holds the pre-state truths of the walk's invariants: an INV goal none
     of whose variables the actions gave a different value is as true after
     the event as before it."""
-    post = moved = None
+    post = moved = post_frame = None
     for rep, given, pre, reads in targets:
         rep.cases += weight
         if given or rep.counterexample is not None:
@@ -302,18 +317,20 @@ def _judge(
         else:
             if post is None:
                 post = post_values(info, frame, bound)
-                post_frame = {**frame, **post}
             if po.kind == "INV":
                 if moved is None:
                     moved = {v for v, value in post.items() if value != frame[v]}
                 if pre is not None and moved.isdisjoint(reads):
                     if truths[pre]:
                         continue
-                elif eval_pred_frame(po.goal, post_frame, bound):
-                    continue
+                else:
+                    if post_frame is None:
+                        post_frame = {**frame, **post}
+                    if eval_pred_frame(po.goal, post_frame, bound):
+                        continue
             else:  # SIM
                 expected = eval_expr_frame(po.sim_expr, frame, bound)
-                actual = post_frame[po.label]
+                actual = post[po.label] if po.label in post else frame[po.label]
                 if expected == actual:
                     continue
             post_state = state.updated(post)
@@ -328,7 +345,8 @@ class _Reader(dict):
     """A frame that holds the constants and reads the walk's current state
     on demand: a state variable enters it on first read and stays until
     depth() is asked, so a run on this frame shows how much of the state
-    it read."""
+    it read.  The parameters of the last binding decided stay in it: no
+    parameter shadows a name, and each run binds its own parameters."""
 
     __slots__ = ("bound", "order", "position", "values", "fetched")
 
@@ -345,12 +363,15 @@ class _Reader(dict):
         self.fetched.append(name)
         return value
 
-    def move(self, values: dict) -> int:
+    def move(self, values: dict, changed: int | None = None) -> int:
         """Read the state with these values from now on, and return the
         position of its first variable whose value is not the very object
         the previous state held: -1 for the first state, len(order) if
-        every object is the same."""
+        every object is the same.  A walk that knows that position passes
+        it as `changed`, and the scan is left out."""
         prev, self.values = self.values, values
+        if changed is not None:
+            return changed
         if prev is None:
             return -1
         for k, name in enumerate(self.order):
@@ -371,15 +392,10 @@ class _Reader(dict):
         return depth
 
     def decide(self, code, memo: dict | None, key, binding: dict | tuple = ()) -> int:
-        """The truth of `code` on this frame with `binding` added, and the
-        depth it decided, packed as depth << 1 | truth, which allocates
-        nothing.  Without a memo this is a run; with one it is the value
-        stored under `key`, or a run whose value is stored there.  A run
-        that raises stores nothing."""
-        if memo is not None:
-            packed = memo.get(key)
-            if packed is not None:
-                return packed
+        """Run `code` on this frame with `binding` added, and return its
+        truth and the depth it decided, packed as depth << 1 | truth, which
+        allocates nothing; with a memo, store that under `key` too.  The
+        caller looks the key up first.  A run that raises stores nothing."""
         self.update(binding)
         truth = code(self, self.bound)
         packed = self.depth() << 1 | truth
@@ -391,8 +407,11 @@ class _Reader(dict):
 def _memo_key(names: tuple[str, ...], order: tuple[str, ...]):
     """The function that reads the memo key of a predicate mentioning the
     state variables `names` (in variable order) off a state's values; None
-    if they are a prefix of `order`, as decided depth already runs such a
-    predicate once per distinct prefix."""
+    if they are a nonempty prefix of `order`, as decided depth already runs
+    such a predicate once per distinct prefix.  A predicate that mentions
+    none has one key for the whole walk."""
+    if not names:
+        return _unkeyed
     return None if names == order[: len(names)] else itemgetter(*names)
 
 
@@ -415,9 +434,8 @@ class _Truths:
         given = tm.typing_invariants if typed else ()
         # The first state (changed -1) decides every invariant not given.
         self.depths = [-1 if lbl in given else 0 for lbl, _code in checked]
-        keys = [_memo_key(tm.invariant_reads[lbl], tm.var_order) for lbl, _code in checked]
-        self.keys = [key or _unkeyed for key in keys]
-        self.memos = [None if key is None else {} for key in keys]
+        self.keys = [_memo_key(tm.invariant_reads[lbl], tm.var_order) for lbl, _code in checked]
+        self.memos = [None if key is None else {} for key in self.keys]
 
     def at(self, changed: int) -> list[bool]:
         """The truths in the reader's current state, whose first changed
@@ -425,8 +443,12 @@ class _Truths:
         reader, depths, truths = self.reader, self.depths, self.truths
         for k, depth in enumerate(depths):
             if depth > changed:
-                key = self.keys[k](reader.values)
-                packed = reader.decide(self.codes[k], self.memos[k], key)
+                memo = self.memos[k]
+                key = packed = None
+                if memo is not None:
+                    packed = memo.get(key := self.keys[k](reader.values))
+                if packed is None:
+                    packed = reader.decide(self.codes[k], memo, key)
                 truths[k], depths[k] = (packed & 1) == 1, packed >> 1
         return truths
 
@@ -435,11 +457,13 @@ def _holds_on(tm: TypedMachine, goal: str, code, source: str, env: Env) -> tuple
     """On how many of the weighted states of `source` the compiled invariant
     labelled `goal` holds, and of how many."""
     reader = _Reader(tm.var_order, env)
-    truths = _Truths(tm, [(goal, code)], reader, source == ALL_STATES)
+    typed = source == ALL_STATES
+    truths = _Truths(tm, [(goal, code)], reader, typed)
     holds = total = 0
-    for state, weight in _state_iter(tm, env, source):
+    walk = _state_iter(tm, env, source)
+    for state, weight in walk:
         total += weight
-        if truths.at(reader.move(state.values))[0]:
+        if truths.at(reader.move(state.values, walk.changed if typed else None))[0]:
             holds += weight
     return holds, total
 
@@ -450,35 +474,35 @@ class _Bindings:
     reader in its current state and decided by the rules of the module
     docstring.
 
-    lists[0] holds the bindings; lists[k] holds those of lists[k - 1] on
-    which guard k - 1 holds.  depths[k] is the decided depth of lists[k]:
-    the deepest of its own runs' reads and depths[k - 1], so the depths
-    never decrease.  A list stands while the walk's first changed position
-    is at or beyond its depth; otherwise it is made again, lazily and from
-    the one before it.  A guard's memo is keyed by its parameters' values
-    first: they take few values, so each entry is one slot keyed by a
-    state key made once per list.  A guard without a memo has {None: None},
-    which gives every binding no memo.
+    lists[0] holds one entry per binding: the binding, then its memo slot
+    for each guard in guard order.  lists[k] holds the entries of
+    lists[k - 1] on which guard k - 1 holds.  depths[k] is the decided
+    depth of lists[k]: the deepest of its own runs' reads and depths[k - 1],
+    so the depths never decrease.  A list stands while the walk's first
+    changed position is at or beyond its depth; otherwise it is made again,
+    lazily and from the one before it.  A guard's slot is its memo for the
+    values of the parameters it mentions, keyed by the state key, so
+    bindings that agree on those share it; a guard without a memo has the
+    slot None and runs on every binding of each list made.
     """
 
-    __slots__ = ("info", "reader", "codes", "keys", "memos", "lists", "depths", "fresh")
+    __slots__ = ("info", "reader", "codes", "keys", "slots", "lists", "depths", "fresh")
 
     def __init__(self, tm: TypedMachine, info: EventInfo, reader: _Reader):
         self.info = info
         self.reader = reader
         self.codes = [code for _label, code in info.guard_code]
-        self.keys, self.memos = [], []
+        # Per guard: the state key, and the parameter key with the slots by
+        # its values; both None for a guard without a memo.
+        self.keys, self.slots = [], []
         for g, reads in zip(info.ast.guards, tm.guard_reads[info.name]):
             state_key = _memo_key(reads, tm.var_order)
-            if state_key is None:
-                self.keys.append((_unkeyed, _unkeyed))
-                self.memos.append({None: None})
-                continue
             free = free_idents_pred(g.pred)
             mentioned = [p for p in info.ast.params if p in free]
-            self.keys.append((state_key, itemgetter(*mentioned) if mentioned else _unkeyed))
-            self.memos.append(defaultdict(dict))
-        self.lists: list[list[dict]] = [[] for _ in range(len(self.codes) + 1)]
+            param_key = itemgetter(*mentioned) if mentioned else _unkeyed
+            self.keys.append(state_key)
+            self.slots.append(None if state_key is None else (param_key, {}))
+        self.lists: list[list[tuple]] = [[] for _ in range(len(self.codes) + 1)]
         self.depths = [0] * len(self.lists)
         self.fresh = 0  # lists[:fresh] hold for the current state
 
@@ -487,35 +511,41 @@ class _Bindings:
         while self.fresh and self.depths[self.fresh - 1] > changed:
             self.fresh -= 1
 
-    def bindings(self) -> list[dict]:
-        """Every binding in the current state."""
+    def bindings(self) -> list[tuple]:
+        """Every binding's entry in the current state."""
         return self._upto(0)
 
-    def enabled(self) -> list[dict]:
-        """The bindings in the current state on which every guard holds."""
+    def enabled(self) -> list[tuple]:
+        """The entries in the current state of the bindings on which every
+        guard holds."""
         return self._upto(len(self.codes))
 
-    def _upto(self, k: int) -> list[dict]:
+    def _entry(self, binding: dict) -> tuple:
+        """The binding followed by its slot for each guard."""
+        slots = [None if s is None else s[1].setdefault(s[0](binding), {}) for s in self.slots]
+        return (binding, *slots)
+
+    def _upto(self, k: int) -> list[tuple]:
         lists, depths, frame = self.lists, self.depths, self.reader
         for i in range(self.fresh, k + 1):
             if i == 0:
-                lists[0] = list(bind_params(self.info, frame, frame.bound))
+                lists[0] = [self._entry(b) for b in bind_params(self.info, frame, frame.bound)]
                 depths[0] = frame.depth()
                 continue
-            code, memo = self.codes[i - 1], self.memos[i - 1]
-            state_key, param_key = self.keys[i - 1]
-            skey = state_key(frame.values)
+            code, state_key = self.codes[i - 1], self.keys[i - 1]
+            skey = None if state_key is None else state_key(frame.values)
             depth, kept = depths[i - 1], []
-            for binding in lists[i - 1]:
-                packed = frame.decide(code, memo[param_key(binding)], skey, binding)
+            for entry in lists[i - 1]:
+                slot = entry[i]
+                packed = None if slot is None else slot.get(skey)
+                if packed is None:
+                    packed = frame.decide(code, slot, skey, entry[0])
                 if packed & 1:
-                    kept.append(binding)
+                    kept.append(entry)
                 if packed >> 1 > depth:
                     depth = packed >> 1
             lists[i], depths[i] = kept, depth
         if self.fresh <= k:
-            for p in self.info.ast.params:
-                frame.pop(p, None)
             self.fresh = k + 1
         return lists[k]
 
@@ -586,33 +616,50 @@ def discharge_all(
     }
     reader = _Reader(tm.var_order, env)
     events = [
-        (name, info, event_pos.get(name, []), vac_reps.get(name), _Bindings(tm, info, reader))
+        (info, event_pos.get(name, []), vac_reps.get(name), _Bindings(tm, info, reader))
         for name, info in tm.events.items()
         if name in event_pos or name in vac_reps
     ]
+    caches = [cache for *_ev, cache in events]
     holds = states = 0
     if events or goal is not None:
-        decided = _Truths(tm, checked, reader, state_source == ALL_STATES)
-        for state, weight in _state_iter(tm, env, state_source):
-            changed = reader.move(state.values)
+        typed = state_source == ALL_STATES
+        decided = _Truths(tm, checked, reader, typed)
+        at_goal = labels.index(goal) if goal is not None else None
+        # Per truth vector: whether vacuity looks at the state, and each
+        # event's targets, those whose hypothesis holds.
+        plans: dict[tuple[bool, ...], tuple[bool, list[list[_Target]]]] = {}
+        walk = _state_iter(tm, env, state_source)
+        for state, weight in walk:
+            changed = reader.move(state.values, walk.changed if typed else None)
             truths = decided.at(changed)
-            for *_ev, cache in events:
+            for cache in caches:
                 cache.moved(changed)
-            false_invs = {lbl for lbl, ok in zip(labels, truths) if not ok}
+            plan = plans.get(key := tuple(truths))
+            if plan is None:
+                false = {lbl for lbl, ok in zip(labels, key) if not ok and lbl != goal}
+                plan = plans[key] = (
+                    vacuity and all(key),
+                    [[t for t in mine if false.isdisjoint(t[0].po.hypothesis)]
+                     for _info, mine, *_rest in events],
+                )
             states += weight
-            valid = vacuity and not false_invs
-            if goal in false_invs:
-                false_invs.remove(goal)
-            else:
+            if at_goal is not None and truths[at_goal]:
                 holds += weight
-            for name, info, mine, vreps, cache in events:
-                targets = mine
-                if false_invs:
-                    targets = [t for t in mine if false_invs.isdisjoint(t[0].po.hypothesis)]
-                if valid:
-                    # Vacuity needs every guard's truth on every binding.
-                    for binding in cache.bindings():
-                        frame = event_frame(env, state, binding)
+            valid, targeted = plan
+            # The case frame: constants and state, made once, with each
+            # binding put into it in place.
+            frame = None
+            for (info, _mine, vreps, cache), targets in zip(events, targeted):
+                if not (valid or targets):
+                    continue
+                for entry in cache.bindings() if valid else cache.enabled():
+                    binding = entry[0]
+                    if frame is None:
+                        frame = {**env.bindings, **state.values}
+                    frame.update(binding)
+                    if valid:
+                        # Vacuity needs every guard's truth on every binding.
                         oks = [ok for _label, ok in guard_truths(info, frame, bound)]
                         for rep, ok in zip(vreps, oks):
                             rep.cases += weight
@@ -623,12 +670,9 @@ def discharge_all(
                                     tuple(sorted(binding.items())),
                                     None,
                                 )
-                        if targets and all(oks):
-                            _judge(targets, info, state, weight, binding, frame, bound, truths)
-                elif targets:
-                    for binding in cache.enabled():
-                        frame = event_frame(env, state, binding)
-                        _judge(targets, info, state, weight, binding, frame, bound, truths)
+                        if not (targets and all(oks)):
+                            continue
+                    _judge(targets, info, state, weight, binding, frame, bound, truths)
 
     for rep in reports:
         failed = rep.counterexample is not None

@@ -95,13 +95,20 @@ class State:
         self.values = dict(values)
         self._hash = None
 
+    @classmethod
+    def _owning(cls, values: dict[str, Value]) -> "State":
+        """The state whose values are this very dict, which no one else
+        may change: a new dict made for it needs no second copy."""
+        state = cls.__new__(cls)
+        state.values = values
+        state._hash = None
+        return state
+
     def key(self, order: tuple[str, ...]) -> tuple[Value, ...]:
         return tuple(self.values[v] for v in order)
 
     def updated(self, changes: Mapping[str, Value]) -> "State":
-        merged = dict(self.values)
-        merged.update(changes)
-        return State(merged)
+        return State._owning({**self.values, **changes})
 
     def __eq__(self, other):
         return isinstance(other, State) and self.values == other.values
@@ -241,6 +248,7 @@ def _assignments(
     k: int = 0,
     images: Callable[[Sequence[Value], int], list[int]] | None = None,
     eq: tuple[int, ...] = (),
+    low: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Bind names[k], names[k + 1], ... in `frame` to each value
     `candidates(k)` lists for the k-th name, the last name varying fastest,
@@ -262,6 +270,10 @@ def _assignments(
     Crawford et al., KR 1996).  What is yielded is `eq` at the complete
     assignment, the group elements other than the identity that fix it.
     With `eq` empty every candidate is bound and `images` is never asked.
+
+    With `low`, a one-item list, binding the k-th name lowers low[0] to k:
+    a caller that raises it to len(names) at each assignment reads there,
+    at the next, the first position bound anew in between.
     """
     if k == len(names):
         yield eq
@@ -284,7 +296,9 @@ def _assignments(
                 continue
             fixing = tuple(fixing)
         frame[name] = v
-        yield from _assignments(names, candidates, frame, k + 1, images, fixing)
+        if low is not None and low[0] > k:
+            low[0] = k
+        yield from _assignments(names, candidates, frame, k + 1, images, fixing, low)
     frame.pop(name, None)
 
 
@@ -343,15 +357,26 @@ def enumerate_transitions(tm: TypedMachine, state: State, env: Env) -> list[Tran
 
 
 class _VarDomains:
-    """The state variables' candidate lists, read on the walk's frame.
+    """The state variables' candidate lists, read on the walk's frame, and
+    the walk over them: iterating yields the states least in their orbits
+    under the group, each with the orbit's size (see _assignments).
 
     A variable whose domain expression mentions earlier variables gets its
     list recomputed, and memoised, per combination of those values.  The
     memo keeps every list for the whole walk, so a list's id names it, and
-    images() keeps the index maps of each list per group element.
+    images() keeps the index maps of each list per group element, and each
+    member's image under each element it has met.
+
+    `changed` is the position, in variable order, of the first variable
+    the last state handed out binds anew (-1 for the first state).  The
+    variables before it hold the very objects they held in the state
+    before, and it does not: its list is the same one, and it moved on in
+    that list.
     """
 
-    __slots__ = ("order", "domains", "deps", "memo", "frame", "bound", "perms", "maps")
+    __slots__ = (
+        "order", "domains", "deps", "memo", "frame", "bound", "perms", "maps", "members", "changed"
+    )
 
     def __init__(self, tm: TypedMachine, env: Env, perms: tuple[dict, ...]):
         order = self.order = tm.var_order
@@ -363,6 +388,8 @@ class _VarDomains:
         self.bound = env.powerset_bound
         self.perms = perms
         self.maps: dict[int, list] = {}
+        self.members: list[dict[Value, Value]] = [{} for _ in perms]
+        self.changed = -1
 
     def candidates(self, k: int) -> tuple[Value, ...]:
         """The k-th variable's list, with the variables before it bound."""
@@ -386,17 +413,27 @@ class _VarDomains:
         where = entry[g]
         if where is None:
             index = {v: i for i, v in enumerate(values)}
-            perm = self.perms[g]
-            where = entry[g] = [index[permute(v, perm)] for v in values]
+            perm, seen = self.perms[g], self.members[g]
+            # A set's image is the set of its members' images, and the
+            # members recur across a list's sets: each is permuted once.
+            members = frozenset().union(*[v for v in values if type(v) is SetV])
+            for member in members.difference(seen):
+                seen[member] = permute(member, perm)
+            image = seen.__getitem__
+            where = entry[g] = [
+                index[frozenset(map(image, v)) if type(v) is SetV else permute(v, perm)]
+                for v in values
+            ]
         return where
 
-    def walk(self) -> Iterator[tuple[State, int]]:
-        """The states least in their orbits under the group, each with the
-        orbit's size (see _assignments)."""
+    def __iter__(self) -> Iterator[tuple[State, int]]:
         order, frame, size = self.order, self.frame, len(self.perms)
         others = tuple(range(1, size))
-        for fixing in _assignments(order, self.candidates, frame, 0, self.images, others):
-            yield State({v: frame[v] for v in order}), size // (len(fixing) + 1)
+        low = [-1]
+        owning = State._owning
+        for fixing in _assignments(order, self.candidates, frame, 0, self.images, others, low):
+            self.changed, low[0] = low[0], len(order)
+            yield owning({v: frame[v] for v in order}), size // (len(fixing) + 1)
 
 
 def state_universe(tm: TypedMachine, env: Env) -> Iterator[State]:
@@ -409,11 +446,11 @@ def state_universe(tm: TypedMachine, env: Env) -> Iterator[State]:
     those values.  A domain too large to enumerate raises BoundExceeded
     naming its variable.
     """
-    for state, _size in _VarDomains(tm, env, ({},)).walk():
+    for state, _size in _VarDomains(tm, env, ({},)):
         yield state
 
 
-def state_orbits(tm: TypedMachine, env: Env) -> Iterator[tuple[State, int]]:
+def state_orbits(tm: TypedMachine, env: Env) -> _VarDomains:
     """One state per orbit of symmetry_group(tm, env) on state_universe,
     with the orbit's size, in state_universe's order.
 
@@ -421,9 +458,11 @@ def state_orbits(tm: TypedMachine, env: Env) -> Iterator[tuple[State, int]]:
     walk never binds a prefix that some group element maps to an earlier
     one (see _assignments).  The orbit's size is the group's order over
     that of the state's stabilizer.  Under the trivial group this is
-    state_universe, each state with size 1.
+    state_universe, each state with size 1.  While iterating, the walk's
+    `changed` names the first position the current state binds anew (see
+    _VarDomains).
     """
-    yield from _VarDomains(tm, env, symmetry_group(tm, env)).walk()
+    return _VarDomains(tm, env, symmetry_group(tm, env))
 
 
 # --- symmetry ------------------------------------------------------

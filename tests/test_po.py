@@ -88,8 +88,27 @@ def test_abstract_inv4_flagged_vacuous_in_variables():
 # --- discharge behaviour ------------------------------------------------------
 
 
-def test_batch_matches_singleton_discharge():
-    tm, inst, env = setup(2, BoundSpec(1, 2, 1))
+def _pair_model():
+    """test_reference's Pair at |S| = 2, whose states have up to two false
+    invariants, with its environment."""
+    from test_reference import PAIR
+    from trustb.dsl import parse_file
+    from trustb.runtime import enumerate_instantiations
+    from trustb.typecheck import elaborate
+
+    tm = elaborate(parse_file(PAIR)).machine("Pair")
+    [inst] = enumerate_instantiations(tm.context, {"S": 2})
+    return tm, inst.env()
+
+
+@pytest.mark.parametrize("model", ["level2", "pair"])
+def test_batch_matches_singleton_discharge(model):
+    # The batch looks each event's targets up by the state's invariant
+    # truths; Pair's states give it more than one false set.
+    if model == "pair":
+        tm, env = _pair_model()
+    else:
+        tm, inst, env = setup(2, BoundSpec(1, 2, 1))
     pos = generate_pos(tm, include_refinement=True)
     batch = discharge_all(tm, env, pos).reports
     for rep in batch:
@@ -684,6 +703,40 @@ def test_check_walks_the_state_universe_once(monkeypatch):
     assert calls == ["M2_int"]
 
 
+def _shipped_cells():
+    from trustb.errors import ScenarioError
+    from trustb.models import VARIANTS, machine_name
+
+    for variant in VARIANTS:
+        for level in (0, 1, 2):
+            try:
+                machine_name(level, variant)
+            except ScenarioError:
+                continue
+            yield variant, level
+
+
+@pytest.mark.parametrize("group", ["symmetric", "trivial"])
+@pytest.mark.parametrize("variant,level", list(_shipped_cells()))
+def test_orbit_walk_hands_over_the_first_changed_position(variant, level, group, monkeypatch):
+    # The walk's changed position must be the one _Reader.move's identity
+    # scan finds, state by state, under the symmetry group and without it.
+    from trustb import runtime
+    from trustb.po import _Reader
+
+    tm, inst, env = setup(level, BoundSpec(1, 2, 2), variant)
+    if group == "trivial":
+        monkeypatch.setattr(runtime, "symmetry_group", lambda tm, env: ({},))
+    reader = _Reader(tm.var_order, env)
+    walk = state_orbits(tm, env)
+    positions = []
+    for state, _size in walk:
+        positions.append(walk.changed)
+        assert walk.changed == reader.move(state.values)
+    assert positions[0] == -1
+    assert set(positions[1:]) == set(range(len(tm.var_order)))
+
+
 def test_one_walk_matches_separate_walks():
     tm, inst, env = setup(0, BoundSpec(2, 2, 1))
     pos = generate_pos(tm, include_refinement=True, goal="inv4")
@@ -742,6 +795,14 @@ def test_each_predicate_runs_once_per_prefix(monkeypatch):
     walk, search = len(agent_tasks) * len(bindings), len(reachable) * len(bindings)
     assert (walk, search) == (28 * 8, 1 * 8)
     assert counts["grd4"] == walk + search
+    # grd1-grd3, grd5 and grd6 read no state variable: the walk decides
+    # each at most once per binding for the whole walk, as bindings that
+    # agree on the parameters a guard mentions share its runs.  The search
+    # runs grd1-grd3 again on each binding of the reachable state, and stops
+    # at grd4 there.
+    for label in ("grd1", "grd2", "grd3"):
+        assert counts[label] <= len(bindings) + search
+    assert counts["grd5"] <= len(bindings) and counts["grd6"] <= len(bindings)
     # grd8 runs once per distinct (i, j, t, commitments) it meets.
     assert 0 < counts["grd8"] == len(met) == len(set(met))
     # inv4 can read every variable, but a run that finds its first (i, t)
