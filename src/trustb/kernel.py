@@ -17,6 +17,20 @@ inside the loop that enumerated its domain, since every member listed
 satisfies it, unless a later variable of the quantifier rebinds a name it
 reads.
 
+A quantifier runs as nested for statements in the generated function, one
+per variable.  A universal returns False at its first failing member, and
+an existential returns True at its first holding one; where that would
+leave too far, as for an existential that is a universal's claim, it leaves
+its loops by break and takes a for/else when none does.  A quantifier that
+is the claim of a universal, or the last conjunct of an existential, runs
+as the inner loops of the same function.  A subterm that reads no local of
+an inner loop is hoisted lazily (lazy code motion, Knoop, Ruething &
+Steffen, PLDI 1992): it gets a slot, reset to None just outside the first
+loop whose local it does not read and filled where it is first reached, so
+it is computed at most once per pass of the loops it reads and never on a
+path that did not reach it.  Errors, the order of evaluation and what a
+function reads from its frame are therefore those of the unhoisted code.
+
 There is one domain enumerator, compile_domain, and the runtime's state
 and parameter enumeration uses it too.  It lists pow(S) by bitmask over
 S's sorted members, a relation or function space in enumerate_fn_space's
@@ -31,6 +45,7 @@ environment.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Callable, Mapping
 
 from .errors import (
@@ -261,13 +276,14 @@ def eval_pred_frame(p: Pred, frame: dict, bound: int = DEFAULT_POWERSET_BOUND) -
     return compile_pred(p)(frame, bound)
 
 
-def compile_expr(e: Expr) -> ExprCode:
-    """The function that evaluates expression e (built once per node)."""
+def compile_expr(e: Expr, name: str | None = None) -> ExprCode:
+    """The function that evaluates expression e (built once per node),
+    named as compile_pred names its functions."""
     try:
         return e._value_code
     except AttributeError:
         pass
-    return _compiled(e, "expr")
+    return _compiled(e, "expr", name)
 
 
 def compile_pred(p: Pred, name: str | None = None) -> PredCode:
@@ -328,21 +344,30 @@ def _compiled(node: Expr | Pred, kind: str, name: str | None = None) -> Callable
 
 def _emit(node: Expr | Pred, kind: str) -> tuple[str, dict[str, object]]:
     em = _Emitter()
-    code, _depth = getattr(em, kind)(node, {})
+    if kind == "pred":
+        lines = em.block(node, {}, _RETURN)
+    else:
+        lines = ["return " + getattr(em, kind)(node, {})[0]]
     if em.free:
         # Only the frame is subscripted, so a KeyError for a name this
         # function reads is that name being unbound.
         names = "{" + ", ".join(repr(n) for n in sorted(em.free)) + "}"
-        body = (
-            f"    try:\n        return {code}\n"
-            "    except KeyError as err:\n"
-            f"        if err.args and err.args[0] in {names}:\n"
-            "            raise UnboundIdentifier(err.args[0]) from None\n"
-            "        raise\n"
-        )
-    else:
-        body = f"    return {code}\n"
-    return "".join(em.defs) + "def code(f, b):\n" + body, em.names
+        lines = [
+            "try:", *_indent(lines),
+            "except KeyError as err:",
+            f"    if err.args and err.args[0] in {names}:",
+            "        raise UnboundIdentifier(err.args[0]) from None",
+            "    raise",
+        ]
+    return "".join(em.defs) + _function("code(f, b)", lines), em.names
+
+
+def _function(head: str, lines: list[str]) -> str:
+    return f"def {head}:\n" + "".join(f"    {line}\n" for line in lines) + "\n"
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
 
 
 # The deepest bracket nesting kept in one generated function.  Python
@@ -350,26 +375,18 @@ def _emit(node: Expr | Pred, kind: str) -> tuple[str, dict[str, object]]:
 # would emit deeper, so a deeper subtree becomes a function of its own.
 _CUT = 48
 
+# The most loops nested in one generated function.  Python refuses more
+# than 20 statically nested blocks, and the `try` around a body is one; a
+# deeper quantifier nest goes on in a function of its own.
+_LOOPS = 16
 
-def _form(template: str, *parts: tuple[str, int]) -> tuple[str, int]:
-    """Fill the {} holes of template with code parts, each a (source,
-    bracket depth) pair; the result is such a pair too."""
-    pieces = template.split("{}")
-    out = []
-    level = depth = 0
-    for k, piece in enumerate(pieces):
-        for ch in piece:
-            if ch in "([{":
-                level += 1
-                depth = max(depth, level)
-            elif ch in ")]}":
-                level -= 1
-        out.append(piece)
-        if k < len(parts):
-            code, d = parts[k]
-            out.append(code)
-            depth = max(depth, level + d)
-    return "".join(out), depth
+# How a block of statements leaves with a predicate's truth: it returns it;
+# it returns False when the predicate is false and goes on otherwise; or it
+# returns True when the predicate is true and goes on otherwise.
+_RETURN, _REQUIRE, _FIND = "return", "require", "find"
+
+# A frame read, which costs no more than a slot would.
+_READ = re.compile(r"f\['\w+'\]")
 
 
 def _holes(n: int, item: str = "{}", sep: str = ", ") -> str:
@@ -390,189 +407,354 @@ class _Emitter:
     frame as f["name"]; a quantified variable is a local of the generated
     code (scope maps each name in reach to its local), so the frame is only
     ever read.
+
+    A code part is a triple: its source, its bracket depth and its level,
+    the deepest loop of this function whose local it reads (0 for none).
+    A part below the level of the code around it has the same value on
+    every pass of the loops in between, so it gets a slot (see hoist).
     """
 
     def __init__(self):
-        self.defs: list[str] = []  # the subtrees cut into functions of their own
+        self.defs: list[str] = []  # the functions cut off from this one
         self.names: dict[str, object] = {}  # objects the source refers to
         self.free: set[str] = set()  # identifiers read from the frame
         self.count = 0
+        # Of the function being emitted: the loops open around the code,
+        # each loop local's loop (1 for the outermost), and the slots not yet
+        # reset, each with its level, its source and the code it stands for.
+        self.loops = 0
+        self.levels: dict[str, int] = {}
+        self.slots: dict[str, tuple[int, str, str]] = {}
 
     def fresh(self, stem: str) -> str:
         self.count += 1
         return f"{stem}{self.count}"
 
-    def cut(self, part: tuple[str, int], scope: dict) -> tuple[str, int]:
+    def form(self, template: str, *parts: tuple[str, int, int]) -> tuple[str, int, int]:
+        """Fill the {} holes of template with parts, each part below the
+        others' level hoisted first; the result is a part too."""
+        level = max([part[2] for part in parts], default=0)
+        out = []
+        nest = depth = 0
+        for k, piece in enumerate(template.split("{}")):
+            for ch in piece:
+                if ch in "([{":
+                    nest += 1
+                    depth = max(depth, nest)
+                elif ch in ")]}":
+                    nest -= 1
+            out.append(piece)
+            if k < len(parts):
+                code, d, _level = self.hoist(parts[k], level)
+                out.append(code)
+                depth = max(depth, nest + d)
+        return "".join(out), depth, level
+
+    def hoist(self, part: tuple[str, int, int], level: int) -> tuple[str, int, int]:
+        """part, in a slot if it reads no local of the loops past its level
+        up to `level`.  The slot is reset just outside the first loop the
+        part does not read and filled where the part is first reached, so
+        the part is computed only where the unhoisted code computed it, and
+        at most once per pass of the loops it reads.  No part's value is
+        None, so None marks an empty slot."""
+        code, depth, below = part
+        if below >= level or code.isidentifier() or _READ.fullmatch(code):
+            return part
+        slot = self.fresh("_s")
+        slotted = f"({slot} if {slot} is not None else ({slot} := {code}))"
+        self.slots[slot] = (below, slotted, code)
+        return slotted, depth + 2, below
+
+    def resets(self, level: int) -> list[str]:
+        """The statement resetting the slots of `level`, which leave."""
+        names = [slot for slot, (below, _s, _c) in self.slots.items() if below == level]
+        for slot in names:
+            del self.slots[slot]
+        return [" = ".join(names) + " = None"] if names else []
+
+    def cut(self, part: tuple[str, int, int], scope: dict) -> tuple[str, int, int]:
         """part, or a call to a new function returning it when it nests too
-        deep; the locals in scope are passed on as arguments."""
-        code, depth = part
+        deep; the locals in scope are passed on as arguments, and the slots
+        in part are filled in again with their code, as the new function
+        cannot assign them."""
+        code, depth, level = part
         if depth <= _CUT:
             return part
+        for slot, (_below, slotted, raw) in reversed(list(self.slots.items())):
+            if slotted in code:
+                code = code.replace(slotted, raw)
+                del self.slots[slot]
         name = self.fresh("_part")
         params = "".join(", " + local for local in sorted(scope.values()))
-        self.defs.append(f"def {name}(f, b{params}):\n    return {code}\n\n")
-        return f"{name}(f, b{params})", 1
+        self.defs.append(_function(f"{name}(f, b{params})", [f"return {code}"]))
+        return f"{name}(f, b{params})", 1, level
 
     # -- expressions
 
-    def expr(self, e: Expr, scope: dict) -> tuple[str, int]:
+    def expr(self, e: Expr, scope: dict) -> tuple[str, int, int]:
         return self.cut(self._expr(e, scope), scope)
 
-    def _expr(self, e: Expr, scope: dict) -> tuple[str, int]:
+    def _expr(self, e: Expr, scope: dict) -> tuple[str, int, int]:
         t = type(e)
         if t is Ident:
             local = scope.get(e.name)
             if local is not None:
-                return local, 0
+                return local, 0, self.levels.get(local, 0)
             self.free.add(e.name)
-            return f"f[{e.name!r}]", 1
+            return f"f[{e.name!r}]", 1, 0
         if t is EmptySetLit:
-            return "EMPTY_SET", 0
+            return "EMPTY_SET", 0, 0
         if t is SetEnum or t is Image:
-            return _form("SetV({})", self.members(e, scope))
+            return self.form("SetV({})", self.members(e, scope))
         if t is Maplet:
-            return _form("PairV({}, {})", self.expr(e.left, scope), self.expr(e.right, scope))
+            left, right = self.expr(e.left, scope), self.expr(e.right, scope)
+            return self.form("_tuple_new(PairV, (2, {}, {}))", left, right)
         if t is Union or t is Difference:
             what, op = ("'union'", "|") if t is Union else ("'difference'", "-")
             template = f"SetV(_as_set({{}}, {what}) {op} _as_set({{}}, {what}))"
-            return _form(template, self.expr(e.left, scope), self.expr(e.right, scope))
+            return self.form(template, self.expr(e.left, scope), self.expr(e.right, scope))
         if t is Dom:
-            return _form("domain_of({})", self.expr(e.rel, scope))
+            return self.form("domain_of({})", self.expr(e.rel, scope))
         if t is Pow or t is FnSpace:
-            return _form("SetV({})", self.domain(e, scope))
+            return self.form("SetV({})", self.domain(e, scope))
         if t is FunApp:
-            return _form("apply_function({}, {})", self.expr(e.fn, scope), self.expr(e.arg, scope))
+            fn, arg = self.expr(e.fn, scope), self.expr(e.arg, scope)
+            return self.form("apply_function({}, {})", fn, arg)
         raise TypeError(f"not an expression node: {e!r}")
 
-    def members(self, e: SetEnum | Image, scope: dict) -> tuple[str, int]:
+    def members(self, e: SetEnum | Image, scope: dict) -> tuple[str, int, int]:
         """The members of an enumeration or an image as a list, without
         building the set; nor is an enumerated image argument built, such
         as the {j} of agent_task[{j}]."""
         if type(e) is SetEnum:
             parts = [self.expr(item, scope) for item in e.items]
-            return self.cut(_form("[" + _holes(len(parts)) + "]", *parts), scope)
+            return self.cut(self.form("[" + _holes(len(parts)) + "]", *parts), scope)
         rel = self.expr(e.rel, scope)
         arg = self.members(e.arg, scope) if type(e.arg) is SetEnum else self.expr(e.arg, scope)
-        return self.cut(_form("_image_list({}, {})", rel, arg), scope)
+        return self.cut(self.form("_image_list({}, {})", rel, arg), scope)
 
-    def domain(self, e: Expr, scope: dict) -> tuple[str, int]:
+    def domain(self, e: Expr, scope: dict) -> tuple[str, int, int]:
         t = type(e)
         if t is Pow:
-            part = _form("powerset_elements(_as_set({}, 'powerset'), b)", self.expr(e.base, scope))
+            template = "powerset_elements(_as_set({}, 'powerset'), b)"
+            part = self.form(template, self.expr(e.base, scope))
         elif t is FnSpace:
             template = f"enumerate_fn_space({e.kind!r}, {_SPACE_OPERANDS}, b)"
-            part = _form(template, self.expr(e.dom, scope), self.expr(e.ran, scope))
+            part = self.form(template, self.expr(e.dom, scope), self.expr(e.ran, scope))
         else:
-            part = _form("_members({})", self.expr(e, scope))
+            part = self.form("_members({})", self.expr(e, scope))
         return self.cut(part, scope)
 
     # -- predicates
 
-    def pred(self, p: Pred, scope: dict) -> tuple[str, int]:
+    def pred(self, p: Pred, scope: dict) -> tuple[str, int, int]:
         return self.cut(self._pred(p, scope), scope)
 
-    def _pred(self, p: Pred, scope: dict) -> tuple[str, int]:
+    def _pred(self, p: Pred, scope: dict) -> tuple[str, int, int]:
         t = type(p)
         if t is Member or t is NotMember:
             part = self.member(p.item, p.container, scope)
-            return part if t is Member else _form("not {}", part)
+            return part if t is Member else self.form("not {}", part)
         if t is Equal or t is NotEqual:
             if type(p.left) in (SetEnum, Image) and type(p.right) in (SetEnum, Image):
                 # Both sides are sets by construction: compare their members.
-                template = "set({}) == set({})"
-                parts = self.members(p.left, scope), self.members(p.right, scope)
+                parts = [self.form("set({})", self.members(x, scope)) for x in (p.left, p.right)]
             else:
-                template = "{} == {}"
-                parts = self.expr(p.left, scope), self.expr(p.right, scope)
-            return _form(template if t is Equal else "not " + template, *parts)
+                parts = [self.expr(p.left, scope), self.expr(p.right, scope)]
+            return self.form("{} == {}" if t is Equal else "not {} == {}", *parts)
         if t is And:
             return self.join("and", [self.pred(c, scope) for c in conjuncts(p)])
         if t is Implies:
             # a => (b => c) runs as `not a or not b or c`.
             parts = []
             while type(p) is Implies:
-                parts.append(_form("not {}", self.pred(p.left, scope)))
+                parts.append(self.form("not {}", self.pred(p.left, scope)))
                 p = p.right
             return self.join("or", [*parts, self.pred(p, scope)])
         if t is Subset:
             left = self.expr(p.left, scope)
             if type(p.right) is Image:
                 image = self.members(p.right, scope)
-                return _form("_as_set({}, 'subset').issubset({})", left, image)
+                return self.form("_as_set({}, 'subset').issubset({})", left, image)
             template = "_as_set({}, 'subset') <= _as_set({}, 'subset')"
-            return _form(template, left, self.expr(p.right, scope))
+            return self.form(template, left, self.expr(p.right, scope))
         if t is Partition:
             parts = [self.expr(x, scope) for x in (p.whole, *p.parts)]
             operands = _holes(len(parts), "_as_set({}, 'partition')")
-            return _form(f"_partition({operands})", *parts)
+            return self.form(f"_partition({operands})", *parts)
         if t is Forall or t is Exists:
-            return self.quantifier(p, scope)
+            plan = _plan(p)
+            if plan is None:
+                # Reported when evaluated, as a quantifier on an untaken
+                # branch is never evaluated.
+                node = self.fresh("_node")
+                self.names[node] = p
+                return f"_undeclared({node})", 1, 0
+            return self.call(plan, scope)
         raise TypeError(f"not a predicate node: {p!r}")
 
-    def join(self, op: str, parts: list[tuple[str, int]]) -> tuple[str, int]:
+    def join(self, op: str, parts: list[tuple[str, int, int]]) -> tuple[str, int, int]:
         if len(parts) == 1:
             return parts[0]
-        return _form("(" + _holes(len(parts), sep=f" {op} ") + ")", *parts)
+        return self.form("(" + _holes(len(parts), sep=f" {op} ") + ")", *parts)
 
-    def member(self, item: Expr, container: Expr, scope: dict) -> tuple[str, int]:
+    def member(self, item: Expr, container: Expr, scope: dict) -> tuple[str, int, int]:
         tc = type(container)
         if tc is Pow:
             # x : pow(S) is a subset test; the powerset itself is never built.
             base = self.expr(container.base, scope)
-            return _form("_in_pow(_as_set({}, 'powerset'), {})", base, self.expr(item, scope))
+            return self.form("_in_pow(_as_set({}, 'powerset'), {})", base, self.expr(item, scope))
         if tc is FnSpace:
             template = f"_in_space({container.kind!r}, {_SPACE_OPERANDS}, {{}})"
             dom, ran = self.expr(container.dom, scope), self.expr(container.ran, scope)
-            return _form(template, dom, ran, self.expr(item, scope))
+            return self.form(template, dom, ran, self.expr(item, scope))
         if tc is Image:
             # x : r[s] scans r for a pair (y |-> x) with y in s.
-            image = self.members(container, scope)
-            return _form("{}.__contains__({})", image, self.expr(item, scope))
-        if tc is Dom:
+            whole = self.members(container, scope)
+        elif tc is Dom:
             # dom(r) raises on a non-pair anywhere in r before x is read.
-            rel = self.expr(container.rel, scope)
-            return _form("domain_of({}).__contains__({})", rel, self.expr(item, scope))
-        cont = self.expr(container, scope)
-        return _form("_elements({}).__contains__({})", cont, self.expr(item, scope))
-
-    def quantifier(self, p: Forall | Exists, scope: dict) -> tuple[str, int]:
-        """`!x, y . P` runs as all(P for x in X for y in Y), with Y read
-        while x is bound; the typing conjuncts the loops already satisfy
-        are left out (see _typing_given)."""
-        is_forall = type(p) is Forall
-        try:
-            domains = quantifier_domains(p.vars, p.body, is_forall)
-        except NonFiniteQuantifierDomain:
-            # Reported when evaluated, as a quantifier on an untaken branch
-            # is never evaluated.
-            node = self.fresh("_node")
-            self.names[node] = p
-            return f"_undeclared({node})", 1
-        inner = dict(scope)
-        loops, fors = [], []
-        for name, domain in zip(p.vars, domains):
-            loops.append(self.domain(domain, inner))
-            local = inner[name] = self.fresh("x")
-            fors.append(f"for {local} in {{}}")
-        implication = is_forall and type(p.body) is Implies
-        chain = conjuncts(p.body.left if implication else p.body)
-        kept = [
-            self.pred(c, inner)
-            for k, c in enumerate(chain)
-            if k >= len(domains) or not _typing_given(p.vars, k, domains[k])
-        ]
-        if implication:
-            claim = self.pred(p.body.right, inner)
-            element = claim
-            if kept:
-                element = self.join("or", [_form("not {}", self.join("and", kept)), claim])
+            whole = self.form("domain_of({})", self.expr(container.rel, scope))
         else:
-            element = self.join("and", kept) if kept else ("True", 0)
-        template = ("all(" if is_forall else "any(") + "{} " + " ".join(fors) + ")"
-        return _form(template, element, *loops)
+            whole = self.form("_elements({})", self.expr(container, scope))
+        return self.form("{}.__contains__({})", whole, self.expr(item, scope))
+
+    # -- statements
+
+    def block(self, p, scope: dict, how: str) -> list[str]:
+        """Statements that leave with the truth of p as `how` says (_RETURN,
+        _REQUIRE or _FIND); p is a predicate or a quantifier's _plan.  A
+        quantifier runs as loops in this function while they fit, and a
+        conjunction in _RETURN or _REQUIRE runs one conjunct after another,
+        so that a quantifier among them runs as loops too."""
+        if type(p) is And and how != _FIND:
+            chain = conjuncts(p)
+            lines = []
+            for c in chain[:-1]:
+                lines += self.block(c, scope, _REQUIRE)
+            return lines + self.block(chain[-1], scope, how)
+        plan = _plan(p) if type(p) is Forall or type(p) is Exists else p
+        if type(plan) is tuple and self.loops < _LOOPS:
+            return self.quantified(plan, scope, how)
+        code = self.source(self.item(p, scope))
+        if how == _RETURN:
+            return [f"return {code}"]
+        if how == _REQUIRE:
+            return [f"if not {code}:", "    return False"]
+        return [f"if {code}:", "    return True"]
+
+    def source(self, part: tuple[str, int, int]) -> str:
+        """The source of part for a statement in the innermost open loop."""
+        return self.hoist(part, self.loops)[0]
+
+    def item(self, p, scope: dict) -> tuple[str, int, int]:
+        """The part deciding p, a predicate or a quantifier's _plan."""
+        return self.call(p, scope) if type(p) is tuple else self.pred(p, scope)
+
+    def quantified(self, plan: tuple, scope: dict, how: str) -> list[str]:
+        """A quantifier's loops, with the claim of a universal or the last
+        conjunct of an existential run inside them when it is a quantifier
+        too.  A universal that may not return False leaves its loops by
+        break when a member fails, and an existential that may not return
+        True does so when one holds; each takes the loops' else otherwise."""
+        forall, names, domains, kept, claim = plan
+        room = _LOOPS - self.loops
+        if len(names) > room:
+            rest = (forall, names[room:], domains[room:], kept, claim)
+            forall, names, domains, kept, claim = forall, names[:room], domains[:room], [], [rest]
+        breaks = how == (_FIND if forall else _REQUIRE)
+
+        def body(inner: dict) -> list[str]:
+            def all_of(items: list) -> tuple[str, int, int]:
+                return self.join("and", [self.item(c, inner) for c in items])
+
+            if breaks:
+                if not claim:
+                    return ["pass" if forall else "break"]
+                leave = all_of(claim)
+                if forall:  # a member fails
+                    leave = self.form("not {}", leave)
+                    if kept:
+                        leave = self.form("{} and {}", all_of(kept), leave)
+                return [f"if {self.source(leave)}:", "    break"]
+            if forall:
+                lines = [line for c in claim for line in self.block(c, inner, _REQUIRE)]
+                head = kept
+            elif claim:
+                lines, head = self.block(claim[-1], inner, _FIND), claim[:-1]
+            else:
+                return ["return True"]
+            if head:
+                lines = [f"if {self.source(all_of(head))}:", *_indent(lines or ["pass"])]
+            return lines or ["pass"]
+
+        lines = self.loops_of(names, domains, scope, body, breaks)
+        if breaks:
+            return lines + ["else:", "    return True" if forall else "    return False"]
+        if how == _RETURN:
+            return lines + ["return True" if forall else "return False"]
+        return lines
+
+    def loops_of(self, names, domains, scope: dict, body, breaks: bool) -> list[str]:
+        """Nested for statements binding names over their domains, with
+        body(scope) innermost.  With breaks, a break in the body leaves
+        them all, and an else after them runs only if none did."""
+        outer = self.loops
+        inner = dict(scope)
+        heads = []
+        for name, domain in zip(names, domains):
+            members = self.source(self.domain(domain, inner))
+            local = inner[name] = self.fresh("x")
+            self.loops += 1
+            self.levels[local] = self.loops
+            heads.append(f"for {local} in {members}:")
+        lines = body(inner)
+        for k in reversed(range(len(heads))):
+            lines = [heads[k], *_indent(lines)]
+            if breaks and k:
+                lines += ["else:", "    continue", "break"]
+            lines = self.resets(outer + k) + lines
+        self.loops = outer
+        return lines
+
+    def call(self, plan: tuple, scope: dict) -> tuple[str, int, int]:
+        """A call to a new function deciding a quantifier's plan; the
+        locals in scope are passed on as arguments."""
+        name = self.fresh("_q")
+        params = "".join(", " + local for local in sorted(scope.values()))
+        level = max([self.levels.get(local, 0) for local in scope.values()], default=0)
+        outer = self.loops, self.levels, self.slots
+        self.loops, self.levels, self.slots = 0, {}, {}
+        lines = self.quantified(plan, scope, _RETURN)
+        self.loops, self.levels, self.slots = outer
+        self.defs.append(_function(f"{name}(f, b{params})", lines))
+        return f"{name}(f, b{params})", 1, level
 
 
 # -- quantifiers
+
+
+def _plan(p: Forall | Exists) -> tuple | None:
+    """How quantifier p runs: (whether it is universal, its variables, their
+    domains, kept, claim), or None if its domains are not declared (see
+    quantifier_domains).  A member of a universal's domains passes when a
+    conjunct of kept fails or every conjunct of claim holds; a member of an
+    existential's holds when every conjunct of claim does, and kept is
+    empty.  The typing conjuncts the loops already satisfy are left out
+    (see _typing_given)."""
+    forall = type(p) is Forall
+    try:
+        domains = quantifier_domains(p.vars, p.body, forall)
+    except NonFiniteQuantifierDomain:
+        return None
+    implication = forall and type(p.body) is Implies
+    chain = conjuncts(p.body.left if implication else p.body)
+    kept = [
+        c for k, c in enumerate(chain)
+        if k >= len(domains) or not _typing_given(p.vars, k, domains[k])
+    ]
+    if implication:
+        return forall, p.vars, domains, kept, [p.body.right]
+    return forall, p.vars, domains, [], kept
 
 
 def _typing_given(vars: tuple[str, ...], k: int, domain: Expr) -> bool:
@@ -675,6 +857,7 @@ def _undeclared(p: Forall | Exists) -> None:
 _RUNTIME = {
     "SetV": SetV,
     "PairV": PairV,
+    "_tuple_new": tuple.__new__,  # builds a pair without PairV.__new__'s Python frame
     "EMPTY_SET": EMPTY_SET,
     "UnboundIdentifier": UnboundIdentifier,
     "powerset_elements": powerset_elements,

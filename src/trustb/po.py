@@ -129,7 +129,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import NotSuperposition, TrustbError
-from .kernel import Env, eval_expr_frame, eval_pred_frame
+from .kernel import Env, compile_expr, compile_pred, eval_expr_frame, eval_pred_frame
 from .runtime import State, bind_params, event_frame, guard_truths, initial_state, post_values
 from .runtime import reachable_states, state_orbits
 from .syntax import INIT_EVENT, Expr, Pred, free_idents_pred
@@ -270,6 +270,17 @@ def _given(po: ProofObligation, info: EventInfo) -> bool:
     if po.kind == "SIM":
         return any(a.variable == po.label and a.expr == po.sim_expr for a in info.ast.actions)
     return False
+
+
+def _compile_goal(po: ProofObligation) -> None:
+    """Compile the goal, or a SIM's abstract expression, under the
+    obligation's name, as M2_int/trust/grd4/GRD, unless something compiled
+    that node before; the walk then finds it compiled."""
+    name = f"{po.machine}/{po.name}"
+    if po.kind == "SIM":
+        compile_expr(po.sim_expr, name)
+    else:
+        compile_pred(po.goal, name)
 
 
 def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterable[tuple[State, int]]:
@@ -600,6 +611,7 @@ def discharge_all(
                 init = initial_state(tm, env)
                 frame0 = event_frame(env, init)
             rep.cases = 1
+            _compile_goal(po)
             if not eval_pred_frame(po.goal, frame0, bound):
                 rep.counterexample = Counterexample(None, (), init)
         else:
@@ -607,6 +619,8 @@ def discharge_all(
             pre = labels.index(po.label) if po.kind == "INV" and po.label in labels else None
             reads = tm.invariant_reads[po.label] if pre is not None else ()
             given = info is not None and _given(po, info)
+            if not given:
+                _compile_goal(po)
             event_pos.setdefault(po.event, []).append((rep, given, pre, reads))
 
     vac_reps = {

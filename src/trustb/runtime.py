@@ -193,7 +193,7 @@ def refusing_guard(info: EventInfo, frame: dict, bound: int) -> str | None:
 def post_values(info: EventInfo, frame: dict, bound: int) -> dict[str, Value]:
     """The values an event's actions assign, every right-hand side
     evaluated in the pre-state frame before any variable changes."""
-    return {act.variable: eval_expr_frame(act.expr, frame, bound) for act in info.ast.actions}
+    return {variable: code(frame, bound) for variable, code in info.action_code}
 
 
 def event_enabled(
@@ -245,20 +245,20 @@ def _assignments(
     names: tuple[str, ...],
     candidates: Callable[[int], Sequence[Value]],
     frame: dict,
-    k: int = 0,
     images: Callable[[Sequence[Value], int], list[int]] | None = None,
     eq: tuple[int, ...] = (),
     low: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Bind names[k], names[k + 1], ... in `frame` to each value
-    `candidates(k)` lists for the k-th name, the last name varying fastest,
-    and yield once per complete assignment; the caller reads the values
-    from `frame`.
+    """Bind names[0], names[1], ... in `frame` to each value `candidates(k)`
+    lists for the k-th name, the last name varying fastest, and yield once
+    per complete assignment; the caller reads the values from `frame`.
 
     `candidates(k)` is asked with the first k names already bound, so a
-    later name's candidates may depend on earlier ones.  (A recursive
-    closure here would be a reference cycle holding the frame and the
-    candidate lists until the cycle collector ran.)
+    later name's candidates may depend on earlier ones.  A name leaves the
+    frame when its list runs out.  One loop walks an explicit stack with an
+    entry per position (its list, the index to try next, its index maps and
+    the group elements fixing the names before it), so the generator
+    resumes once per assignment, not once per name.
 
     With a group of permutations, `eq` holds the group elements g that map
     the assignment so far to itself, and `images(values, g)` lists, for
@@ -275,31 +275,51 @@ def _assignments(
     a caller that raises it to len(names) at each assignment reads there,
     at the next, the first position bound anew in between.
     """
-    if k == len(names):
+    last = len(names) - 1
+    if last < 0:
         yield eq
         return
-    name = names[k]
-    values = candidates(k)
+    if low is None:
+        low = [0]
+    stack: list[tuple] = [()] * last
+    k = i = 0
+    values = candidates(0)
     maps = [images(values, g) for g in eq]
-    for i, v in enumerate(values):
+    while True:
         fixing = eq
-        if eq:
+        count = len(values)
+        while i < count and eq:
             fixing = []
             for g, where in zip(eq, maps):
                 j = where[i]
-                if j < i:  # g maps v to an earlier candidate
+                if j < i:  # g maps values[i] to an earlier candidate
                     fixing = None
                     break
                 if j == i:
                     fixing.append(g)
-            if fixing is None:
-                continue
-            fixing = tuple(fixing)
-        frame[name] = v
-        if low is not None and low[0] > k:
+            if fixing is not None:
+                fixing = tuple(fixing)
+                break
+            i += 1
+        if i == count:
+            frame.pop(names[k], None)
+            if k == 0:
+                return
+            k -= 1
+            values, i, maps, eq = stack[k]
+            continue
+        frame[names[k]] = values[i]
+        if low[0] > k:
             low[0] = k
-        yield from _assignments(names, candidates, frame, k + 1, images, fixing, low)
-    frame.pop(name, None)
+        i += 1
+        if k == last:
+            yield fixing
+            continue
+        stack[k] = (values, i, maps, eq)
+        k += 1
+        i, eq = 0, fixing
+        values = candidates(k)
+        maps = [images(values, g) for g in eq]
 
 
 def param_bindings(
@@ -431,7 +451,7 @@ class _VarDomains:
         others = tuple(range(1, size))
         low = [-1]
         owning = State._owning
-        for fixing in _assignments(order, self.candidates, frame, 0, self.images, others, low):
+        for fixing in _assignments(order, self.candidates, frame, self.images, others, low):
             self.changed, low[0] = low[0], len(order)
             yield owning({v: frame[v] for v in order}), size // (len(fixing) + 1)
 

@@ -31,7 +31,7 @@ from .errors import (
     TypeMismatch,
     UnresolvedReference,
 )
-from .kernel import PredCode, compile_pred, quantifier_domains
+from .kernel import ExprCode, PredCode, compile_expr, compile_pred, quantifier_domains
 from .syntax import (
     And,
     ContextAST,
@@ -332,6 +332,15 @@ class EventInfo:
         where = f"{self.machine}/{self.name}"
         return tuple(
             (g.label, compile_pred(g.pred, f"{where}/{g.label}")) for g in self.ast.guards
+        )
+
+    @cached_property
+    def action_code(self) -> tuple[tuple[str, ExprCode], ...]:
+        """Each action's variable and compiled right-hand side, in action
+        order, compiled as guard_code is, as M2_int/trust/act1."""
+        where = f"{self.machine}/{self.name}"
+        return tuple(
+            (a.variable, compile_expr(a.expr, f"{where}/{a.label}")) for a in self.ast.actions
         )
 
 

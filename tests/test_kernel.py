@@ -606,6 +606,73 @@ def test_a_typing_conjunct_that_mentions_a_later_variable_still_runs():
     assert not holds("#x . x : x", x=mkset([mkatoms("a")]))
 
 
+def test_a_hoisted_subterm_runs_once_per_pass_of_the_loops_it_reads(monkeypatch):
+    from trustb import kernel
+
+    calls = dict.fromkeys(["domain_of", "powerset_elements", "_image_list"], 0)
+
+    def counting(name):
+        real = kernel._RUNTIME[name]
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setitem(kernel._RUNTIME, name, counting(name))
+    # A node of its own, so its function compiles with the wrappers in reach.
+    pred = parse_predicate("!i, j . i : S & j : pow(T) & i : dom(r) => j <: r[{i}]")
+    frame = {"S": mkatoms("abc"), "T": mkatoms("ab"), "r": rel((A, A), (A, B), (B, A), (B, B))}
+    assert eval_pred_frame(pred, frame)
+    # dom(r) and pow(T) read no quantified variable: once per run, where the
+    # unhoisted code ran them 3 * 4 and 3 times.  r[{i}] reads i alone: once
+    # for each i in dom(r), the only ones whose claim runs, not once per j.
+    assert calls == {"domain_of": 1, "powerset_elements": 1, "_image_list": 2}
+    assert eval_pred_frame(pred, frame)
+    assert calls == {"domain_of": 2, "powerset_elements": 2, "_image_list": 4}
+
+
+def test_an_ill_defined_subterm_on_an_untaken_branch_raises_nothing():
+    # g(a) reads no quantified variable; a is outside dom(g).
+    g = rel((B, A))
+    for text, want in [
+        ("!x . x : S => g(a) = x", True),  # the domain is empty
+        ("#x . x : S & g(a) = x", False),
+    ]:
+        assert holds(text, S=EMPTY_SET, g=g, a=A) is want, text
+    S = mkatoms("ab")
+    assert holds("#x . x : S & x /= x & g(a) = x", S=S, g=g, a=A) is False
+    assert holds("!x, y . x : S & y : S => (x = y => g(a) = x)", S=EMPTY_SET, g=g, a=A)
+    with pytest.raises(ApplicationOutsideDomain):
+        holds("!x, y . x : S & y : S => (x /= y => g(a) = x)", S=S, g=g, a=A)
+
+
+def test_a_loop_invariant_subterm_raises_where_it_is_first_reached():
+    # trustor_trustee_task(i) reads no j: it is first reached at the second
+    # j, after j = {} skipped it, and again for each i.
+    from trustb.models import machine_setup
+    from trustb.po import _Reader
+
+    tm, _inst, env = machine_setup(0)
+    code = compile_pred(parse_predicate(
+        "!i, j . i : trustors & j : pow(trustees) => (j /= {} => trustor_trustee_task(i) /= j)"
+    ))
+    u1, v1, t1 = Atom("u1"), Atom("v1"), Atom("t1")
+    for ttt, message in [
+        (EMPTY_SET, "application outside domain: {} applied to u1"),
+        (rel((u1, PairV(mkset([v1]), t1))),
+         "application outside domain: {(u1 |-> ({v1} |-> t1))} applied to u2"),
+    ]:
+        reader = _Reader(tm.var_order, env)
+        reader.move({"agent_task": EMPTY_SET, "trustor_trustee_task": ttt})
+        with pytest.raises(ApplicationOutsideDomain) as exc:
+            code(reader, env.powerset_bound)
+        assert str(exc.value) == message
+        assert reader.depth() == 2
+
+
 # The deepest nesting the parser takes for each operator family (as in
 # tests/test_dsl.py), with the value the predicate has under _DEEP_FRAME or
 # the error it raises.

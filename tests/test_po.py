@@ -962,3 +962,23 @@ def test_check_walk_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_goal_that_po_compiles_first_is_named_after_its_obligation():
+    # Without its own grd4, trust's abstract guard grd4 is not given, so the
+    # walk evaluates it; a fresh elaboration, so that po compiles it first.
+    from trustb.kernel import compile_pred
+    from trustb.models import _drop_guard, builtin_units
+    from trustb.syntax import MachineAST
+    from trustb.typecheck import elaborate
+
+    units = [
+        _drop_guard(u, "grd4") if isinstance(u, MachineAST) and u.name == "M2_int" else u
+        for u in builtin_units("base")
+    ]
+    tm = elaborate(units).machine("M2_int")
+    _tm, _inst, env = setup(2, BoundSpec(1, 2, 1))
+    pos = generate_pos(tm, include_refinement=True)
+    discharge_all(tm, env, pos)
+    goal = next(p.goal for p in pos if p.name == "trust/grd4/GRD")
+    assert compile_pred(goal).__code__.co_filename == "<trustb M2_int/trust/grd4/GRD>"

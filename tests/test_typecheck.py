@@ -504,3 +504,10 @@ def test_each_guard_and_invariant_compiles_under_its_own_name():
     assert invariants == {
         "<trustb M2_int/inv1>", "<trustb M0_abs/inv2>", "<trustb M0_abs/inv3>", "<trustb M2_int/inv4>"
     }
+
+
+def test_each_action_compiles_under_its_own_name():
+    # A fresh elaboration, so that no other test compiled these nodes first.
+    tm = elaborate(builtin_units("base")).machine("M2_int")
+    names = [code.__code__.co_filename for _var, code in tm.event("trust").action_code]
+    assert names == ["<trustb M2_int/trust/act1>"]
