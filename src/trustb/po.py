@@ -52,8 +52,8 @@ reads a variable or overflows the bound), since a quantifier stops at the
 first member that settles it and its members come in an order the atoms'
 names fix.  The reachable states are walked in full.
 
-Deciding once.  The walk does not run a predicate whose answer it already
-knows, by five rules.
+Deciding once.  The walk does not run a predicate or an action whose
+answer it already knows, by six rules.
 
 * Typing invariants are given.  Elaboration marks each invariant that is a
   variable's very typing clause `v : E` (TypedMachine.typing_invariants),
@@ -102,6 +102,15 @@ knows, by five rules.
   runs at most once per binding in the whole walk, however often the list
   before it is made again.  A lookup that misses, and only that, runs the
   predicate through _Reader.decide, which stores the run in the memo.
+* Post states are memoised like guards.  A case's post values, and which
+  variables they change, depend only on the constants, the parameters the
+  actions mention and the variables the actions read and assign: a
+  binding's last slot maps the values of those variables to both.  The
+  assigned ones belong in the key, as `v := {}` reads nothing, yet changes
+  v in some states and not in others.  Actions that read or assign every
+  variable never meet a key twice, and keep no memo.  The memo is filled
+  only where a case needs its post values, so an action that raises does
+  so in the state where it would if it ran on every case.
 * A case reuses what is already decided.  An INV goal none of whose
   variables the event's actions gave a different value is as true after
   the event as before it, which the walk already knows.  A GRD goal that is
@@ -112,10 +121,16 @@ knows, by five rules.
 The walk's bookkeeping follows what changed as well.  Which of an event's
 obligations a state's cases count for depends only on the invariants'
 truths there, and few truth vectors occur: each event's target list is
-made once per truth vector and looked up in every state with that vector.
-The case frame, the constants and the state's values, is made once per
-state with a case, and each binding is put into it in place: an event's
+made once per truth vector, and looked up only where some invariant was
+decided anew.  Each list tallies its cases, the state's weight times its
+enabled bindings, and hands the tally to its reports after the walk; a
+case is judged only against the list's open targets, neither given nor
+failed yet.  No State is built per visited state: each state is bound in
+one frame with the constants, over all typed states the orbit walk's own
+(runtime.state_orbits), which the invariants and guards read and which is
+also the case frame, each binding put into it in place: an event's
 bindings all name the same parameters, and no event reads another's.
+Only a counterexample or a vacuity witness gets a State of its own.
 
 Evaluation order and short-circuiting are those of a plain evaluation, and
 a run that raises is never stored, so a predicate that raises does so in
@@ -126,13 +141,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import NotSuperposition, TrustbError
 from .kernel import Env, compile_expr, compile_pred, eval_expr_frame, eval_pred_frame
 from .runtime import State, bind_params, event_frame, guard_truths, initial_state, post_values
 from .runtime import reachable_states, state_orbits
-from .syntax import INIT_EVENT, Expr, Pred, free_idents_pred
+from .syntax import INIT_EVENT, Expr, Pred, free_idents_expr, free_idents_pred
 from .typecheck import EventInfo, TypedMachine
 
 ALL_STATES = "all_invariant_states"
@@ -283,16 +298,6 @@ def _compile_goal(po: ProofObligation) -> None:
         compile_pred(po.goal, name)
 
 
-def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterable[tuple[State, int]]:
-    """The pre-states with the number of states each stands for; over all
-    typed states, the orbit walk, whose `changed` the caller reads."""
-    if state_source == ALL_STATES:
-        return state_orbits(tm, env)
-    if state_source == REACHABLE:
-        return ((state, 1) for state in reachable_states(tm, env))
-    raise ValueError(f"unknown state source {state_source!r}; use one of {STATE_SOURCES}")
-
-
 # An obligation's report with what the walk knows of its goal beforehand:
 # whether it holds in every case (see _given), and for INV where the walk's
 # truths keep the goal's pre-state truth, if they do, and the variables the
@@ -300,37 +305,46 @@ def _state_iter(tm: TypedMachine, env: Env, state_source: str) -> Iterable[tuple
 _Target = tuple[DischargeReport, bool, int | None, tuple[str, ...]]
 
 
-def _judge(
-    targets: list[_Target],
-    info: EventInfo,
-    state: State,
-    weight: int,
-    binding: dict,
-    frame: dict,
-    bound: int,
-    truths: list[bool],
-) -> None:
-    """Count one enabled case, standing for `weight` cases, against each
-    target obligation and keep the first counterexample of each.  `truths`
+class _Targets(list):
+    """One event's targets in the states of one truth vector, with the cases
+    counted for each of them so far, and those still open: not given and
+    without a counterexample, the only ones a case is judged against."""
+
+    __slots__ = ("cases", "open")
+
+    def __init__(self, targets: Iterable[_Target]):
+        super().__init__(targets)
+        self.cases = 0
+        self.reopen()
+
+    def reopen(self) -> None:
+        """Drop from the open targets those that found a counterexample."""
+        self.open = [t for t in self if not t[1] and t[0].counterexample is None]
+
+
+def _judge(targets: _Targets, cache: "_Bindings", entry: tuple, truths: list[bool],
+           plans: dict) -> None:
+    """Judge one enabled case, the entry's binding in the case frame, against
+    each open target obligation and keep the first counterexample of each,
+    which closes that target in every target list of the plans.  `truths`
     holds the pre-state truths of the walk's invariants: an INV goal none
     of whose variables the actions gave a different value is as true after
     the event as before it."""
-    post = moved = post_frame = None
-    for rep, given, pre, reads in targets:
-        rep.cases += weight
-        if given or rep.counterexample is not None:
-            continue
+    reader = cache.reader
+    frame, bound = reader.values, reader.bound
+    done = post_frame = None
+    kept = False
+    for rep, _given, pre, reads in targets.open:
         po = rep.po
         if po.kind == "GRD":
             if eval_pred_frame(po.goal, frame, bound):
                 continue
-            post_state = None
+            post = None
         else:
-            if post is None:
-                post = post_values(info, frame, bound)
+            if done is None:
+                done = cache.post(entry)
+            post, moved = done
             if po.kind == "INV":
-                if moved is None:
-                    moved = {v for v, value in post.items() if value != frame[v]}
                 if pre is not None and moved.isdisjoint(reads):
                     if truths[pre]:
                         continue
@@ -344,12 +358,18 @@ def _judge(
                 actual = post[po.label] if po.label in post else frame[po.label]
                 if expected == actual:
                     continue
-            post_state = state.updated(post)
-        ce = Counterexample(State(state.values), tuple(sorted(binding.items())), post_state)
+        state = reader.state()
+        post_state = None if post is None else state.updated(post)
+        ce = Counterexample(state, tuple(sorted(entry[0].items())), post_state)
         if po.kind == "SIM":
             ce.expected = expected
             ce.actual = actual
         rep.counterexample = ce
+        kept = True
+    if kept:
+        for _valid, lists in plans.values():
+            for other in lists:
+                other.reopen()
 
 
 class _Reader(dict):
@@ -357,7 +377,9 @@ class _Reader(dict):
     on demand: a state variable enters it on first read and stays until
     depth() is asked, so a run on this frame shows how much of the state
     it read.  The parameters of the last binding decided stay in it: no
-    parameter shadows a name, and each run binds its own parameters."""
+    parameter shadows a name, and each run binds its own parameters.
+    `values` is the frame the current state is bound in, with the constants
+    and the case's parameters: over all typed states the orbit walk's own."""
 
     __slots__ = ("bound", "order", "position", "values", "fetched")
 
@@ -366,7 +388,7 @@ class _Reader(dict):
         self.bound = env.powerset_bound
         self.order = order
         self.position = {v: k + 1 for k, v in enumerate(order)}
-        self.values: dict | None = None  # the values of the state being read
+        self.values: dict | None = None  # the frame of the state being read
         self.fetched: list[str] = []
 
     def __missing__(self, name: str):
@@ -374,21 +396,24 @@ class _Reader(dict):
         self.fetched.append(name)
         return value
 
-    def move(self, values: dict, changed: int | None = None) -> int:
-        """Read the state with these values from now on, and return the
-        position of its first variable whose value is not the very object
-        the previous state held: -1 for the first state, len(order) if
-        every object is the same.  A walk that knows that position passes
-        it as `changed`, and the scan is left out."""
+    def move(self, values: dict) -> int:
+        """Read the state in this frame from now on, and return the position
+        of its first variable whose value is not the very object the
+        previous state held: -1 for the first state, len(order) if every
+        object is the same."""
         prev, self.values = self.values, values
-        if changed is not None:
-            return changed
         if prev is None:
             return -1
         for k, name in enumerate(self.order):
             if values[name] is not prev[name]:
                 return k
         return len(self.order)
+
+    def state(self) -> State:
+        """The current state as a State of its own, which the walk never
+        changes."""
+        values = self.values
+        return State._owning({v: values[v] for v in self.order})
 
     def depth(self) -> int:
         """One past the deepest position read since the last call; the
@@ -413,6 +438,25 @@ class _Reader(dict):
         if memo is not None:
             memo[key] = packed
         return packed
+
+
+def _walk(tm: TypedMachine, env: Env, source: str, reader: _Reader) -> Iterator[tuple[int, int]]:
+    """Walk the pre-states of `source`, each in reader.values while it is
+    the current one, and yield the number of states each stands for and
+    the position of its first changed variable (see _Reader.move).  Over all
+    typed states reader.values is the orbit walk's own frame, and the
+    position the orbit walk's `changed`; each reachable state gets a frame
+    of its own, which move scans."""
+    if source == ALL_STATES:
+        walk = state_orbits(tm, env)
+        reader.values = walk.frame
+        for weight in walk.walk():
+            yield weight, walk.changed
+    elif source == REACHABLE:
+        for state in reachable_states(tm, env):
+            yield 1, reader.move({**env.bindings, **state.values})
+    else:
+        raise ValueError(f"unknown state source {source!r}; use one of {STATE_SOURCES}")
 
 
 def _memo_key(names: tuple[str, ...], order: tuple[str, ...]):
@@ -448,12 +492,14 @@ class _Truths:
         self.keys = [_memo_key(tm.invariant_reads[lbl], tm.var_order) for lbl, _code in checked]
         self.memos = [None if key is None else {} for key in self.keys]
 
-    def at(self, changed: int) -> list[bool]:
-        """The truths in the reader's current state, whose first changed
-        position is `changed`."""
+    def at(self, changed: int) -> bool:
+        """Bring `truths` to the reader's current state, whose first changed
+        position is `changed`; whether any truth was decided anew."""
         reader, depths, truths = self.reader, self.depths, self.truths
+        ran = False
         for k, depth in enumerate(depths):
             if depth > changed:
+                ran = True
                 memo = self.memos[k]
                 key = packed = None
                 if memo is not None:
@@ -461,20 +507,19 @@ class _Truths:
                 if packed is None:
                     packed = reader.decide(self.codes[k], memo, key)
                 truths[k], depths[k] = (packed & 1) == 1, packed >> 1
-        return truths
+        return ran
 
 
 def _holds_on(tm: TypedMachine, goal: str, code, source: str, env: Env) -> tuple[int, int]:
     """On how many of the weighted states of `source` the compiled invariant
     labelled `goal` holds, and of how many."""
     reader = _Reader(tm.var_order, env)
-    typed = source == ALL_STATES
-    truths = _Truths(tm, [(goal, code)], reader, typed)
+    decided = _Truths(tm, [(goal, code)], reader, source == ALL_STATES)
     holds = total = 0
-    walk = _state_iter(tm, env, source)
-    for state, weight in walk:
+    for weight, changed in _walk(tm, env, source, reader):
         total += weight
-        if truths.at(reader.move(state.values, walk.changed if typed else None))[0]:
+        decided.at(changed)
+        if decided.truths[0]:
             holds += weight
     return holds, total
 
@@ -495,24 +540,32 @@ class _Bindings:
     values of the parameters it mentions, keyed by the state key, so
     bindings that agree on those share it; a guard without a memo has the
     slot None and runs on every binding of each list made.
+    An entry's last slot is its binding's post memo (see post), keyed by
+    post_key, the values of the variables the actions read and assign.
     """
 
-    __slots__ = ("info", "reader", "codes", "keys", "slots", "lists", "depths", "fresh")
+    __slots__ = (
+        "info", "reader", "codes", "keys", "slots", "post_key", "lists", "depths", "fresh"
+    )
 
     def __init__(self, tm: TypedMachine, info: EventInfo, reader: _Reader):
         self.info = info
         self.reader = reader
         self.codes = [code for _label, code in info.guard_code]
-        # Per guard: the state key, and the parameter key with the slots by
-        # its values; both None for a guard without a memo.
+        # Per guard, then for the actions: the state key, and the parameter
+        # key with the slots by its values; both None without a memo.
         self.keys, self.slots = [], []
         for g, reads in zip(info.ast.guards, tm.guard_reads[info.name]):
             state_key = _memo_key(reads, tm.var_order)
-            free = free_idents_pred(g.pred)
-            mentioned = [p for p in info.ast.params if p in free]
-            param_key = itemgetter(*mentioned) if mentioned else _unkeyed
             self.keys.append(state_key)
-            self.slots.append(None if state_key is None else (param_key, {}))
+            self.slots.append(self._slots(state_key, free_idents_pred(g.pred)))
+        actions = info.ast.actions
+        free = {a.variable for a in actions}.union(*[free_idents_expr(a.expr) for a in actions])
+        touched = tuple(v for v in tm.var_order if v in free)
+        self.post_key = (
+            None if touched == tm.var_order else itemgetter(*touched) if touched else _unkeyed
+        )
+        self.slots.append(self._slots(self.post_key, free))
         self.lists: list[list[tuple]] = [[] for _ in range(len(self.codes) + 1)]
         self.depths = [0] * len(self.lists)
         self.fresh = 0  # lists[:fresh] hold for the current state
@@ -531,8 +584,31 @@ class _Bindings:
         guard holds."""
         return self._upto(len(self.codes))
 
+    def _slots(self, state_key, free: set[str]) -> tuple | None:
+        """The parameter key of a memo with this state key, whose node
+        mentions the names `free`, and its slots by the key's values."""
+        if state_key is None:
+            return None
+        mentioned = [p for p in self.info.ast.params if p in free]
+        return (itemgetter(*mentioned) if mentioned else _unkeyed), {}
+
+    def post(self, entry: tuple) -> tuple[dict, set[str]]:
+        """The post values of the entry's binding, bound in the case frame,
+        and the variables they change."""
+        frame = self.reader.values
+        slot = entry[-1]
+        if slot is not None:
+            done = slot.get(key := self.post_key(frame))
+            if done is not None:
+                return done
+        post = post_values(self.info, frame, self.reader.bound)
+        done = post, {v for v, value in post.items() if value != frame[v]}
+        if slot is not None:
+            slot[key] = done
+        return done
+
     def _entry(self, binding: dict) -> tuple:
-        """The binding followed by its slot for each guard."""
+        """The binding followed by its slot for each guard and its post slot."""
         slots = [None if s is None else s[1].setdefault(s[0](binding), {}) for s in self.slots]
         return (binding, *slots)
 
@@ -636,43 +712,37 @@ def discharge_all(
     ]
     caches = [cache for *_ev, cache in events]
     holds = states = 0
+    # Per truth vector: whether vacuity looks at the state, and each event's
+    # targets, those whose hypothesis holds.
+    plans: dict[tuple[bool, ...], tuple[bool, list[_Targets]]] = {}
     if events or goal is not None:
-        typed = state_source == ALL_STATES
-        decided = _Truths(tm, checked, reader, typed)
+        decided = _Truths(tm, checked, reader, state_source == ALL_STATES)
+        truths = decided.truths
         at_goal = labels.index(goal) if goal is not None else None
-        # Per truth vector: whether vacuity looks at the state, and each
-        # event's targets, those whose hypothesis holds.
-        plans: dict[tuple[bool, ...], tuple[bool, list[list[_Target]]]] = {}
-        walk = _state_iter(tm, env, state_source)
-        for state, weight in walk:
-            changed = reader.move(state.values, walk.changed if typed else None)
-            truths = decided.at(changed)
+        plan = None
+        for weight, changed in _walk(tm, env, state_source, reader):
+            if decided.at(changed) or plan is None:
+                plan = plans.get(key := tuple(truths))
+                if plan is None:
+                    false = {lbl for lbl, ok in zip(labels, key) if not ok and lbl != goal}
+                    plan = plans[key] = (
+                        vacuity and all(key),
+                        [_Targets(t for t in mine if false.isdisjoint(t[0].po.hypothesis))
+                         for _info, mine, *_rest in events],
+                    )
             for cache in caches:
                 cache.moved(changed)
-            plan = plans.get(key := tuple(truths))
-            if plan is None:
-                false = {lbl for lbl, ok in zip(labels, key) if not ok and lbl != goal}
-                plan = plans[key] = (
-                    vacuity and all(key),
-                    [[t for t in mine if false.isdisjoint(t[0].po.hypothesis)]
-                     for _info, mine, *_rest in events],
-                )
             states += weight
             if at_goal is not None and truths[at_goal]:
                 holds += weight
             valid, targeted = plan
-            # The case frame: constants and state, made once, with each
-            # binding put into it in place.
-            frame = None
+            # The case frame, with each binding put into it in place.
+            frame = reader.values
             for (info, _mine, vreps, cache), targets in zip(events, targeted):
-                if not (valid or targets):
-                    continue
-                for entry in cache.bindings() if valid else cache.enabled():
-                    binding = entry[0]
-                    if frame is None:
-                        frame = {**env.bindings, **state.values}
-                    frame.update(binding)
-                    if valid:
+                if valid:
+                    for entry in cache.bindings():
+                        binding = entry[0]
+                        frame.update(binding)
                         # Vacuity needs every guard's truth on every binding.
                         oks = [ok for _label, ok in guard_truths(info, frame, bound)]
                         for rep, ok in zip(vreps, oks):
@@ -680,14 +750,25 @@ def discharge_all(
                             if not ok and rep.witness is None:
                                 rep.vacuous = False
                                 rep.witness = Counterexample(
-                                    State(state.values),
-                                    tuple(sorted(binding.items())),
-                                    None,
+                                    reader.state(), tuple(sorted(binding.items())), None
                                 )
-                        if not (targets and all(oks)):
-                            continue
-                    _judge(targets, info, state, weight, binding, frame, bound, truths)
+                        if targets and all(oks):
+                            targets.cases += weight
+                            if targets.open:
+                                _judge(targets, cache, entry, truths, plans)
+                elif targets:
+                    enabled = cache.enabled()
+                    targets.cases += weight * len(enabled)
+                    for entry in enabled:
+                        if not targets.open:
+                            break
+                        frame.update(entry[0])
+                        _judge(targets, cache, entry, truths, plans)
 
+    for _valid, lists in plans.values():
+        for targets in lists:
+            for rep, *_rest in targets:
+                rep.cases += targets.cases
     for rep in reports:
         failed = rep.counterexample is not None
         rep.verdict = FAILED if failed else DISCHARGED if rep.cases else VACUOUS

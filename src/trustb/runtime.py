@@ -378,8 +378,14 @@ def enumerate_transitions(tm: TypedMachine, state: State, env: Env) -> list[Tran
 
 class _VarDomains:
     """The state variables' candidate lists, read on the walk's frame, and
-    the walk over them: iterating yields the states least in their orbits
-    under the group, each with the orbit's size (see _assignments).
+    the walk over them (walk()): it binds in `frame` the states least in
+    their orbits under the group, one after another, and yields each
+    orbit's size (see _assignments).  Iterating yields each of those states
+    as a State, with the orbit's size.
+
+    The frame holds the constants and, at each step, that state's
+    variables: a caller that reads it during the walk needs no State, and
+    may bind other names there, which the walk neither reads nor removes.
 
     A variable whose domain expression mentions earlier variables gets its
     list recomputed, and memoised, per combination of those values.  The
@@ -446,14 +452,19 @@ class _VarDomains:
             ]
         return where
 
-    def __iter__(self) -> Iterator[tuple[State, int]]:
+    def walk(self) -> Iterator[int]:
+        """Bind each state in `frame` and yield its orbit's size."""
         order, frame, size = self.order, self.frame, len(self.perms)
         others = tuple(range(1, size))
         low = [-1]
-        owning = State._owning
         for fixing in _assignments(order, self.candidates, frame, self.images, others, low):
             self.changed, low[0] = low[0], len(order)
-            yield owning({v: frame[v] for v in order}), size // (len(fixing) + 1)
+            yield size // (len(fixing) + 1)
+
+    def __iter__(self) -> Iterator[tuple[State, int]]:
+        order, frame, owning = self.order, self.frame, State._owning
+        for size in self.walk():
+            yield owning({v: frame[v] for v in order}), size
 
 
 def state_universe(tm: TypedMachine, env: Env) -> Iterator[State]:
@@ -479,8 +490,9 @@ def state_orbits(tm: TypedMachine, env: Env) -> _VarDomains:
     one (see _assignments).  The orbit's size is the group's order over
     that of the state's stabilizer.  Under the trivial group this is
     state_universe, each state with size 1.  While iterating, the walk's
-    `changed` names the first position the current state binds anew (see
-    _VarDomains).
+    `changed` names the first position the current state binds anew, and
+    its `frame` holds the state's values; its walk() yields the sizes alone
+    and leaves each state in that frame (see _VarDomains).
     """
     return _VarDomains(tm, env, symmetry_group(tm, env))
 

@@ -943,6 +943,75 @@ def test_unchanged_post_states_reuse_pre_state_truths(monkeypatch):
     assert counts["GRD"] == 0 and counts["INV"] > 0
 
 
+def test_the_check_walk_builds_no_state_and_runs_each_action_once_per_key(monkeypatch):
+    # The check-l2 run: level 2 at 2,2,2 with refinement, vacuity and inv4
+    # as the goal.  The walk reads each visited state in the orbit walk's
+    # own frame, and trust's action, which reads and assigns only
+    # trustor_trustee_task, runs at most once per binding and value of it.
+    from trustb.runtime import State
+
+    tm, inst, env = setup(2)
+    visited = sum(1 for _ in state_orbits(tm, env))
+    info = tm.event("trust")
+    built = []
+    real_init, real_owning = State.__init__, State.__dict__["_owning"].__func__
+
+    def init(self, values):
+        built.append("init")
+        real_init(self, values)
+
+    def owning(cls, values):
+        built.append("owning")
+        return real_owning(cls, values)
+
+    met = []
+    [(variable, act)] = info.action_code
+
+    def keyed(frame, bound):
+        met.append((frame["i"], frame["j"], frame["t"], frame["trustor_trustee_task"]))
+        return act(frame, bound)
+
+    monkeypatch.setattr(State, "__init__", init)
+    monkeypatch.setattr(State, "_owning", classmethod(owning))
+    monkeypatch.setattr(info, "action_code", ((variable, keyed),))
+    pos = generate_pos(tm, include_refinement=True, goal="inv4")
+    result = discharge_all(tm, env, pos, vacuity=True, goal="inv4")
+    assert all(rep.verdict == DISCHARGED for rep in result.reports)
+    # Of the 7,631 visited states none becomes a State: only the initial
+    # state is built, for the establishment obligations and to start the
+    # reachable walk of the goal count.
+    assert visited == 7631
+    assert len(built) <= 2
+    assert 0 < len(met) == len(set(met)) <= 46
+
+
+@pytest.mark.parametrize("variant", ["base", "rel"])
+def test_counterexamples_do_not_alias_the_walks_frame(variant):
+    # The walk binds every state and each case's parameters in one shared
+    # frame; each counterexample and vacuity witness must be a State of its
+    # own, over exactly the variables, equal to the reference's.
+    from test_reference import reference
+
+    tm, inst, env = setup(2, BoundSpec(1, 2, 1), variant, Mutation.parse("drop:grd8"))
+    pos = generate_pos(tm, include_refinement=True)
+    result = discharge_all(tm, env, pos, vacuity=True)
+    ces = [r.counterexample for r in result.reports if r.counterexample is not None]
+    witnesses = [v.witness for v in result.vacuity if v.witness is not None]
+    states = [s for ce in ces + witnesses for s in (ce.state, ce.post) if s is not None]
+    assert any(ce.state is not None for ce in ces) and witnesses
+    snapshot = [dict(s.values) for s in states]
+    for s in states:
+        assert s.values.keys() == set(tm.var_order)
+    expected = reference(tm, env, pos, vacuity=True)
+    assert [r.counterexample for r in result.reports] == [
+        r.counterexample for r in expected.reports
+    ]
+    assert [v.witness for v in result.vacuity] == [v.witness for v in expected.vacuity]
+    # Another walk over the same machine leaves them as they were.
+    discharge_all(tm, env, pos, vacuity=True)
+    assert [dict(s.values) for s in states] == snapshot
+
+
 def test_check_walk_leaves_no_reference_cycles():
     # Garbage that only the cycle collector frees lingers between runs and
     # inflates peak memory; the walk, its enumerators and the quantifiers

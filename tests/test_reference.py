@@ -10,7 +10,7 @@ the other must raise the same error.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trustb.dsl import parse_file
 from trustb.errors import ScenarioError, TrustbError
@@ -351,8 +351,43 @@ def file_models(draw):
     return text, "M", sizes
 
 
+# ev's action reads no variable but assigns v0, so whether it changes v0
+# depends on v0's value: a post memo keyed by what the actions read alone
+# would carry the first state's moved set (nothing moved, as v0 = {} there)
+# to states where v0 is not {}, and take inv3 as true after ev there.
+ASSIGNS_UNREAD = (
+    """CONTEXT ctx
+SETS S T
+END
+MACHINE M
+SEES ctx
+VARIABLES v0 v1
+INVARIANTS
+  @inv1: v0 : S +-> T
+  @inv2: v1 : S +-> T
+  @inv3: (!z, w . z : S & w : T => (z : dom(v0) => z : dom(v1)))
+EVENT INITIALISATION
+THEN
+  @act1: v0 := {}
+  @act2: v1 := {}
+END
+EVENT ev
+ANY x
+WHERE
+  @grd1: x : S
+THEN
+  @act1: v0 := {}
+END
+END
+""",
+    "M",
+    {"S": 1, "T": 1},
+)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(file_models())
+@example(ASSIGNS_UNREAD)
 def test_random_file_models_match_the_reference(model):
     text, machine, sizes = model
     tm = elaborate(parse_file(text)).machine(machine)
