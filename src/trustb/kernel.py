@@ -2,8 +2,8 @@
 
 Evaluation is pure: the same expression under the same environment always
 yields the same value.  Each syntax node is compiled once, on first
-evaluation, into one Python function generated from source that inlines
-its whole subtree, and the function is kept on the node; there is no
+evaluation, into one Python function generated from source for its
+whole subtree, and the function is kept on the node; there is no
 second, tree-walking path.  The frame is only ever read: a quantified
 variable is a local of the generated code, never a frame entry.
 Conjunction and implication evaluate left to right and stop as soon as the
@@ -17,14 +17,13 @@ inside the loop that enumerated its domain, since every member listed
 satisfies it, unless a later variable of the quantifier rebinds a name it
 reads.
 
-A quantifier runs as nested for statements in the generated function, one
-per variable.  A universal returns False at its first failing member, and
-an existential returns True at its first holding one; where that would
-leave too far, as for an existential that is a universal's claim, it leaves
-its loops by break and takes a for/else when none does.  A quantifier that
-is the claim of a universal, or the last conjunct of an existential, runs
-as the inner loops of the same function.  A subterm that reads no local of
-an inner loop is hoisted lazily (lazy code motion, Knoop, Ruething &
+A quantifier is a generated function of its own: a for statement per
+variable, one `if` per member that returns False for a universal (the
+member fails) or True for an existential (the member holds), and its
+answer after the loops.  A predicate whose root is a quantifier is that
+function, and a quantifier anywhere else is a call to it that passes the
+enclosing locals on as arguments.  A subterm that reads no local of an
+inner loop is hoisted lazily (lazy code motion, Knoop, Ruething &
 Steffen, PLDI 1992): it gets a slot, reset to None just outside the first
 loop whose local it does not read and filled where it is first reached, so
 it is computed at most once per pass of the loops it reads and never on a
@@ -344,8 +343,9 @@ def _compiled(node: Expr | Pred, kind: str, name: str | None = None) -> Callable
 
 def _emit(node: Expr | Pred, kind: str) -> tuple[str, dict[str, object]]:
     em = _Emitter()
-    if kind == "pred":
-        lines = em.block(node, {}, _RETURN)
+    plan = _plan(node) if type(node) is Forall or type(node) is Exists else None
+    if plan is not None:
+        lines = em.quantified(plan, {})
     else:
         lines = ["return " + getattr(em, kind)(node, {})[0]]
     if em.free:
@@ -375,15 +375,11 @@ def _indent(lines: list[str]) -> list[str]:
 # would emit deeper, so a deeper subtree becomes a function of its own.
 _CUT = 48
 
-# The most loops nested in one generated function.  Python refuses more
-# than 20 statically nested blocks, and the `try` around a body is one; a
-# deeper quantifier nest goes on in a function of its own.
+# The most variables one quantifier's function binds in nested loops.
+# Python refuses more than 20 statically nested blocks, and the `try`
+# around a body is one; the variables past these go on in a function of
+# their own.
 _LOOPS = 16
-
-# How a block of statements leaves with a predicate's truth: it returns it;
-# it returns False when the predicate is false and goes on otherwise; or it
-# returns True when the predicate is true and goes on otherwise.
-_RETURN, _REQUIRE, _FIND = "return", "require", "find"
 
 # A frame read, which costs no more than a slot would.
 _READ = re.compile(r"f\['\w+'\]")
@@ -618,87 +614,18 @@ class _Emitter:
             whole = self.form("_elements({})", self.expr(container, scope))
         return self.form("{}.__contains__({})", whole, self.expr(item, scope))
 
-    # -- statements
+    # -- quantifiers
 
-    def block(self, p, scope: dict, how: str) -> list[str]:
-        """Statements that leave with the truth of p as `how` says (_RETURN,
-        _REQUIRE or _FIND); p is a predicate or a quantifier's _plan.  A
-        quantifier runs as loops in this function while they fit, and a
-        conjunction in _RETURN or _REQUIRE runs one conjunct after another,
-        so that a quantifier among them runs as loops too."""
-        if type(p) is And and how != _FIND:
-            chain = conjuncts(p)
-            lines = []
-            for c in chain[:-1]:
-                lines += self.block(c, scope, _REQUIRE)
-            return lines + self.block(chain[-1], scope, how)
-        plan = _plan(p) if type(p) is Forall or type(p) is Exists else p
-        if type(plan) is tuple and self.loops < _LOOPS:
-            return self.quantified(plan, scope, how)
-        code = self.source(self.item(p, scope))
-        if how == _RETURN:
-            return [f"return {code}"]
-        if how == _REQUIRE:
-            return [f"if not {code}:", "    return False"]
-        return [f"if {code}:", "    return True"]
-
-    def source(self, part: tuple[str, int, int]) -> str:
-        """The source of part for a statement in the innermost open loop."""
-        return self.hoist(part, self.loops)[0]
-
-    def item(self, p, scope: dict) -> tuple[str, int, int]:
-        """The part deciding p, a predicate or a quantifier's _plan."""
-        return self.call(p, scope) if type(p) is tuple else self.pred(p, scope)
-
-    def quantified(self, plan: tuple, scope: dict, how: str) -> list[str]:
-        """A quantifier's loops, with the claim of a universal or the last
-        conjunct of an existential run inside them when it is a quantifier
-        too.  A universal that may not return False leaves its loops by
-        break when a member fails, and an existential that may not return
-        True does so when one holds; each takes the loops' else otherwise."""
+    def quantified(self, plan: tuple, scope: dict) -> list[str]:
+        """The statements of the function deciding a quantifier's plan: a
+        for statement per variable, one `if` per member that returns False
+        for a universal or True for an existential, and its answer after the
+        loops.  The variables past _LOOPS are a quantifier of their own,
+        which is the claim of the first _LOOPS."""
         forall, names, domains, kept, claim = plan
-        room = _LOOPS - self.loops
-        if len(names) > room:
-            rest = (forall, names[room:], domains[room:], kept, claim)
-            forall, names, domains, kept, claim = forall, names[:room], domains[:room], [], [rest]
-        breaks = how == (_FIND if forall else _REQUIRE)
-
-        def body(inner: dict) -> list[str]:
-            def all_of(items: list) -> tuple[str, int, int]:
-                return self.join("and", [self.item(c, inner) for c in items])
-
-            if breaks:
-                if not claim:
-                    return ["pass" if forall else "break"]
-                leave = all_of(claim)
-                if forall:  # a member fails
-                    leave = self.form("not {}", leave)
-                    if kept:
-                        leave = self.form("{} and {}", all_of(kept), leave)
-                return [f"if {self.source(leave)}:", "    break"]
-            if forall:
-                lines = [line for c in claim for line in self.block(c, inner, _REQUIRE)]
-                head = kept
-            elif claim:
-                lines, head = self.block(claim[-1], inner, _FIND), claim[:-1]
-            else:
-                return ["return True"]
-            if head:
-                lines = [f"if {self.source(all_of(head))}:", *_indent(lines or ["pass"])]
-            return lines or ["pass"]
-
-        lines = self.loops_of(names, domains, scope, body, breaks)
-        if breaks:
-            return lines + ["else:", "    return True" if forall else "    return False"]
-        if how == _RETURN:
-            return lines + ["return True" if forall else "return False"]
-        return lines
-
-    def loops_of(self, names, domains, scope: dict, body, breaks: bool) -> list[str]:
-        """Nested for statements binding names over their domains, with
-        body(scope) innermost.  With breaks, a break in the body leaves
-        them all, and an else after them runs only if none did."""
-        outer = self.loops
+        if len(names) > _LOOPS:
+            rest = (forall, names[_LOOPS:], domains[_LOOPS:], kept, claim)
+            names, domains, kept, claim = names[:_LOOPS], domains[:_LOOPS], [], [rest]
         inner = dict(scope)
         heads = []
         for name, domain in zip(names, domains):
@@ -707,14 +634,28 @@ class _Emitter:
             self.loops += 1
             self.levels[local] = self.loops
             heads.append(f"for {local} in {members}:")
-        lines = body(inner)
+        if claim:
+            test = self.all_of(claim, inner)
+            if forall:  # a member fails
+                test = self.form("not {}", test)
+                if kept:
+                    test = self.form("{} and {}", self.all_of(kept, inner), test)
+            lines = [f"if {self.source(test)}:", f"    return {not forall}"]
+        else:
+            lines = ["pass" if forall else "return True"]
         for k in reversed(range(len(heads))):
-            lines = [heads[k], *_indent(lines)]
-            if breaks and k:
-                lines += ["else:", "    continue", "break"]
-            lines = self.resets(outer + k) + lines
-        self.loops = outer
-        return lines
+            lines = [*self.resets(k), heads[k], *_indent(lines)]
+        return [*lines, f"return {forall}"]
+
+    def source(self, part: tuple[str, int, int]) -> str:
+        """The source of part for a statement in the innermost open loop."""
+        return self.hoist(part, self.loops)[0]
+
+    def all_of(self, items: list, scope: dict) -> tuple[str, int, int]:
+        """The part deciding every item, a predicate or a quantifier's _plan."""
+        return self.join("and", [
+            self.call(p, scope) if type(p) is tuple else self.pred(p, scope) for p in items
+        ])
 
     def call(self, plan: tuple, scope: dict) -> tuple[str, int, int]:
         """A call to a new function deciding a quantifier's plan; the
@@ -724,7 +665,7 @@ class _Emitter:
         level = max([self.levels.get(local, 0) for local in scope.values()], default=0)
         outer = self.loops, self.levels, self.slots
         self.loops, self.levels, self.slots = 0, {}, {}
-        lines = self.quantified(plan, scope, _RETURN)
+        lines = self.quantified(plan, scope)
         self.loops, self.levels, self.slots = outer
         self.defs.append(_function(f"{name}(f, b{params})", lines))
         return f"{name}(f, b{params})", 1, level

@@ -109,8 +109,8 @@ answer it already knows, by six rules.
   assigned ones belong in the key, as `v := {}` reads nothing, yet changes
   v in some states and not in others.  Actions that read or assign every
   variable never meet a key twice, and keep no memo.  The memo is filled
-  only where a case needs its post values, so an action that raises does
-  so in the state where it would if it ran on every case.
+  only where a case needs its post values, so an action runs on no case
+  whose every target is given or has failed.
 * A case reuses what is already decided.  An INV goal none of whose
   variables the event's actions gave a different value is as true after
   the event as before it, which the walk already knows.  A GRD goal that is
@@ -132,9 +132,11 @@ also the case frame, each binding put into it in place: an event's
 bindings all name the same parameters, and no event reads another's.
 Only a counterexample or a vacuity witness gets a State of its own.
 
-Evaluation order and short-circuiting are those of a plain evaluation, and
-a run that raises is never stored, so a predicate that raises does so in
-the state where it would if it ran in every state.
+A run that raises is never stored, and every walked event's guards run in
+every state, so a predicate first raises in the state where a plain
+evaluation does.  Within that state the order differs: outside the states
+vacuity looks at, each guard runs on every binding before a case is
+judged, and an action runs only where the post memo rule says.
 """
 
 from __future__ import annotations
@@ -570,19 +572,14 @@ class _Bindings:
         self.depths = [0] * len(self.lists)
         self.fresh = 0  # lists[:fresh] hold for the current state
 
-    def moved(self, changed: int) -> None:
-        """The walk moved to a state whose first changed variable is `changed`."""
-        while self.fresh and self.depths[self.fresh - 1] > changed:
-            self.fresh -= 1
-
-    def bindings(self) -> list[tuple]:
+    def bindings(self, changed: int) -> list[tuple]:
         """Every binding's entry in the current state."""
-        return self._upto(0)
+        return self._upto(0, changed)
 
-    def enabled(self) -> list[tuple]:
+    def enabled(self, changed: int) -> list[tuple]:
         """The entries in the current state of the bindings on which every
         guard holds."""
-        return self._upto(len(self.codes))
+        return self._upto(len(self.codes), changed)
 
     def _slots(self, state_key, free: set[str]) -> tuple | None:
         """The parameter key of a memo with this state key, whose node
@@ -612,8 +609,10 @@ class _Bindings:
         slots = [None if s is None else s[1].setdefault(s[0](binding), {}) for s in self.slots]
         return (binding, *slots)
 
-    def _upto(self, k: int) -> list[tuple]:
+    def _upto(self, k: int, changed: int) -> list[tuple]:
         lists, depths, frame = self.lists, self.depths, self.reader
+        while self.fresh and depths[self.fresh - 1] > changed:
+            self.fresh -= 1
         for i in range(self.fresh, k + 1):
             if i == 0:
                 lists[0] = [self._entry(b) for b in bind_params(self.info, frame, frame.bound)]
@@ -710,7 +709,6 @@ def discharge_all(
         for name, info in tm.events.items()
         if name in event_pos or name in vac_reps
     ]
-    caches = [cache for *_ev, cache in events]
     holds = states = 0
     # Per truth vector: whether vacuity looks at the state, and each event's
     # targets, those whose hypothesis holds.
@@ -730,8 +728,6 @@ def discharge_all(
                         [_Targets(t for t in mine if false.isdisjoint(t[0].po.hypothesis))
                          for _info, mine, *_rest in events],
                     )
-            for cache in caches:
-                cache.moved(changed)
             states += weight
             if at_goal is not None and truths[at_goal]:
                 holds += weight
@@ -740,7 +736,7 @@ def discharge_all(
             frame = reader.values
             for (info, _mine, vreps, cache), targets in zip(events, targeted):
                 if valid:
-                    for entry in cache.bindings():
+                    for entry in cache.bindings(changed):
                         binding = entry[0]
                         frame.update(binding)
                         # Vacuity needs every guard's truth on every binding.
@@ -756,8 +752,8 @@ def discharge_all(
                             targets.cases += weight
                             if targets.open:
                                 _judge(targets, cache, entry, truths, plans)
-                elif targets:
-                    enabled = cache.enabled()
+                else:
+                    enabled = cache.enabled(changed)
                     targets.cases += weight * len(enabled)
                     for entry in enabled:
                         if not targets.open:

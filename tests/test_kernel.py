@@ -458,8 +458,56 @@ def _maplet_member(x, y, rel):
     return f"({x[0]} |-> {y[0]}) : {rel[0]}", lambda env: (x[1](env), y[1](env)) in rel[1](env)
 
 
+# Quantifiers over x whose body holds a quantifier over y that reads x, in
+# each place of the outer body that the inner one can stand: a universal's
+# claim or hypothesis, and an existential's last or an earlier conjunct.
+# The inner domain may read x too, as r[{x}] does.
+
+_x, _y = _variable("x"), _variable("y")
+_by_x = st.builds(_image, _relations, st.just(("{x}", lambda env: frozenset([env["x"]]))))
+_over_x = st.one_of(
+    st.builds(_atomic_pred, st.sampled_from(["member", "not_member"]), st.just(_x), _sets),
+    st.builds(_maplet_member, st.just(_x), _atoms, _relations),
+)
+_over_xy = st.one_of(
+    st.builds(_maplet_member, st.just(_x), st.just(_y), _relations),
+    st.builds(_atomic_pred, st.sampled_from(["member", "not_member"]), st.just(_y), _by_x),
+    st.builds(_atomic_pred, st.sampled_from(["equal", "not_equal"]), st.just(_x), st.just(_y)),
+    st.builds(_atomic_pred, st.just("member"), st.just(_y), _sets),
+)
+
+
+def _inner(universal, ys, q):
+    fold = all if universal else any
+    text = f"(!y . y : {ys[0]} => {q[0]})" if universal else f"(#y . y : {ys[0]} & {q[0]})"
+    return text, lambda env: fold(q[1]({**env, "y": y}) for y in ys[1](env))
+
+
+def _outer(place, xs, p, inner):
+    """A quantifier over xs whose body holds inner, where place says, with p
+    beside it."""
+    body = {
+        "claim": ("!", f"{p[0]} => {inner[0]}", lambda env: not p[1](env) or inner[1](env)),
+        "hypothesis": ("!", f"{inner[0]} => {p[0]}", lambda env: not inner[1](env) or p[1](env)),
+        "last": ("#", f"{p[0]} & {inner[0]}", lambda env: p[1](env) and inner[1](env)),
+        "earlier": ("#", f"{inner[0]} & {p[0]}", lambda env: inner[1](env) and p[1](env)),
+    }
+    quantifier, text, member = body[place]
+    fold = all if quantifier == "!" else any
+    return (
+        f"({quantifier}x . x : {xs[0]} & {text})",
+        lambda env: fold(member({**env, "x": x}) for x in xs[1](env)),
+    )
+
+
+_inners = st.builds(_inner, st.booleans(), st.one_of(_sets, _by_x), _over_xy)
+_nested = st.builds(
+    _outer, st.sampled_from(["claim", "hypothesis", "last", "earlier"]), _sets, _over_x, _inners
+)
+
 _images = st.builds(_image, _relations, _sets)
 _set_kinds = ["subset", "in_pow", "equal", "not_equal", "forall", "exists"]
+_and = _binary("&", lambda p, q: p and q)
 _preds = st.recursive(
     st.one_of(
         st.builds(_atomic_pred, st.sampled_from(["member", "not_member"]), _atoms, _sets),
@@ -472,9 +520,10 @@ _preds = st.recursive(
                   st.builds(_dom, _relations)),
         st.builds(_atomic_pred, st.sampled_from(["subset", "equal"]), _sets, _images),
         st.builds(_atomic_pred, st.just("equal"), _images, _sets),
+        _nested,
     ),
     lambda inner: st.one_of(
-        st.builds(_binary("&", lambda p, q: p and q), inner, inner),
+        st.builds(_and, inner, inner),
         st.builds(_binary("=>", lambda p, q: (not p) or q), inner, inner),
     ),
     max_leaves=4,
@@ -511,6 +560,15 @@ def test_compiled_expressions_match_frozenset_arithmetic(term, env):
 @settings(max_examples=100, deadline=None)
 @given(_preds, _plain_envs)
 def test_compiled_predicates_match_frozenset_arithmetic(term, env):
+    text, ref = term
+    assert eval_pred_frame(parse_predicate(text), _frame(env)) == ref(env), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_nested, st.builds(_and, _preds, _nested), st.builds(_and, _nested, _preds)),
+       _plain_envs)
+def test_nested_quantifiers_match_python_folds(term, env):
+    """Each nested shape alone, and as a conjunct of a root `&`."""
     text, ref = term
     assert eval_pred_frame(parse_predicate(text), _frame(env)) == ref(env), text
 
@@ -703,6 +761,50 @@ def test_the_deepest_nesting_evaluates_through_the_frame_api(family):
             eval_pred_frame(pred, dict(_DEEP_FRAME))
     else:
         assert eval_pred_frame(pred, dict(_DEEP_FRAME)) is want
+
+
+def _wide(n):
+    """A universal, an existential, and a universal whose claim is an
+    existential, each over the n variables x1 .. xn."""
+    names = ", ".join(f"x{k}" for k in range(1, n + 1))
+    typing = " & ".join(f"x{k} : S" for k in range(1, n + 1))
+    return [
+        f"!{names} . {typing} => x1 = x{n}",
+        f"#{names} . {typing} & x1 /= x{n}",
+        f"!{names} . {typing} => (#y . y : S & y = x{n})",
+    ]
+
+
+# Quantifiers over more variables than one function's loops hold.
+WIDE = _wide(17) + _wide(40)
+
+
+@pytest.mark.parametrize("n, atoms, want", [
+    (17, "a", [True, False, True]),
+    (40, "a", [True, False, True]),
+    (17, "ab", [False, True, True]),
+])
+def test_a_quantifier_past_the_loop_cap_goes_on_in_a_function_of_its_own(n, atoms, want):
+    got = [eval_pred_frame(parse_predicate(text), {"S": mkatoms(atoms)}) for text in _wide(n)]
+    assert got == want
+
+
+def test_a_quantifier_leaves_its_loops_by_return_alone():
+    """Every quantifier is a function of its own, so no generated line of a
+    built-in model leaves a loop otherwise; an inv4, !i, t . ... => (#j . ...),
+    calls one function for its inner existential."""
+    from trustb.kernel import emit_source
+
+    from test_python_floor import shipped_nodes
+
+    inv4 = 0
+    for where, lbl, node, kind in shipped_nodes():
+        lines = [line.strip() for line in emit_source(node, kind).splitlines()]
+        assert not {"break", "continue", "else:"} & set(lines), (where, lbl)
+        if lbl == "inv4":
+            inv4 += 1
+            assert sum(line.startswith("def _q") for line in lines) == 1, where
+    assert inv4 > 0
 
 
 _HASH_PROBE = """

@@ -32,29 +32,47 @@ def test_every_source_parses_at_the_floor():
     assert not refused, "\n".join(refused)
 
 
-def test_every_generated_function_parses_at_the_floor():
-    """The kernel compiles each predicate, expression and domain from
-    Python source it emits; for every built-in model that source keeps to
-    the floor too."""
-    from trustb.kernel import emit_source
+def shipped_nodes():
+    """(where, label, node, kind) for every node of a built-in model that
+    the kernel compiles, with kind as emit_source takes it."""
     from trustb.models import VARIANTS, build_model
 
-    refused, emitted = [], 0
     for variant in VARIANTS:
         model, _tm = build_model(0, variant)
         for tm in model.machines.values():
-            nodes = [(inv.pred, "pred") for _lbl, inv, _origin in tm.invariant_scope]
-            nodes += [(lab.pred, "pred") for lab in tm.context.axioms]
-            nodes += [(info.domain_expr, "domain") for info in tm.variables.values()]
-            for info in tm.events.values():
-                nodes += [(g.pred, "pred") for g in info.ast.guards]
-                nodes += [(act.expr, "expr") for act in info.ast.actions]
-                nodes += [(d, "domain") for d in info.param_domains.values()]
-            for node, kind in nodes:
-                emitted += 1
-                try:
-                    ast.parse(emit_source(node, kind), feature_version=FLOOR)
-                except SyntaxError as err:
-                    refused.append(f"{variant} {tm.name}: {err.msg} in {node!r}")
-    assert emitted > 100
+            where = f"{variant} {tm.name}"
+            for lbl, inv, _origin in tm.invariant_scope:
+                yield where, lbl, inv.pred, "pred"
+            for lab in tm.context.axioms:
+                yield where, lab.label, lab.pred, "pred"
+            for name, info in tm.variables.items():
+                yield where, name, info.domain_expr, "domain"
+            for event, info in tm.events.items():
+                for g in info.ast.guards:
+                    yield f"{where} {event}", g.label, g.pred, "pred"
+                for act in info.ast.actions:
+                    yield f"{where} {event}", act.label, act.expr, "expr"
+                for param, d in info.param_domains.items():
+                    yield f"{where} {event}", param, d, "domain"
+
+
+def test_every_generated_function_parses_at_the_floor():
+    """The kernel compiles each predicate, expression and domain from
+    Python source it emits; for every built-in model that source keeps to
+    the floor too, and so does the source of the widest quantifiers, which
+    go on in a function of their own past the kernel's loop cap."""
+    from trustb.dsl import parse_predicate
+    from trustb.kernel import emit_source
+
+    import test_kernel
+
+    refused = []
+    nodes = list(shipped_nodes())
+    nodes += [("wide", text, parse_predicate(text), "pred") for text in test_kernel.WIDE]
+    for where, lbl, node, kind in nodes:
+        try:
+            ast.parse(emit_source(node, kind), feature_version=FLOOR)
+        except SyntaxError as err:
+            refused.append(f"{where} {lbl}: {err.msg} in {node!r}")
+    assert len(nodes) > 100
     assert not refused, "\n".join(refused)

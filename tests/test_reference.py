@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trustb.dsl import parse_file
-from trustb.errors import ScenarioError, TrustbError
+from trustb.errors import ApplicationOutsideDomain, ScenarioError, TrustbError
 from trustb.kernel import eval_expr_frame, eval_pred_frame
 from trustb.models import VARIANTS, BoundSpec, Mutation, build_model, machine_setup
 from trustb.po import (
@@ -27,6 +27,7 @@ from trustb.po import (
     DischargeReport,
     GoalInvariantReport,
     VacuityReport,
+    check_refinement,
     discharge_all,
     generate_pos,
 )
@@ -385,9 +386,45 @@ END
 )
 
 
+# In the first typed state inv3 and inv4 are both false, so no obligation
+# of ev has its hypothesis there; ev's guards still run in it, and grd2
+# raises on w = {}, as the reference's does.
+GUARDS_EVERYWHERE = (
+    """CONTEXT ctx
+SETS S
+END
+MACHINE M
+SEES ctx
+VARIABLES v w
+INVARIANTS
+  @inv1: v : S +-> S
+  @inv2: w : S +-> S
+  @inv3: w /= {}
+  @inv4: v /= {}
+EVENT INITIALISATION
+THEN
+  @act1: v := {}
+  @act2: w := {}
+END
+EVENT ev
+ANY x
+WHERE
+  @grd1: x : S
+  @grd2: w(x) = x
+THEN
+  @act1: v := v
+END
+END
+""",
+    "M",
+    {"S": 2},
+)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(file_models())
 @example(ASSIGNS_UNREAD)
+@example(GUARDS_EVERYWHERE)
 def test_random_file_models_match_the_reference(model):
     text, machine, sizes = model
     tm = elaborate(parse_file(text)).machine(machine)
@@ -396,3 +433,104 @@ def test_random_file_models_match_the_reference(model):
         _agree(tm, inst.env(), ALL_STATES)
         _agree(tm, inst.env(), ALL_STATES, goal)
         _agree(tm, inst.env(), REACHABLE, goal)
+
+
+# --- where the walk and the reference still part ------------------------------
+#
+# In each model the reference raises on an ill-defined application, and the
+# walk raises another error or none.  Each is a gate for the day
+# undefinedness becomes a verdict of its own.
+
+# grd2 raises on x = s2 when v = {}, and the action on x = c = s1, the first
+# binding.  The walk runs each guard over every binding before it judges a
+# case, so grd2 raises first; the reference fires x = s1 before it reads
+# grd2 on x = s2.
+GUARD_BEFORE_ACTION = """CONTEXT ctx
+SETS S
+CONSTANTS c
+AXIOMS
+  @axm1: c : S
+END
+MACHINE M
+SEES ctx
+VARIABLES v
+INVARIANTS
+  @inv1: v : S +-> S
+EVENT INITIALISATION
+THEN
+  @act1: v := {}
+END
+EVENT ev
+ANY x
+WHERE
+  @grd1: x : S
+  @grd2: x /= c => v(x) = x
+THEN
+  @act1: v := {x |-> v(x)}
+END
+END
+"""
+
+# B's ev is A's, so its guard-strengthening and simulation goals are given
+# and no case runs the action, which raises on w = {}; the reference fires
+# every enabled case.
+GIVEN_REFINEMENT = """CONTEXT ctx
+SETS S
+END
+MACHINE A
+SEES ctx
+VARIABLES v w
+INVARIANTS
+  @inv1: v : S +-> S
+  @inv2: w : S +-> S
+EVENT INITIALISATION
+THEN
+  @act1: v := {}
+  @act2: w := {}
+END
+EVENT ev
+ANY x
+WHERE
+  @grd1: x : S
+THEN
+  @act1: v := {x |-> w(x)}
+END
+END
+MACHINE B
+REFINES A
+SEES ctx
+VARIABLES v w
+EVENT INITIALISATION
+THEN
+  @act1: v := {}
+  @act2: w := {}
+END
+EVENT ev
+ANY x
+WHERE
+  @grd1: x : S
+THEN
+  @act1: v := {x |-> w(x)}
+END
+END
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="the walk runs a guard on every binding before any case")
+def test_a_guard_that_raises_on_a_later_binding_than_the_action():
+    tm = elaborate(parse_file(GUARD_BEFORE_ACTION)).machine("M")
+    env = enumerate_instantiations(tm.context, {"S": 2})[0].env()
+    pos = generate_pos(tm)
+    expected = _outcome(lambda: reference(tm, env, pos))
+    assert expected == (ApplicationOutsideDomain, "application outside domain: {} applied to s1")
+    assert _outcome(lambda: discharge_all(tm, env, pos)) == expected
+
+
+@pytest.mark.xfail(strict=True, reason="a case whose every goal is given runs no action")
+def test_a_refinement_whose_every_goal_is_given_runs_its_actions():
+    tm = elaborate(parse_file(GIVEN_REFINEMENT)).machine("B")
+    env = enumerate_instantiations(tm.context, {"S": 2})[0].env()
+    pos = [po for po in generate_pos(tm, include_refinement=True) if po.kind != "INV"]
+    expected = _outcome(lambda: reference(tm, env, pos).reports)
+    assert expected == (ApplicationOutsideDomain, "application outside domain: {} applied to s1")
+    assert _outcome(lambda: check_refinement(tm, env)) == expected
