@@ -72,15 +72,16 @@ answer it already knows, by six rules.
   the very object the previous state held: an identical object is the same
   value, and anything else is evaluated again.  state_orbits varies the
   last variable fastest and hands out memoised candidate values, so
-  consecutive states share the objects of their common prefix; the
-  reachable states share the objects of every variable an event left
-  alone.  The orbit walk knows the first position it bound anew since the
-  state before, and hands it over (state_orbits's `changed`): it is the
-  position an identity scan would find, so only the reachable states are
-  scanned.  Invariants, binding lists and guards keep a decided depth.  Each
+  consecutive states share the objects of their common prefix.  The orbit
+  walk knows the first position it bound anew since the state before, and
+  hands it over (state_orbits's `changed`): it is the position an identity
+  scan would find.  The reachable states are not compared: each hands over
+  position 0, so what read a state variable is decided afresh there, memos
+  aside.  Invariants, binding lists and guards keep a decided depth.  Each
   runs on a frame that holds only the constants and the parameters it
-  binds; each state variable enters it on its first read, and the run
-  records one past the deepest position (in declaration order) it read.
+  binds, and reads each state variable from the walk's frame without
+  storing it; the run records one past the deepest position (in
+  declaration order) it read.
   Its result stands while the walk's first changed position is at or
   beyond that depth.  An event's binding list is decided by its parameter
   domains, and the bindings kept after each guard by the list before them
@@ -146,7 +147,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import NotSuperposition, TrustbError
-from .kernel import Env, compile_expr, compile_pred, eval_expr_frame, eval_pred_frame
+from .kernel import Env, ExprCode, PredCode, compile_expr, compile_pred
 from .runtime import State, bind_params, event_frame, guard_truths, initial_state, post_values
 from .runtime import reachable_states, state_orbits
 from .syntax import INIT_EVENT, Expr, Pred, free_idents_expr, free_idents_pred
@@ -289,22 +290,21 @@ def _given(po: ProofObligation, info: EventInfo) -> bool:
     return False
 
 
-def _compile_goal(po: ProofObligation) -> None:
-    """Compile the goal, or a SIM's abstract expression, under the
-    obligation's name, as M2_int/trust/grd4/GRD, unless something compiled
-    that node before; the walk then finds it compiled."""
+def _compile_goal(po: ProofObligation) -> PredCode | ExprCode:
+    """The code of the goal, or of a SIM's abstract expression, compiled
+    under the obligation's name, as M2_int/trust/grd4/GRD, unless something
+    compiled that node before."""
     name = f"{po.machine}/{po.name}"
     if po.kind == "SIM":
-        compile_expr(po.sim_expr, name)
-    else:
-        compile_pred(po.goal, name)
+        return compile_expr(po.sim_expr, name)
+    return compile_pred(po.goal, name)
 
 
 # An obligation's report with what the walk knows of its goal beforehand:
-# whether it holds in every case (see _given), and for INV where the walk's
-# truths keep the goal's pre-state truth, if they do, and the variables the
-# goal reads.
-_Target = tuple[DischargeReport, bool, int | None, tuple[str, ...]]
+# for INV where the walk's truths keep the goal's pre-state truth, if they
+# do, and the variables the goal reads; then the goal's code, None where the
+# goal holds in every case (see _given).
+_Target = tuple[DischargeReport, int | None, tuple[str, ...], PredCode | ExprCode | None]
 
 
 class _Targets(list):
@@ -321,7 +321,7 @@ class _Targets(list):
 
     def reopen(self) -> None:
         """Drop from the open targets those that found a counterexample."""
-        self.open = [t for t in self if not t[1] and t[0].counterexample is None]
+        self.open = [t for t in self if t[3] is not None and t[0].counterexample is None]
 
 
 def _judge(targets: _Targets, cache: "_Bindings", entry: tuple, truths: list[bool],
@@ -336,10 +336,10 @@ def _judge(targets: _Targets, cache: "_Bindings", entry: tuple, truths: list[boo
     frame, bound = reader.values, reader.bound
     done = post_frame = None
     kept = False
-    for rep, _given, pre, reads in targets.open:
+    for rep, pre, reads, code in targets.open:
         po = rep.po
         if po.kind == "GRD":
-            if eval_pred_frame(po.goal, frame, bound):
+            if code(frame, bound):
                 continue
             post = None
         else:
@@ -353,10 +353,10 @@ def _judge(targets: _Targets, cache: "_Bindings", entry: tuple, truths: list[boo
                 else:
                     if post_frame is None:
                         post_frame = {**frame, **post}
-                    if eval_pred_frame(po.goal, post_frame, bound):
+                    if code(post_frame, bound):
                         continue
             else:  # SIM
-                expected = eval_expr_frame(po.sim_expr, frame, bound)
+                expected = code(frame, bound)
                 actual = post[po.label] if po.label in post else frame[po.label]
                 if expected == actual:
                     continue
@@ -376,14 +376,15 @@ def _judge(targets: _Targets, cache: "_Bindings", entry: tuple, truths: list[boo
 
 class _Reader(dict):
     """A frame that holds the constants and reads the walk's current state
-    on demand: a state variable enters it on first read and stays until
-    depth() is asked, so a run on this frame shows how much of the state
-    it read.  The parameters of the last binding decided stay in it: no
-    parameter shadows a name, and each run binds its own parameters.
-    `values` is the frame the current state is bound in, with the constants
-    and the case's parameters: over all typed states the orbit walk's own."""
+    through: a state variable missing from it is read from `values` and
+    never stored, and each read raises `deepest` to the variable's
+    position, so a run on this frame shows how much of the state it read.
+    The parameters of the last binding decided stay in it: no parameter
+    shadows a name, and each run binds its own parameters.  `values` is
+    the frame the current state is bound in, with the constants and the
+    case's parameters: over all typed states the orbit walk's own."""
 
-    __slots__ = ("bound", "order", "position", "values", "fetched")
+    __slots__ = ("bound", "order", "position", "values", "deepest")
 
     def __init__(self, order: tuple[str, ...], env: Env):
         super().__init__(env.bindings)
@@ -391,25 +392,14 @@ class _Reader(dict):
         self.order = order
         self.position = {v: k + 1 for k, v in enumerate(order)}
         self.values: dict | None = None  # the frame of the state being read
-        self.fetched: list[str] = []
+        self.deepest = 0  # one past the deepest position read since depth()
 
     def __missing__(self, name: str):
-        value = self[name] = self.values[name]
-        self.fetched.append(name)
+        value = self.values[name]
+        depth = self.position[name]
+        if depth > self.deepest:
+            self.deepest = depth
         return value
-
-    def move(self, values: dict) -> int:
-        """Read the state in this frame from now on, and return the position
-        of its first variable whose value is not the very object the
-        previous state held: -1 for the first state, len(order) if every
-        object is the same."""
-        prev, self.values = self.values, values
-        if prev is None:
-            return -1
-        for k, name in enumerate(self.order):
-            if values[name] is not prev[name]:
-                return k
-        return len(self.order)
 
     def state(self) -> State:
         """The current state as a State of its own, which the walk never
@@ -418,15 +408,8 @@ class _Reader(dict):
         return State._owning({v: values[v] for v in self.order})
 
     def depth(self) -> int:
-        """One past the deepest position read since the last call; the
-        variables read leave the frame."""
-        position = self.position
-        depth = 0
-        for name in self.fetched:
-            del self[name]
-            if position[name] > depth:
-                depth = position[name]
-        self.fetched.clear()
+        """One past the deepest position read since the last call."""
+        depth, self.deepest = self.deepest, 0
         return depth
 
     def decide(self, code, memo: dict | None, key, binding: dict | tuple = ()) -> int:
@@ -445,20 +428,22 @@ class _Reader(dict):
 def _walk(tm: TypedMachine, env: Env, source: str, reader: _Reader) -> Iterator[tuple[int, int]]:
     """Walk the pre-states of `source`, each in reader.values while it is
     the current one, and yield the number of states each stands for and
-    the position of its first changed variable (see _Reader.move).  Over all
-    typed states reader.values is the orbit walk's own frame, and the
-    position the orbit walk's `changed`; each reachable state gets a frame
-    of its own, which move scans."""
+    the position of its first changed variable.  Over all typed states
+    reader.values is the orbit walk's own frame, and the position the
+    orbit walk's `changed`.  Each reachable state gets a frame of its own
+    and the position 0, -1 for the first: only what read no state variable
+    stands there, and memos."""
     if source == ALL_STATES:
         walk = state_orbits(tm, env)
         reader.values = walk.frame
         for weight in walk.walk():
             yield weight, walk.changed
-    elif source == REACHABLE:
-        for state in reachable_states(tm, env):
-            yield 1, reader.move({**env.bindings, **state.values})
     else:
-        raise ValueError(f"unknown state source {source!r}; use one of {STATE_SOURCES}")
+        changed = -1
+        for state in reachable_states(tm, env):
+            reader.values = {**env.bindings, **state.values}
+            yield 1, changed
+            changed = 0
 
 
 def _memo_key(names: tuple[str, ...], order: tuple[str, ...]):
@@ -660,6 +645,8 @@ def discharge_all(
     are exact.  The goal count covers every typed state and every reachable
     state, whichever the state source.
     """
+    if state_source not in STATE_SOURCES:
+        raise ValueError(f"unknown state source {state_source!r}; use one of {STATE_SOURCES}")
     codes = dict(tm.invariant_code)
     if goal is not None and goal not in codes:
         raise TrustbError(f"no invariant labelled '{goal}' in {tm.name}")
@@ -686,17 +673,14 @@ def discharge_all(
                 init = initial_state(tm, env)
                 frame0 = event_frame(env, init)
             rep.cases = 1
-            _compile_goal(po)
-            if not eval_pred_frame(po.goal, frame0, bound):
+            if not _compile_goal(po)(frame0, bound):
                 rep.counterexample = Counterexample(None, (), init)
         else:
             info = tm.events.get(po.event)
             pre = labels.index(po.label) if po.kind == "INV" and po.label in labels else None
             reads = tm.invariant_reads[po.label] if pre is not None else ()
-            given = info is not None and _given(po, info)
-            if not given:
-                _compile_goal(po)
-            event_pos.setdefault(po.event, []).append((rep, given, pre, reads))
+            code = None if info is not None and _given(po, info) else _compile_goal(po)
+            event_pos.setdefault(po.event, []).append((rep, pre, reads, code))
 
     vac_reps = {
         name: [VacuityReport(name, label, True, 0) for label, _code in info.guard_code]

@@ -611,7 +611,7 @@ def test_unbound_identifier_is_named_from_a_guard_on_a_po_reader():
 
     def reader_on(values):
         reader = _Reader(tm.var_order, env)
-        reader.move(values)
+        reader.values = values
         reader.update(j=j, t=Atom("task1"))
         return reader
 
@@ -645,7 +645,7 @@ def test_a_quantified_variable_is_never_read_from_a_po_reader():
 
     tm, _inst, env = machine_setup(0)
     reader = _Reader(tm.var_order, env)
-    reader.move({name: EMPTY_SET for name in tm.var_order})
+    reader.values = {name: EMPTY_SET for name in tm.var_order}
     pred = parse_predicate("#agent_task . agent_task : trustors & agent_task = agent_task")
     assert eval_pred_frame(pred, reader, env.powerset_bound)
     assert reader.depth() == 0
@@ -724,7 +724,7 @@ def test_a_loop_invariant_subterm_raises_where_it_is_first_reached():
          "application outside domain: {(u1 |-> ({v1} |-> t1))} applied to u2"),
     ]:
         reader = _Reader(tm.var_order, env)
-        reader.move({"agent_task": EMPTY_SET, "trustor_trustee_task": ttt})
+        reader.values = {"agent_task": EMPTY_SET, "trustor_trustee_task": ttt}
         with pytest.raises(ApplicationOutsideDomain) as exc:
             code(reader, env.powerset_bound)
         assert str(exc.value) == message

@@ -255,10 +255,17 @@ def test_reachable_source_reduces_to_init():
     assert by_name["trust/inv1/INV"].cases == 0
 
 
-def test_unknown_state_source_is_refused():
+@pytest.mark.parametrize("which", ["all", "initialisation", "none"])
+def test_unknown_state_source_is_refused(which):
+    # Refused before any work, even where no obligation needs the walk.
     tm, _inst, env = setup(0, BoundSpec(1, 1, 1))
+    pos = {
+        "all": None,
+        "initialisation": [p for p in generate_pos(tm) if p.event == "INITIALISATION"],
+        "none": [],
+    }[which]
     with pytest.raises(ValueError, match="unknown state source 'bogus'"):
-        discharge_all(tm, env, state_source="bogus")
+        discharge_all(tm, env, pos, state_source="bogus")
 
 
 def test_full_scan_counts_every_hypothesis_case():
@@ -524,6 +531,34 @@ def test_invariant_reading_a_later_variable_on_one_branch(tmp_path):
     assert rest == BRANCHING_RECORDS
 
 
+def test_reachable_states_keep_only_what_reads_no_state_variable(monkeypatch):
+    # A reachable state is not compared with the one before it: a binding
+    # list whose parameter domain reads a state variable is made again in
+    # each of them, and one whose domain reads none is made once.
+    from trustb import po as po_module
+    from trustb.dsl import parse_file
+    from trustb.runtime import enumerate_instantiations
+    from trustb.typecheck import elaborate
+
+    tm = elaborate(parse_file(BRANCHING, "branch.ebt")).machine("Branch")
+    [inst] = enumerate_instantiations(tm.context, {"S": 2})
+    env = inst.env()
+    made = []
+    real = po_module.bind_params
+
+    def counting(info, frame, bound):
+        made.append(info.name)
+        return real(info, frame, bound)
+
+    monkeypatch.setattr(po_module, "bind_params", counting)
+    discharge_all(tm, env, generate_pos(tm), REACHABLE)
+    reachable = len(reachable_states(tm, env))
+    assert reachable > 1
+    # grow's and add's parameters range over S; shrink's over a.
+    assert made.count("grow") == made.count("add") == 1
+    assert made.count("shrink") == reachable
+
+
 # grd2 of mark reads d only for an x in a, so while a is empty the bindings
 # it keeps stand whatever d holds.
 GUARDED = """CONTEXT c
@@ -719,20 +754,31 @@ def _shipped_cells():
 @pytest.mark.parametrize("group", ["symmetric", "trivial"])
 @pytest.mark.parametrize("variant,level", list(_shipped_cells()))
 def test_orbit_walk_hands_over_the_first_changed_position(variant, level, group, monkeypatch):
-    # The walk's changed position must be the one _Reader.move's identity
-    # scan finds, state by state, under the symmetry group and without it.
+    # The walk's changed position must be the one an identity scan finds,
+    # state by state, under the symmetry group and without it: the first
+    # variable whose value is not the very object the state before held,
+    # -1 for the first state and len(var_order) if every object is the same.
     from trustb import runtime
-    from trustb.po import _Reader
 
     tm, inst, env = setup(level, BoundSpec(1, 2, 2), variant)
     if group == "trivial":
         monkeypatch.setattr(runtime, "symmetry_group", lambda tm, env: ({},))
-    reader = _Reader(tm.var_order, env)
+
+    def identity_scan(prev, values):
+        if prev is None:
+            return -1
+        for k, name in enumerate(tm.var_order):
+            if values[name] is not prev[name]:
+                return k
+        return len(tm.var_order)
+
     walk = state_orbits(tm, env)
     positions = []
+    prev = None
     for state, _size in walk:
         positions.append(walk.changed)
-        assert walk.changed == reader.move(state.values)
+        assert walk.changed == identity_scan(prev, state.values)
+        prev = state.values
     assert positions[0] == -1
     assert set(positions[1:]) == set(range(len(tm.var_order)))
 
@@ -928,13 +974,18 @@ def test_unchanged_post_states_reuse_pre_state_truths(monkeypatch):
     from trustb import po as po_module
 
     evaluated: dict[int, int] = {}
-    real = po_module.eval_pred_frame
+    real = po_module._compile_goal
 
-    def counting(pred, frame, bound):
-        evaluated[id(pred)] = evaluated.get(id(pred), 0) + 1
-        return real(pred, frame, bound)
+    def counting(p):
+        code = real(p)
 
-    monkeypatch.setattr(po_module, "eval_pred_frame", counting)
+        def run(frame, bound):
+            evaluated[id(p.goal)] = evaluated.get(id(p.goal), 0) + 1
+            return code(frame, bound)
+
+        return run
+
+    monkeypatch.setattr(po_module, "_compile_goal", counting)
     # At level 2 the enabled trust event changes nothing, and its GRD goals
     # are its own guards: no goal is evaluated again on a post-state.
     assert _post_state_goals(None, evaluated) == {"GRD": 0, "INV": 0}
