@@ -74,7 +74,7 @@ answer it already knows, by six rules.
   last variable fastest and hands out memoised candidate values, so
   consecutive states share the objects of their common prefix.  The orbit
   walk knows the first position it bound anew since the state before, and
-  hands it over (state_orbits's `changed`): it is the position an identity
+  hands it over (state_orbits's walk()): it is the position an identity
   scan would find.  The reachable states are not compared: each hands over
   position 0, so what read a state variable is decided afresh there, memos
   aside.  Invariants, binding lists and guards keep a decided depth.  Each
@@ -89,17 +89,19 @@ answer it already knows, by six rules.
   where the ones before it held.  A run that stops before reading a late
   variable, as a quantifier or an implication does when it knows its
   answer early, is thus not repeated when only that variable changes.
-* Memos.  An invariant or guard whose mentioned state variables are not a
+* Guard memos.  A guard whose mentioned state variables are not a
   nonempty prefix of the variable order keeps, for one discharge_all call,
   a memo keyed by the values of those variables.  It stores each run's
   truth with the depth the run decided, so a hit leaves the decided depths
-  as exact as a run would.  The walk revisits a prefix predicate only on a
-  new prefix, which decided depth already covers, and one that mentions
-  every variable never meets a key twice, so neither keeps a memo.  A
-  guard's memo is split by the values of the parameters it mentions, and a
-  binding takes its guards' parts, its slots, once, when it enters the
-  binding list: a guard stage then looks each binding's slot up under one
-  state key.  A guard that mentions no state variable has one key, so it
+  as exact as a run would.  The walk revisits a prefix guard only on a new
+  prefix, which decided depth already covers, and one that mentions every
+  variable never meets a key twice, so neither keeps a memo.  Invariants
+  keep none: decided depth alone runs each once per visited prefix up to
+  the deepest variable it read, and a memo saved few runs more.  A guard's
+  memo is split by the values of the parameters it mentions, and a binding
+  takes its guards' parts, its slots, once, when it enters the binding
+  list: a guard stage then looks each binding's slot up under one state
+  key.  A guard that mentions no state variable has one key, so it
   runs at most once per binding in the whole walk, however often the list
   before it is made again.  A lookup that misses, and only that, runs the
   predicate through _Reader.decide, which stores the run in the memo.
@@ -301,10 +303,11 @@ def _compile_goal(po: ProofObligation) -> PredCode | ExprCode:
 
 
 # An obligation's report with what the walk knows of its goal beforehand:
-# for INV where the walk's truths keep the goal's pre-state truth, if they
-# do, and the variables the goal reads; then the goal's code, None where the
-# goal holds in every case (see _given).
-_Target = tuple[DischargeReport, int | None, tuple[str, ...], PredCode | ExprCode | None]
+# for INV its pre-state truth in the states of the target's list (in
+# event_pos, its index among the walk's truths), None where the walk does
+# not decide it, and the variables it reads; then the goal's code, None
+# where the goal holds in every case (see _given).
+_Target = tuple[DischargeReport, bool | None, tuple[str, ...], PredCode | ExprCode | None]
 
 
 class _Targets(list):
@@ -324,14 +327,12 @@ class _Targets(list):
         self.open = [t for t in self if t[3] is not None and t[0].counterexample is None]
 
 
-def _judge(targets: _Targets, cache: "_Bindings", entry: tuple, truths: list[bool],
-           plans: dict) -> None:
+def _judge(targets: _Targets, cache: "_Bindings", entry: tuple, plans: dict) -> None:
     """Judge one enabled case, the entry's binding in the case frame, against
     each open target obligation and keep the first counterexample of each,
-    which closes that target in every target list of the plans.  `truths`
-    holds the pre-state truths of the walk's invariants: an INV goal none
-    of whose variables the actions gave a different value is as true after
-    the event as before it."""
+    which closes that target in every target list of the plans.  An INV goal
+    none of whose variables the actions gave a different value is as true
+    after the event as its target says it is before."""
     reader = cache.reader
     frame, bound = reader.values, reader.bound
     done = post_frame = None
@@ -348,7 +349,7 @@ def _judge(targets: _Targets, cache: "_Bindings", entry: tuple, truths: list[boo
             post, moved = done
             if po.kind == "INV":
                 if pre is not None and moved.isdisjoint(reads):
-                    if truths[pre]:
+                    if pre:
                         continue
                 else:
                     if post_frame is None:
@@ -429,29 +430,31 @@ def _walk(tm: TypedMachine, env: Env, source: str, reader: _Reader) -> Iterator[
     """Walk the pre-states of `source`, each in reader.values while it is
     the current one, and yield the number of states each stands for and
     the position of its first changed variable.  Over all typed states
-    reader.values is the orbit walk's own frame, and the position the
-    orbit walk's `changed`.  Each reachable state gets a frame of its own
-    and the position 0, -1 for the first: only what read no state variable
-    stands there, and memos."""
+    this is the orbit walk's own, in its own frame; each reachable state
+    gets a frame of its own and the position 0, -1 for the first, so only
+    what read no state variable stands there, and memos."""
     if source == ALL_STATES:
         walk = state_orbits(tm, env)
         reader.values = walk.frame
-        for weight in walk.walk():
-            yield weight, walk.changed
-    else:
-        changed = -1
-        for state in reachable_states(tm, env):
-            reader.values = {**env.bindings, **state.values}
-            yield 1, changed
-            changed = 0
+        return walk.walk()
+    return _reachable(tm, env, reader)
+
+
+def _reachable(tm: TypedMachine, env: Env, reader: _Reader) -> Iterator[tuple[int, int]]:
+    """_walk over the reachable states."""
+    changed = -1
+    for state in reachable_states(tm, env):
+        reader.values = {**env.bindings, **state.values}
+        yield 1, changed
+        changed = 0
 
 
 def _memo_key(names: tuple[str, ...], order: tuple[str, ...]):
-    """The function that reads the memo key of a predicate mentioning the
-    state variables `names` (in variable order) off a state's values; None
-    if they are a nonempty prefix of `order`, as decided depth already runs
-    such a predicate once per distinct prefix.  A predicate that mentions
-    none has one key for the whole walk."""
+    """The function that reads the memo key of a guard mentioning the state
+    variables `names` (in variable order) off a state's values; None if
+    they are a nonempty prefix of `order`, as decided depth already runs
+    such a guard once per distinct prefix.  A guard that mentions none has
+    one key for the whole walk."""
     if not names:
         return _unkeyed
     return None if names == order[: len(names)] else itemgetter(*names)
@@ -465,9 +468,9 @@ def _unkeyed(_values) -> None:
 class _Truths:
     """Invariants' truths in the walk's current state, each decided by the
     rules of the module docstring: given where the walk lists only typed
-    states (`typed`), and otherwise through the reader's decide."""
+    states (`typed`), and otherwise by decided depth alone."""
 
-    __slots__ = ("codes", "reader", "truths", "depths", "keys", "memos")
+    __slots__ = ("codes", "reader", "truths", "depths")
 
     def __init__(self, tm: TypedMachine, checked: list, reader: _Reader, typed: bool):
         self.codes = [code for _lbl, code in checked]
@@ -476,8 +479,6 @@ class _Truths:
         given = tm.typing_invariants if typed else ()
         # The first state (changed -1) decides every invariant not given.
         self.depths = [-1 if lbl in given else 0 for lbl, _code in checked]
-        self.keys = [_memo_key(tm.invariant_reads[lbl], tm.var_order) for lbl, _code in checked]
-        self.memos = [None if key is None else {} for key in self.keys]
 
     def at(self, changed: int) -> bool:
         """Bring `truths` to the reader's current state, whose first changed
@@ -487,12 +488,7 @@ class _Truths:
         for k, depth in enumerate(depths):
             if depth > changed:
                 ran = True
-                memo = self.memos[k]
-                key = packed = None
-                if memo is not None:
-                    packed = memo.get(key := self.keys[k](reader.values))
-                if packed is None:
-                    packed = reader.decide(self.codes[k], memo, key)
+                packed = reader.decide(self.codes[k], None, None)
                 truths[k], depths[k] = (packed & 1) == 1, packed >> 1
         return ran
 
@@ -709,7 +705,9 @@ def discharge_all(
                     false = {lbl for lbl, ok in zip(labels, key) if not ok and lbl != goal}
                     plan = plans[key] = (
                         vacuity and all(key),
-                        [_Targets(t for t in mine if false.isdisjoint(t[0].po.hypothesis))
+                        [_Targets((rep, pre if pre is None else key[pre], reads, code)
+                                  for rep, pre, reads, code in mine
+                                  if false.isdisjoint(rep.po.hypothesis))
                          for _info, mine, *_rest in events],
                     )
             states += weight
@@ -735,7 +733,7 @@ def discharge_all(
                         if targets and all(oks):
                             targets.cases += weight
                             if targets.open:
-                                _judge(targets, cache, entry, truths, plans)
+                                _judge(targets, cache, entry, plans)
                 else:
                     enabled = cache.enabled(changed)
                     targets.cases += weight * len(enabled)
@@ -743,7 +741,7 @@ def discharge_all(
                         if not targets.open:
                             break
                         frame.update(entry[0])
-                        _judge(targets, cache, entry, truths, plans)
+                        _judge(targets, cache, entry, plans)
 
     for _valid, lists in plans.values():
         for targets in lists:

@@ -245,10 +245,9 @@ def _assignments(
     names: tuple[str, ...],
     candidates: Callable[[int], Sequence[Value]],
     frame: dict,
-    images: Callable[[Sequence[Value], int], list[int]] | None = None,
+    images: Callable[[int, int], list[int]] | None = None,
     eq: tuple[int, ...] = (),
-    low: list[int] | None = None,
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Bind names[0], names[1], ... in `frame` to each value `candidates(k)`
     lists for the k-th name, the last name varying fastest, and yield once
     per complete assignment; the caller reads the values from `frame`.
@@ -261,30 +260,28 @@ def _assignments(
     resumes once per assignment, not once per name.
 
     With a group of permutations, `eq` holds the group elements g that map
-    the assignment so far to itself, and `images(values, g)` lists, for
-    each value of a candidate list, the index of its image under g in the
-    same list; while g fixes the earlier names, their list is the same.  A
-    value that some g in `eq` maps to an earlier index is skipped with all
-    its completions, since g maps each of them to one that comes earlier:
-    only the least assignment of each orbit is bound (a lex-leader test,
-    Crawford et al., KR 1996).  What is yielded is `eq` at the complete
-    assignment, the group elements other than the identity that fix it.
-    With `eq` empty every candidate is bound and `images` is never asked.
+    the assignment so far to itself, and `images(k, g)` lists, for each
+    value of the list `candidates(k)` last gave, the index of its image
+    under g in the same list; while g fixes the earlier names, their list
+    is the same.  A value that some g in `eq` maps to an earlier index is
+    skipped with all its completions, since g maps each of them to one that
+    comes earlier: only the least assignment of each orbit is bound (a
+    lex-leader test, Crawford et al., KR 1996).  With `eq` empty every
+    candidate is bound and `images` is never asked.
 
-    With `low`, a one-item list, binding the k-th name lowers low[0] to k:
-    a caller that raises it to len(names) at each assignment reads there,
-    at the next, the first position bound anew in between.
+    Each yield is a pair: `eq` at the complete assignment, the group
+    elements other than the identity that fix it, and the first position
+    bound anew since the assignment before (-1 for the first).
     """
     last = len(names) - 1
     if last < 0:
-        yield eq
+        yield eq, -1
         return
-    if low is None:
-        low = [0]
     stack: list[tuple] = [()] * last
     k = i = 0
+    low = -1
     values = candidates(0)
-    maps = [images(values, g) for g in eq]
+    maps = [images(0, g) for g in eq]
     while True:
         fixing = eq
         count = len(values)
@@ -309,17 +306,18 @@ def _assignments(
             values, i, maps, eq = stack[k]
             continue
         frame[names[k]] = values[i]
-        if low[0] > k:
-            low[0] = k
+        if low > k:
+            low = k
         i += 1
         if k == last:
-            yield fixing
+            yield fixing, low
+            low = k + 1
             continue
         stack[k] = (values, i, maps, eq)
         k += 1
         i, eq = 0, fixing
         values = candidates(k)
-        maps = [images(values, g) for g in eq]
+        maps = [images(k, g) for g in eq]
 
 
 def param_bindings(
@@ -380,63 +378,57 @@ class _VarDomains:
     """The state variables' candidate lists, read on the walk's frame, and
     the walk over them (walk()): it binds in `frame` the states least in
     their orbits under the group, one after another, and yields each
-    orbit's size (see _assignments).  Iterating yields each of those states
-    as a State, with the orbit's size.
+    orbit's size with the first position bound anew (see _assignments).
+    Iterating yields each of those states as a State, with the orbit's
+    size.
 
     The frame holds the constants and, at each step, that state's
     variables: a caller that reads it during the walk needs no State, and
     may bind other names there, which the walk neither reads nor removes.
+    The variables before the first position bound anew hold the very
+    objects they held in the state before.
 
     A variable whose domain expression mentions earlier variables gets its
-    list recomputed, and memoised, per combination of those values.  The
-    memo keeps every list for the whole walk, so a list's id names it, and
-    images() keeps the index maps of each list per group element, and each
-    member's image under each element it has met.
-
-    `changed` is the position, in variable order, of the first variable
-    the last state handed out binds anew (-1 for the first state).  The
-    variables before it hold the very objects they held in the state
-    before, and it does not: its list is the same one, and it moved on in
-    that list.
+    list recomputed, and memoised, per combination of those values.  Each
+    memoised list is kept with its index maps, one per group element, made
+    when images() first asks; `lists` holds, per position, the entry
+    candidates() last gave.  `members` keeps each member's image under each
+    group element it has met.
     """
 
-    __slots__ = (
-        "order", "domains", "deps", "memo", "frame", "bound", "perms", "maps", "members", "changed"
-    )
+    __slots__ = ("order", "domains", "deps", "memo", "lists", "frame", "bound", "perms", "members")
 
     def __init__(self, tm: TypedMachine, env: Env, perms: tuple[dict, ...]):
         order = self.order = tm.var_order
         infos = [tm.variables[v] for v in order]
         self.domains = [compile_domain(info.domain_expr) for info in infos]
         self.deps = [tm.reads(info.domain_expr) for info in infos]
-        self.memo: list[dict[tuple[Value, ...], tuple[Value, ...]]] = [{} for _ in order]
+        self.memo: list[dict[tuple[Value, ...], tuple]] = [{} for _ in order]
+        self.lists: list[tuple] = [()] * len(order)
         self.frame = dict(env.bindings)
         self.bound = env.powerset_bound
         self.perms = perms
-        self.maps: dict[int, list] = {}
         self.members: list[dict[Value, Value]] = [{} for _ in perms]
-        self.changed = -1
 
     def candidates(self, k: int) -> tuple[Value, ...]:
         """The k-th variable's list, with the variables before it bound."""
         frame = self.frame
         key = tuple(frame[d] for d in self.deps[k])
-        cached = self.memo[k].get(key)
-        if cached is None:
+        entry = self.memo[k].get(key)
+        if entry is None:
             try:
-                cached = self.domains[k](frame, self.bound)
+                values = self.domains[k](frame, self.bound)
             except BoundExceeded as err:
                 raise BoundExceeded(err.what, err.size, err.bound, self.order[k]) from None
-            self.memo[k][key] = cached
-        return cached
+            entry = self.memo[k][key] = (values, [None] * len(self.perms))
+        self.lists[k] = entry
+        return entry[0]
 
-    def images(self, values: tuple[Value, ...], g: int) -> list[int]:
-        """For each i, the index in `values` of the g-th permutation's image
-        of values[i]."""
-        entry = self.maps.get(id(values))
-        if entry is None:
-            entry = self.maps[id(values)] = [None] * len(self.perms)
-        where = entry[g]
+    def images(self, k: int, g: int) -> list[int]:
+        """For each i, the index in the k-th variable's current list of the
+        g-th permutation's image of its i-th value."""
+        values, maps = self.lists[k]
+        where = maps[g]
         if where is None:
             index = {v: i for i, v in enumerate(values)}
             perm, seen = self.perms[g], self.members[g]
@@ -446,24 +438,25 @@ class _VarDomains:
             for member in members.difference(seen):
                 seen[member] = permute(member, perm)
             image = seen.__getitem__
-            where = entry[g] = [
+            where = maps[g] = [
                 index[frozenset(map(image, v)) if type(v) is SetV else permute(v, perm)]
                 for v in values
             ]
         return where
 
-    def walk(self) -> Iterator[int]:
-        """Bind each state in `frame` and yield its orbit's size."""
-        order, frame, size = self.order, self.frame, len(self.perms)
+    def walk(self) -> Iterator[tuple[int, int]]:
+        """Bind each state in `frame` and yield its orbit's size and the
+        first position it binds anew, -1 for the first state."""
+        size = len(self.perms)
         others = tuple(range(1, size))
-        low = [-1]
-        for fixing in _assignments(order, self.candidates, frame, self.images, others, low):
-            self.changed, low[0] = low[0], len(order)
-            yield size // (len(fixing) + 1)
+        for fixing, changed in _assignments(
+            self.order, self.candidates, self.frame, self.images, others
+        ):
+            yield size // (len(fixing) + 1), changed
 
     def __iter__(self) -> Iterator[tuple[State, int]]:
         order, frame, owning = self.order, self.frame, State._owning
-        for size in self.walk():
+        for size, _changed in self.walk():
             yield owning({v: frame[v] for v in order}), size
 
 
@@ -489,10 +482,9 @@ def state_orbits(tm: TypedMachine, env: Env) -> _VarDomains:
     walk never binds a prefix that some group element maps to an earlier
     one (see _assignments).  The orbit's size is the group's order over
     that of the state's stabilizer.  Under the trivial group this is
-    state_universe, each state with size 1.  While iterating, the walk's
-    `changed` names the first position the current state binds anew, and
-    its `frame` holds the state's values; its walk() yields the sizes alone
-    and leaves each state in that frame (see _VarDomains).
+    state_universe, each state with size 1.  Its walk() yields each size
+    with the first position the state binds anew, and leaves each state in
+    the walk's `frame` (see _VarDomains).
     """
     return _VarDomains(tm, env, symmetry_group(tm, env))
 

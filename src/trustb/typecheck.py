@@ -200,12 +200,19 @@ def type_of_expr(e: Expr, env: dict[str, Type]) -> Type:
         _elem_of(base_t, e.pos, "powerset base")
         return TSet(base_t)
     if t is Dom:
-        elem = _elem_of(type_of_expr(e.rel, env), e.pos, "dom operand")
+        rel_t = type_of_expr(e.rel, env)
+        if type(rel_t) is TEmptySet:  # {} is a relation of any type
+            return EMPTY_T
+        elem = _elem_of(rel_t, e.pos, "dom operand")
         if type(elem) is not TPair:
             raise _fail(f"dom needs a relation, got set of {elem!r}", e.pos)
         return TSet(elem.left)
     if t is Image:
-        elem = _elem_of(type_of_expr(e.rel, env), e.pos, "image relation")
+        rel_t = type_of_expr(e.rel, env)
+        if type(rel_t) is TEmptySet:
+            _elem_of(type_of_expr(e.arg, env), e.pos, "image argument")
+            return EMPTY_T
+        elem = _elem_of(rel_t, e.pos, "image relation")
         if type(elem) is not TPair:
             raise _fail(f"image needs a relation, got set of {elem!r}", e.pos)
         arg_t = type_of_expr(e.arg, env)
@@ -235,8 +242,9 @@ def check_pred(p: Pred, env: dict[str, Type]) -> None:
     t = type(p)
     if t is Member or t is NotMember:
         item_t = type_of_expr(p.item, env)
-        cont_elem = _elem_of(type_of_expr(p.container, env), p.pos, "membership container")
-        if unify(item_t, cont_elem) is None:
+        cont_t = type_of_expr(p.container, env)
+        cont_elem = _elem_of(cont_t, p.pos, "membership container")
+        if type(cont_t) is not TEmptySet and unify(item_t, cont_elem) is None:
             raise _fail(
                 f"member type {item_t!r} does not fit container of {cont_elem!r}", p.pos
             )

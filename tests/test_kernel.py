@@ -275,6 +275,12 @@ def test_forall_matches_python_fold():
     got = holds("!x . x : S => x : E", S=s, E=e)
     want = all(x in e.elements for x in s.elements)
     assert got == want
+    # Every conjunct is a typing conjunct the loops already satisfy.
+    for s in (EMPTY_SET, mkatoms("ab")):
+        assert holds("!x . x : S", S=s) == all(x in s.elements for x in s.elements)
+        assert holds("!x, y . x : S & y : S", S=s) == all(
+            x in s.elements and y in s.elements for x in s.elements for y in s.elements
+        )
 
 
 def test_exists_matches_python_fold():
@@ -282,6 +288,9 @@ def test_exists_matches_python_fold():
     got = holds("#x . x : S & x = a", S=s, a=A)
     assert got == any(x == A for x in s.elements)
     assert not holds("#x . x : S & x = q", S=s, q=Atom("q"))
+    # Its one conjunct is the typing conjunct the loop already satisfies.
+    for s in (EMPTY_SET, mkatoms("ab")):
+        assert holds("#x . x : S", S=s) == any(x in s.elements for x in s.elements)
 
 
 def test_nested_quantifiers_short_circuit_order_free():
@@ -787,6 +796,28 @@ WIDE = _wide(17) + _wide(40)
 def test_a_quantifier_past_the_loop_cap_goes_on_in_a_function_of_its_own(n, atoms, want):
     got = [eval_pred_frame(parse_predicate(text), {"S": mkatoms(atoms)}) for text in _wide(n)]
     assert got == want
+
+
+def test_a_cut_part_computes_its_hoisted_subterm_in_place():
+    """A claim nested past _CUT brackets goes on in a _part function, which
+    cannot fill the slot of dom(r), a subterm that reads no loop variable:
+    it computes dom(r) in place, beside r[{x}], which reads x."""
+    from trustb.kernel import _CUT, emit_source
+
+    n = _CUT // 2 + 2
+    def deep(term):
+        return "{" * n + f"x |-> {term}" + "}" * n
+
+    pred = parse_predicate(f"!x . x : S => {deep('dom(r)')} = {deep('r[{x}]')}")
+    source = emit_source(pred, "pred")
+    parts = source[: source.index("def code(")]
+    assert "def _part" in parts and "domain_of(f['r'])" in parts and "_s" not in parts
+    relations = [rel(), rel((A, B)), rel((A, B), (B, B)), rel((A, A), (B, A)), rel((A, A), (A, B))]
+    for S in (EMPTY_SET, mkatoms("a"), mkatoms("ab")):
+        for r in relations:
+            dom = {p.left for p in r.elements}
+            want = all(dom == {p.right for p in r.elements if p.left == x} for x in S.elements)
+            assert eval_pred_frame(pred, {"S": S, "r": r}) is want, (S, r)
 
 
 def test_a_quantifier_leaves_its_loops_by_return_alone():

@@ -688,13 +688,12 @@ def test_state_orbits_partition_the_state_universe():
 def _walk(names, lists, images=None, eq=()):
     """What _assignments yields when the k-th name's candidates are
     lists[k](frame): per complete assignment the values bound, the group
-    elements fixing it and where `low` points, `low` raised to len(names)
-    after each, as the state walk does; and the frame left behind."""
-    frame, low, out = {"other": 0}, [-1], []
+    elements fixing it and the first position bound anew; and the frame
+    left behind."""
+    frame, out = {"other": 0}, []
     candidates = lambda k: lists[k](frame)  # noqa: E731
-    for fixing in _assignments(names, candidates, frame, images=images, eq=eq, low=low):
-        out.append((tuple(frame[n] for n in names), fixing, low[0]))
-        low[0] = len(names)
+    for fixing, changed in _assignments(names, candidates, frame, images=images, eq=eq):
+        out.append((tuple(frame[n] for n in names), fixing, changed))
     return out, frame
 
 
@@ -723,17 +722,18 @@ def test_orbit_walk_skips_an_empty_list_at_a_middle_position():
 def test_orbit_walk_drops_a_group_element_that_fixes_nothing():
     a_list, b_list = ("x", "y", "z"), ("p", "q")
     # Element 1 swaps x and y and fixes the rest; element 2 swaps p and q.
+    # The index maps are keyed by position: a's list, then b's.
     maps = {
-        (a_list, 1): [1, 0, 2], (a_list, 2): [0, 1, 2],
-        (b_list, 1): [0, 1], (b_list, 2): [1, 0],
+        (0, 1): [1, 0, 2], (0, 2): [0, 1, 2],
+        (1, 1): [0, 1], (1, 2): [1, 0],
     }
     lists = [lambda frame: a_list, lambda frame: b_list]
-    out, frame = _walk(("a", "b"), lists, lambda values, g: maps[values, g], (1, 2))
+    out, frame = _walk(("a", "b"), lists, lambda k, g: maps[k, g], (1, 2))
     assert out == [(("x", "p"), (), -1), (("z", "p"), (1,), 0)]
     assert frame == {"other": 0}
     # An element that fixes no candidate anywhere leaves every assignment
     # but the ones it maps to an earlier one.
-    swap = lambda values, g: [1, 0]  # noqa: E731
+    swap = lambda k, g: [1, 0]  # noqa: E731
     lists = [lambda frame: ("x", "y"), lambda frame: ("p", "q")]
     out, frame = _walk(("a", "b"), lists, swap, (1,))
     assert out == [(("x", "p"), (), -1), (("x", "q"), (), 1)]

@@ -766,3 +766,31 @@ def test_version_and_help_write_to_the_given_stream(capsys):
         assert run_command(argv, stdout=out) == 0
         assert text in out.getvalue()
         assert capsys.readouterr() == ("", "")
+
+
+def test_the_module_entry_point_runs_the_cli():
+    """`python3 -m trustb`, as README documents it: __main__ runs cli.main,
+    which exits with run_command's status and output."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import trustb
+
+    src = str(pathlib.Path(trustb.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "trustb", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = module("--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "trustb 0.1.0\n", "")
+    # Level 0 fails trust/inv2 at these bounds, so both exit 1.
+    argv = ["check", "--level", "0", "--bounds", "1,1,1", "--format", "records"]
+    done = module(*argv)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(argv, stdout=out, stderr=err) == 1
+    assert (done.returncode, done.stdout, done.stderr) == (1, out.getvalue(), err.getvalue())
+    assert "verdict=failed" in done.stdout

@@ -215,6 +215,49 @@ END"""
         make(text)
 
 
+@pytest.mark.parametrize(
+    "guard, with_v_empty, otherwise",
+    [
+        ("x : {}", False, False),
+        ("x /: {}", True, True),
+        ("dom({}) = {}", True, True),
+        ("{}[{x}] = {}", True, True),
+        # {} meets pow(S) inside a pair.
+        ("(x |-> {}) = (x |-> v)", True, False),
+    ],
+)
+def test_the_empty_set_is_a_set_and_a_relation_of_any_type(guard, with_v_empty, otherwise):
+    from trustb.runtime import (
+        enumerate_instantiations,
+        guard_report,
+        param_bindings,
+        state_universe,
+    )
+
+    text = f"""MACHINE m SEES c
+VARIABLES v
+INVARIANTS
+  @inv1: v : pow(S)
+EVENT INITIALISATION THEN @act1: v := {{}} END
+EVENT e ANY x WHERE
+  @grd1: x : S
+  @grd2: {guard}
+THEN
+  @act1: v := v
+END
+END"""
+    tm = make(text).machine("m")
+    env = enumerate_instantiations(tm.context, {"S": 2})[0].env()
+    cases = 0
+    for state in state_universe(tm, env):
+        for binding in param_bindings(tm.event("e"), state, env):
+            report = guard_report(tm, "e", state, binding, env)
+            truth = otherwise if state.values["v"] else with_v_empty
+            assert report.guards[1] == ("grd2", truth)
+            cases += 1
+    assert cases == 4 * 2
+
+
 def test_refinement_must_keep_variables():
     text = """MACHINE m SEES c
 VARIABLES v
