@@ -7,13 +7,14 @@ commitment for the exact triple.  Each level is a superposition
 refinement of the one below, shipped as source files under data/ and
 loaded here by name.
 
-TrustState wraps a machine state of the chosen level behind verbs
-(allocate_task, learn, commit, establish_trust) and a per-guard explained
-trust_query.  Commitments are read sparsely: a triple with no entry in
-the commitments variable counts as FALSE, so querying an uncommitted
-triple fails guard grd8 just as the model says, while the
-commitment-typing invariant is evaluated as written and reported honestly
-when the commitments run ahead of the trust record.
+TrustState holds the state of the chosen level in one frame, which the
+verbs (allocate_task, learn, commit, establish_trust) and adopt write in
+place and a per-guard explained trust_query reads; embed() returns a
+snapshot.  Commitments are read sparsely: a triple with no entry in the
+commitments variable counts as FALSE, so querying an uncommitted triple
+fails guard grd8 just as the model says, while the commitment-typing
+invariant is evaluated as written and reported honestly when the
+commitments run ahead of the trust record.
 
 build_model parses and elaborates each built-in model once per process,
 and every caller shares it, so callers treat the returned TypedModel and
@@ -40,13 +41,7 @@ from .errors import (
     UnresolvedReference,
 )
 from .kernel import DEFAULT_POWERSET_BOUND, Env, eval_expr_frame
-from .runtime import (
-    Instantiation,
-    State,
-    event_frame,
-    fire_event,
-    initial_state,
-)
+from .runtime import Instantiation, State, initial_state, post_values
 from .syntax import ContextAST, Expr, MachineAST, SetEnum
 from .typecheck import TypedMachine, TypedModel, elaborate
 from .values import EMPTY_SET, FALSE, TRUE, Atom, PairV, SetV, Value, canon, mkset
@@ -293,10 +288,13 @@ class TrustDecision:
 class TrustState:
     """Mutable working state for one instantiated trust level.
 
-    Holds one machine state of the level.  The verbs allocate_task, learn,
-    commit and establish_trust, and adopt (import_state adopts), each
-    replace it with a new state; queries evaluate the level's actual trust
-    guards on it.  embed() returns the held state itself.
+    Holds one frame: the constants, the level's variables and the last
+    query's parameters.  The verbs allocate_task, learn, commit and
+    establish_trust, and adopt (import_state adopts), write the variables
+    in place, each computing its new values before it writes any, so a
+    write that raises leaves the state as it was; queries and invariants
+    run on the frame.  embed() returns a snapshot State of the variables.
+    Parameters never shadow a name, so the frame may keep the last query's.
     """
 
     def __init__(
@@ -316,8 +314,7 @@ class TrustState:
         self._env = self.instantiation.env()
         self.instantiation.validate(self._tm.context)
 
-        self._state = initial_state(self._tm, self._env)
-        self._frame: dict[str, Value] | None = None  # the trust-event frame of _state
+        self._frame = {**self._env.bindings, **initial_state(self._tm, self._env).values}
         self._trust = self._tm.event(TRUST_EVENT)
         # Per checked query binding: the binding and what _decide_once gives.
         self._bindings: dict[tuple, tuple[dict[str, Value], list, tuple]] = {}
@@ -353,21 +350,17 @@ class TrustState:
 
     # -- state updates
 
-    def _set(self, var: str, elements) -> None:
-        self._state = self._state.updated({var: SetV(elements)})
-        self._frame = None
-
     def allocate_task(self, trustees, task: str) -> None:
         """Record that a trustee group can perform a task (at most one)."""
         group = self._trustee_group(trustees)
         t = self._task(task)
-        allocated = self._state.values["agent_task"]
+        allocated = self._frame["agent_task"]
         for pair in allocated:
             if pair.left == group and pair.right != t:
                 raise FunctionalityViolation(
                     f"group {canon(group)} is already allocated task {pair.right.name}"
                 )
-        self._set("agent_task", allocated | {PairV(group, t)})
+        self._frame["agent_task"] = SetV(allocated | {PairV(group, t)})
 
     def learn(self, trustor: str, trustee: str) -> None:
         if self.level < TrustLevel.EPISTEMIC:
@@ -375,20 +368,19 @@ class TrustState:
         i = self._trustor(trustor)
         if trustee not in self.trustees:
             raise UndeclaredAtom(trustee)
-        known = self._state.values["knowledge"]
-        self._set("knowledge", known | {PairV(i, Atom(trustee))})
+        self._frame["knowledge"] = SetV(self._frame["knowledge"] | {PairV(i, Atom(trustee))})
 
     def commit(self, trustor: str, trustees, task: str, flag: bool) -> None:
         if self.level < TrustLevel.COMMITMENT:
             raise ScenarioError("commitments only exist at level 2")
         triple = self._triple(trustor, trustees, task)
-        kept = [p for p in self._state.values["commitments"] if p.left != triple]
-        self._set("commitments", [*kept, PairV(triple, TRUE if flag else FALSE)])
+        kept = [p for p in self._frame["commitments"] if p.left != triple]
+        self._frame["commitments"] = SetV([*kept, PairV(triple, TRUE if flag else FALSE)])
 
     def committed(self, trustor: str, trustees, task: str) -> bool:
         """Stored commitment flag; absent entries default to FALSE."""
         triple = self._triple(trustor, trustees, task)
-        return PairV(triple, TRUE) in self._state.values["commitments"]
+        return PairV(triple, TRUE) in self._frame["commitments"]
 
     # -- machine view
 
@@ -396,28 +388,25 @@ class TrustState:
         return self._tm.var_order
 
     def embed(self) -> State:
-        return self._state
+        """A snapshot of the held state, which later writes leave as it is."""
+        return State._owning({v: self._frame[v] for v in self.variables()})
 
     def adopt(self, state: State) -> None:
-        """Replace the held state with a machine state's values."""
-        self._state = State({v: state.values[v] for v in self.variables()})
-        self._frame = None
+        """Write a machine state's values into the frame."""
+        self._frame.update({v: state.values[v] for v in self.variables()})
 
     def invariants(self) -> list[tuple[str, bool]]:
         """Truth of every invariant of the level in the held state.  An
         invariant runs again only when a variable it mentions no longer
         equals its value at the last run: it depends on nothing else but
         the constants, which never change here."""
-        values = self._state.values
+        frame = self._frame
         reads = self._tm.invariant_reads
-        frame = None
         report = []
         for lbl, code in self._tm.invariant_code:
-            seen = tuple([values[v] for v in reads[lbl]])
+            seen = tuple([frame[v] for v in reads[lbl]])
             last = self._decided.get(lbl)
             if last is None or last[0] != seen:
-                if frame is None:
-                    frame = event_frame(self._env, self._state)
                 last = self._decided[lbl] = (seen, code(frame, self._env.powerset_bound))
             report.append((lbl, last[1]))
         return report
@@ -432,10 +421,8 @@ class TrustState:
     ) -> tuple[tuple[str, bool], ...]:
         """Every trust guard's label and truth in the held state, in guard
         order: `decided`, with each guard of `pending` (see _decide_once)
-        run on the state's frame in its place."""
+        run on the frame in its place."""
         frame = self._frame
-        if frame is None:
-            frame = self._frame = event_frame(self._env, self._state)
         # The binding names the same parameters on every query, so it may
         # overwrite the previous query's values in place.
         frame.update(binding)
@@ -447,7 +434,7 @@ class TrustState:
 
     def _binding(self, trustor: str, trustees, task: str) -> tuple[dict[str, Value], list, tuple]:
         """The query's binding, with what _decide_once gives for it."""
-        key = (trustor, tuple(trustees), task)
+        key = (trustor, trustees, task)
         entry = self._bindings.get(key)
         if entry is None:
             binding = {
@@ -484,25 +471,24 @@ class TrustState:
         return decided, pending
 
     def trust_query(self, trustor: str, trustees, task: str) -> TrustDecision:
+        trustees = tuple(trustees)  # read an iterator once
         truths = self._guard_truths(*self._binding(trustor, trustees, task))
         granted = all([ok for _lbl, ok in truths])
-        return TrustDecision(trustor, tuple(trustees), task, self.level, granted, truths)
+        return TrustDecision(trustor, trustees, task, self.level, granted, truths)
 
     def establish_trust(self, trustor: str, trustees, task: str) -> TrustDecision:
         """Fire the trust event, or raise TrustDenied explaining why not."""
         decision = self.trust_query(trustor, trustees, task)
         if not decision.granted:
             raise TrustDenied(decision)
-        # trust_query has just evaluated every guard on this state.
-        binding = self._binding(trustor, trustees, task)[0]
-        self._state = fire_event(
-            self._tm, TRUST_EVENT, self._state, binding, self._env, check_guards=False
-        )
-        self._frame = None
+        # trust_query has just evaluated every guard on the frame, which
+        # still holds its binding.
+        frame = self._frame
+        frame.update(post_values(self._trust, frame, self._env.powerset_bound))
         return decision
 
     def trusts(self, trustor: str, trustees, task: str) -> bool:
-        return self._triple(trustor, trustees, task) in self._state.values["trustor_trustee_task"]
+        return self._triple(trustor, trustees, task) in self._frame["trustor_trustee_task"]
 
 
 # --- state files ------------------------------------------------------

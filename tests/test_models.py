@@ -260,6 +260,17 @@ def test_group_identity_ignores_listing_order():
     assert canon(ts._trustee_group(["carol", "bob"])) == "{bob, carol}"
 
 
+@pytest.mark.parametrize("method", ["trust_query", "establish_trust"])
+@pytest.mark.parametrize(
+    "group", [lambda: iter(["bob"]), lambda: (n for n in ("bob",))], ids=["iterator", "generator"]
+)
+def test_a_trustee_group_may_be_given_as_an_iterator(method, group):
+    ts = fresh()
+    grant_path(ts)
+    d = getattr(ts, method)("alice", group(), "deliver")
+    assert d.granted and d.failing == [] and d.trustees == ("bob",)
+
+
 def test_invariant_warnings_surface_transients():
     ts = fresh()
     ts.commit("alice", ["bob"], "deliver", True)
@@ -547,7 +558,7 @@ def test_invariants_match_a_full_report_after_every_step(level):
     import random
 
     from trustb.errors import TrustDenied
-    from trustb.runtime import invariant_report, state_universe
+    from trustb.runtime import State, fire_event, invariant_report, state_universe
 
     bounds = BoundSpec(2, 2, 1)
     tm, _inst, env = machine_setup(level, bounds)
@@ -555,11 +566,16 @@ def test_invariants_match_a_full_report_after_every_step(level):
     ts = TrustState(level, trustors, trustees, tasks)
     typed = list(state_universe(tm, env))
     groups = [["v1"], ["v2"], ["v1", "v2"]]
-    verbs = ["allocate", "trust", "adopt"] + ["learn"] * (level >= 1) + ["commit"] * (level >= 2)
+    verbs = ["allocate", "trust", "adopt", "adopt-partial"]
+    verbs += ["learn"] * (level >= 1) + ["commit"] * (level >= 2)
     rng = random.Random(1400 + level)
     for _step in range(300):
         verb = rng.choice(verbs)
         i, j, t = rng.choice(trustors), rng.choice(groups), rng.choice(tasks)
+        # A snapshot, which no write may change, and a write that raises
+        # must leave the state as it was.
+        before = ts.embed()
+        held = dict(before.values)
         try:
             if verb == "allocate":
                 ts.allocate_task(j, t)
@@ -569,11 +585,43 @@ def test_invariants_match_a_full_report_after_every_step(level):
                 ts.commit(i, j, t, rng.random() < 0.7)
             elif verb == "trust":
                 ts.establish_trust(i, j, t)
-            else:
+                binding = {"i": Atom(i), "j": mkset(Atom(n) for n in j), "t": Atom(t)}
+                assert ts.embed() == fire_event(tm, "trust", before, binding, env)
+            elif verb == "adopt":
                 ts.adopt(rng.choice(typed))
+            else:
+                dropped = rng.choice(tm.var_order)
+                partial = {v: x for v, x in rng.choice(typed).values.items() if v != dropped}
+                with pytest.raises(KeyError):
+                    ts.adopt(State(partial))
+                assert ts.embed() == before
         except (FunctionalityViolation, TrustDenied):
-            pass
+            assert ts.embed() == before
+        assert before.values == held
         assert ts.invariants() == invariant_report(tm, ts.embed(), env)
+
+
+def test_the_trust_api_builds_no_state_per_write(monkeypatch):
+    from trustb.runtime import State
+    from trustb.scenario import run_scenario_text
+
+    built = []
+    real_init, real_owning = State.__init__, State.__dict__["_owning"].__func__
+
+    def init(self, values):
+        built.append("init")
+        real_init(self, values)
+
+    def owning(cls, values):
+        built.append("owning")
+        return real_owning(cls, values)
+
+    monkeypatch.setattr(State, "__init__", init)
+    monkeypatch.setattr(State, "_owning", classmethod(owning))
+    result = run_scenario_text(builtin_source("adv"))
+    assert result.ok
+    # Only the initial state and the final embed() become a State.
+    assert len(built) <= 2
 
 
 def test_learn_decides_again_only_the_invariants_that_mention_knowledge(monkeypatch):
